@@ -279,3 +279,34 @@ def test_dispatch_matches_documented_stream_recipe():
     scale = SeverityTable.default().params(CorruptionKind.UNIFORM, 4)["scale"]
     expected = cloud.points + rng.uniform(-scale, scale, size=cloud.points.shape)
     assert np.array_equal(out.points, expected)
+
+
+# -- golden output ---------------------------------------------------------
+
+
+def test_golden_default_table_and_every_cell():
+    """Pin the default table digest and the bytes of all 75 (kind, severity)
+    outputs plus their provenance, so refactors cannot drift silently."""
+    import hashlib
+    import json
+
+    from pccorrupt import MESH_KINDS, normalize_unit_sphere, sample_surface, write_ply
+
+    assert SeverityTable.default().digest() == (
+        "sha256:89fa7d88dbc060068be663efa88edc2548e37aed99e142fc4ef4e6b033cdb6cc"
+    )
+    mesh = uv_sphere()
+    cloud = normalize_unit_sphere(sample_surface(mesh, 512, 5))
+    h = hashlib.sha256()
+    for kind in CorruptionKind:
+        for s in range(1, 6):
+            info = {}
+            out = apply_corruption(
+                mesh if kind in MESH_KINDS else cloud,
+                CorruptionSpec(kind, s, seed=7),
+                sample_key=11,
+                info=info,
+            )
+            h.update(write_ply(out))
+            h.update(json.dumps(info, sort_keys=True).encode())
+    assert h.hexdigest() == "a7abdfc4de13629bb0514fc2093125b7d918cb0a0d82261d25c0a5c909cb439c"
