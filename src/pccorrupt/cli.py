@@ -37,7 +37,7 @@ from .io_formats import (
 from .corruptions import apply_corruption
 from .occlusion import DegenerateViewError
 from .pipeline import DataError, RunConfig
-from .severity import CorruptionKind, CorruptionSpec, SeverityTable
+from .severity import SEVERITIES, CorruptionKind, CorruptionSpec, SeverityTable
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -119,13 +119,13 @@ def _parse_kinds(text: str) -> tuple[str, ...]:
 
 def _parse_severities(text: str) -> tuple[int, ...]:
     if text in (None, "", "all"):
-        return (1, 2, 3, 4, 5)
+        return SEVERITIES
     try:
         values = tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise UsageError(f"bad severity list {text!r}") from None
     for v in values:
-        if v not in (1, 2, 3, 4, 5):
+        if v not in SEVERITIES:
             raise UsageError(f"severity {v} outside 1..5")
     return values
 
@@ -204,33 +204,23 @@ def cmd_apply(args) -> int:
 
 
 def _train_config(args, config: dict) -> network.TrainConfig:
-    fields = {}
-    for name, default in (
-        ("epochs", 30),
-        ("batch_size", 32),
-        ("lr", 1e-3),
-        ("smoothing", 0.2),
-        ("mix", "none"),
-        ("mix_lam", 0.5),
-    ):
-        fields[name] = _pick(args, config, name, default)
-    if "augmentation" in config and "mix" not in config:
-        fields["mix"] = config["augmentation"]
-    if "lambda" in config:
-        fields["mix_lam"] = config["lambda"]
-    fields["augment"] = not args.no_augment if args.no_augment is not None else bool(
+    config = network.TrainConfig.resolve_aliases(config)
+    fields = {
+        name: cast(_pick(args, config, name, getattr(network.TrainConfig, name)))
+        for name, cast in (
+            ("epochs", int),
+            ("batch_size", int),
+            ("lr", float),
+            ("smoothing", float),
+            ("mix", str),
+            ("mix_lam", float),
+        )
+    }
+    augment = not args.no_augment if args.no_augment is not None else bool(
         config.get("augment", True)
     )
-    fields["seed"] = _resolve_seed(args, config)
     return network.TrainConfig(
-        epochs=int(fields["epochs"]),
-        batch_size=int(fields["batch_size"]),
-        lr=float(fields["lr"]),
-        smoothing=float(fields["smoothing"]),
-        augment=fields["augment"],
-        mix=str(fields["mix"]),
-        mix_lam=float(fields["mix_lam"]),
-        seed=fields["seed"],
+        **fields, augment=augment, seed=_resolve_seed(args, config)
     )
 
 

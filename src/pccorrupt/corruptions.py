@@ -242,7 +242,60 @@ def rbf_corrupt(
 # ---------------------------------------------------------------------------
 # dispatch
 
-_CLOUD_KINDS = frozenset(CorruptionKind) - {CorruptionKind.OCCLUSION, CorruptionKind.LIDAR}
+
+def _view(params: dict, rng: np.random.Generator, info: dict | None):
+    pose = view_pose(params["view_index"], rng)
+    if info is not None:
+        info["pose"] = {
+            "azimuth_deg": pose.azimuth_deg,
+            "elevation_deg": pose.elevation_deg,
+            "distance": pose.distance,
+        }
+    return pose
+
+
+# kind -> op(data, params, rng, info).  The lambdas look the operators up by
+# name on every call, so a module attribute replaced at run time (by a
+# tracer, say) sees every call.
+_OPS = {
+    CorruptionKind.OCCLUSION: lambda mesh, p, rng, info: occlusion_cloud(
+        mesh, _view(p, rng, info)
+    ),
+    CorruptionKind.LIDAR: lambda mesh, p, rng, info: lidar_cloud(
+        mesh, _view(p, rng, info), rng
+    ),
+    CorruptionKind.LOCAL_DENSITY_INC: lambda c, p, rng, info: local_density_increase(
+        c, p["n_clusters"], p["cluster_size"], rng
+    ),
+    CorruptionKind.LOCAL_DENSITY_DEC: lambda c, p, rng, info: local_density_decrease(
+        c, p["n_clusters"], p["cluster_size"], rng
+    ),
+    CorruptionKind.CUTOUT: lambda c, p, rng, info: cutout(c, p["n_clusters"], p["k"], rng),
+    CorruptionKind.UNIFORM: lambda c, p, rng, info: uniform_noise(c, p["scale"], rng),
+    CorruptionKind.GAUSSIAN: lambda c, p, rng, info: gaussian_noise(c, p["sigma"], rng),
+    CorruptionKind.IMPULSE: lambda c, p, rng, info: impulse_noise(
+        c, (c.count // p["count_div"]) * p["count_mul"], p["magnitude"], rng
+    ),
+    CorruptionKind.UPSAMPLING: lambda c, p, rng, info: upsampling_noise(
+        c, (c.count * p["count_mul"]) // p["count_div"], p["bound"], rng
+    ),
+    CorruptionKind.BACKGROUND: lambda c, p, rng, info: background_noise(c, p["count"], rng),
+    CorruptionKind.ROTATION: lambda c, p, rng, info: random_rotation(
+        c, p["max_angle_deg"], rng, info=info
+    ),
+    CorruptionKind.SHEAR: lambda c, p, rng, info: random_shear(
+        c, p["max_coeff"], rng, info=info
+    ),
+    CorruptionKind.FFD: lambda c, p, rng, info: ffd_corrupt(
+        c, p["distance"], rng, info=info
+    ),
+    CorruptionKind.RBF: lambda c, p, rng, info: rbf_corrupt(
+        c, p["distance"], rng, MULTIQUADRIC, info=info
+    ),
+    CorruptionKind.INV_RBF: lambda c, p, rng, info: rbf_corrupt(
+        c, p["distance"], rng, INVERSE_MULTIQUADRIC, info=info
+    ),
+}
 
 
 def apply_corruption(
@@ -266,56 +319,7 @@ def apply_corruption(
         info["kind"] = kind.value
         info["severity"] = severity
         info["params"] = dict(params)
-
-    if kind in (CorruptionKind.OCCLUSION, CorruptionKind.LIDAR):
-        if not isinstance(data, TriangleMesh):
-            raise TypeError(f"{kind.value} corruption needs a TriangleMesh input")
-        pose = view_pose(params["view_index"], rng)
-        if info is not None:
-            info["pose"] = {
-                "azimuth_deg": pose.azimuth_deg,
-                "elevation_deg": pose.elevation_deg,
-                "distance": pose.distance,
-            }
-        if kind is CorruptionKind.OCCLUSION:
-            return occlusion_cloud(data, pose)
-        return lidar_cloud(data, pose, rng)
-
-    if not isinstance(data, PointCloud):
-        raise TypeError(f"{kind.value} corruption needs a PointCloud input")
-    cloud = data
-    n = cloud.count
-
-    if kind is CorruptionKind.UNIFORM:
-        return uniform_noise(cloud, params["scale"], rng)
-    if kind is CorruptionKind.GAUSSIAN:
-        return gaussian_noise(cloud, params["sigma"], rng)
-    if kind is CorruptionKind.IMPULSE:
-        count = (n // params["count_div"]) * params["count_mul"]
-        return impulse_noise(cloud, count, params["magnitude"], rng)
-    if kind is CorruptionKind.UPSAMPLING:
-        count = (n * params["count_mul"]) // params["count_div"]
-        return upsampling_noise(cloud, count, params["bound"], rng)
-    if kind is CorruptionKind.BACKGROUND:
-        return background_noise(cloud, params["count"], rng)
-    if kind is CorruptionKind.LOCAL_DENSITY_INC:
-        return local_density_increase(
-            cloud, params["n_clusters"], params["cluster_size"], rng
-        )
-    if kind is CorruptionKind.LOCAL_DENSITY_DEC:
-        return local_density_decrease(
-            cloud, params["n_clusters"], params["cluster_size"], rng
-        )
-    if kind is CorruptionKind.CUTOUT:
-        return cutout(cloud, params["n_clusters"], params["k"], rng)
-    if kind is CorruptionKind.ROTATION:
-        return random_rotation(cloud, params["max_angle_deg"], rng, info=info)
-    if kind is CorruptionKind.SHEAR:
-        return random_shear(cloud, params["max_coeff"], rng, info=info)
-    if kind is CorruptionKind.FFD:
-        return ffd_corrupt(cloud, params["distance"], rng, info=info)
-    if kind is CorruptionKind.RBF:
-        return rbf_corrupt(cloud, params["distance"], rng, MULTIQUADRIC, info=info)
-    if kind is CorruptionKind.INV_RBF:
-        return rbf_corrupt(cloud, params["distance"], rng, INVERSE_MULTIQUADRIC, info=info)
-    raise ValueError(f"unhandled corruption kind {kind!r}")
+    expected = TriangleMesh if kind.needs_mesh else PointCloud
+    if not isinstance(data, expected):
+        raise TypeError(f"{kind.value} corruption needs a {expected.__name__} input")
+    return _OPS[kind](data, params, rng, info)

@@ -7,10 +7,9 @@ freely across worker processes and threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 class OffParseError(ValueError):
@@ -306,40 +305,3 @@ def nearest_indices(points: np.ndarray, query: np.ndarray, k: int) -> np.ndarray
     d2 = ((points - np.asarray(query, dtype=np.float64)) ** 2).sum(axis=1)
     order = np.lexsort((np.arange(len(points)), d2))
     return order[:k]
-
-
-@dataclass
-class KnnIndex:
-    """kd-tree index over a point cloud with deterministic tie-breaking."""
-
-    cloud: PointCloud
-    _tree: cKDTree = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._tree = cKDTree(self.cloud.points)
-
-    def query(self, point, k: int):
-        """The k nearest source points: (indices, distances), ascending.
-
-        Equal distances resolve to the lower index.
-        """
-        n = self.cloud.count
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if k > n:
-            raise ValueError(f"k={k} exceeds cloud size {n}")
-        point = np.asarray(point, dtype=np.float64).reshape(3)
-        dist, _ = self._tree.query(point, k=k)
-        radius = float(np.max(dist))
-        # inflate slightly so boundary ties are never dropped by rounding
-        candidates = self._tree.query_ball_point(point, radius * (1 + 1e-12) + 1e-300)
-        cand = np.asarray(candidates, dtype=np.int64)
-        d2 = ((self.cloud.points[cand] - point) ** 2).sum(axis=1)
-        order = np.lexsort((cand, d2))[:k]
-        idx = cand[order]
-        return idx, np.sqrt(d2[order])
-
-
-def knn_query(index: KnnIndex, query, k: int):
-    """Functional form of KnnIndex.query."""
-    return index.query(query, k)

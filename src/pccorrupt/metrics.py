@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .severity import CorruptionKind
+from .severity import SEVERITIES, CorruptionKind
 
 CLEAN = "clean"
-SEVERITIES = (1, 2, 3, 4, 5)
 REPORT_VERSION = 1
 CSV_HEADER = ["sample_id", "corruption", "severity", "true_label", "pred_label"]
 
@@ -47,7 +46,7 @@ class PredictionRecord:
             raise ValueError(
                 "severity 0 is reserved for clean records (and clean requires it)"
             )
-        if not 0 <= self.severity <= 5:
+        if self.corruption != CLEAN and self.severity not in SEVERITIES:
             raise ValueError(f"severity must be in 0..5, got {self.severity}")
         if self.true_label < 0 or self.pred_label < 0:
             raise ValueError("class indices must be >= 0")
@@ -193,27 +192,24 @@ def merge_tables(a: CountTable, b: CountTable) -> CountTable:
 # direct record-level metrics
 
 
+def _pooled(records, empty_message="cannot compute an error rate over zero records"):
+    """One Cell over every record, whatever its (corruption, severity)."""
+    cell = Cell()
+    for r in records:
+        cell.add(r)
+    if not cell.count:
+        raise ValueError(empty_message)
+    return cell
+
+
 def error_rate(records) -> float:
-    records = list(records)
-    if not records:
-        raise ValueError("cannot compute an error rate over zero records")
-    wrong = sum(1 for r in records if r.wrong)
-    return wrong / len(records)
+    return _pooled(records).error_rate()
 
 
 def class_mean_error_rate(records) -> float:
     """Unweighted mean of per-class error rates; classes without samples
     simply do not participate."""
-    records = list(records)
-    if not records:
-        raise ValueError("cannot compute an error rate over zero records")
-    totals, wrongs = Counter(), Counter()
-    for r in records:
-        totals[r.true_label] += 1
-        if r.wrong:
-            wrongs[r.true_label] += 1
-    rates = [wrongs.get(c, 0) / n for c, n in totals.items()]
-    return sum(rates) / len(rates)
+    return _pooled(records).class_mean_error_rate()
 
 
 def confusion(records, corruption=None, severity=None, n_classes=None):
@@ -222,19 +218,18 @@ def confusion(records, corruption=None, severity=None, n_classes=None):
     corruption/severity filter the scope when given; entry (i, j) counts
     true class i predicted as j.
     """
-    scoped = [
-        r
-        for r in records
-        if (corruption is None or r.corruption == corruption)
-        and (severity is None or r.severity == severity)
-    ]
-    if not scoped:
-        raise ValueError("empty scope for confusion matrix")
+    cell = _pooled(
+        (
+            r
+            for r in records
+            if (corruption is None or r.corruption == corruption)
+            and (severity is None or r.severity == severity)
+        ),
+        "empty scope for confusion matrix",
+    )
     if n_classes is None:
-        n_classes = 1 + max(max(r.true_label, r.pred_label) for r in scoped)
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for r in scoped:
-        counts[r.true_label, r.pred_label] += 1
+        n_classes = 1 + max(max(pair) for pair in cell.confusion)
+    counts = _confusion_matrix(cell.confusion, n_classes)
     row_sums = counts.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         normalized = np.where(row_sums > 0, counts / row_sums, 0.0)
@@ -264,16 +259,21 @@ class MetricsReport:
     report_version: int = REPORT_VERSION
 
 
+def _confusion_matrix(pairs: Counter, n_classes: int) -> np.ndarray:
+    """C x C count matrix from a (true, pred) -> count tally."""
+    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for (i, j), n in pairs.items():
+        matrix[i, j] += n
+    return matrix
+
+
 def _scope_confusion(cells: dict, keys, n_classes: int):
     pooled = Counter()
     for key in keys:
         pooled += cells[key].confusion
     if not pooled:
         return None
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for (i, j), n in pooled.items():
-        matrix[i, j] += n
-    return matrix.tolist()
+    return _confusion_matrix(pooled, n_classes).tolist()
 
 
 def report_from_table(table: CountTable, n_classes: int | None = None) -> MetricsReport:
@@ -404,13 +404,6 @@ def report_from_json(text: str) -> MetricsReport:
     )
 
 
-_GROUPS = (
-    ("Density", ("occlusion", "lidar", "local_density_inc", "local_density_dec", "cutout")),
-    ("Noise", ("uniform", "gaussian", "impulse", "upsampling", "background")),
-    ("Transformation", ("rotation", "shear", "ffd", "rbf", "inv_rbf")),
-)
-
-
 def _pct(rate) -> str:
     return "-" if rate is None else f"{100.0 * rate:.1f}"
 
@@ -418,12 +411,12 @@ def _pct(rate) -> str:
 def render_markdown(report: MetricsReport) -> str:
     """Grouped 15-column table (plus the all-corruption mean), one-decimal
     percentages, with a clean-error line above."""
-    kinds = [k for _, ks in _GROUPS for k in ks]
+    families = [k.family for k in CorruptionKind]
     group_row = ["", *(
-        name if i == 0 else ""
-        for name, ks in _GROUPS
-        for i, _ in enumerate(ks)
+        family if i == 0 or family != families[i - 1] else ""
+        for i, family in enumerate(families)
     ), ""]
+    kinds = _KIND_NAMES
     header = ["metric", *kinds, "ER_cor"]
     lines = [
         f"ER_clean: {_pct(report.er_clean)}  |  mER_clean: {_pct(report.mer_clean)}",

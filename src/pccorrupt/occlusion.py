@@ -10,11 +10,12 @@ traversal is exact (same nearest hit as exhaustive iteration).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import PointCloud, TriangleMesh
+from .severity import SEVERITIES
 
 CANONICAL_AZIMUTHS = (0.0, 72.0, 144.0, 216.0, 288.0)
 DEFAULT_FOV_DEG = 50.0
@@ -67,23 +68,9 @@ class ViewPose:
         return forward, right, up
 
 
-@dataclass(frozen=True)
-class Ray:
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        direction = np.asarray(self.direction, dtype=np.float64).reshape(3)
-        if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
-            raise ValueError("ray direction must be unit length")
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "direction", direction)
-
-
 def view_pose(severity_index: int, rng: np.random.Generator) -> ViewPose:
     """Pose for view index 1..5: azimuth 72*(i-1) deg, elevation ~ U(30, 60)."""
-    if severity_index not in (1, 2, 3, 4, 5):
+    if severity_index not in SEVERITIES:
         raise ValueError(f"severity index must be in 1..5, got {severity_index}")
     azimuth = CANONICAL_AZIMUTHS[severity_index - 1]
     elevation = rng.uniform(30.0, 60.0)

@@ -36,7 +36,7 @@ from .io_formats import (
     write_ply,
 )
 from .corruptions import apply_corruption
-from .severity import CorruptionKind, CorruptionSpec, MESH_KINDS, SeverityTable
+from .severity import SEVERITIES, CorruptionKind, CorruptionSpec, MESH_KINDS, SeverityTable
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
@@ -51,7 +51,7 @@ class RunConfig:
     input_dir: str
     output_dir: str
     kinds: tuple[str, ...] = tuple(k.value for k in CorruptionKind)
-    severities: tuple[int, ...] = (1, 2, 3, 4, 5)
+    severities: tuple[int, ...] = SEVERITIES
     point_budget: int = 1024
     seed: int = 0
     workers: int = 1
@@ -65,7 +65,7 @@ class RunConfig:
         for name in self.kinds:
             CorruptionKind.from_name(name)  # raises on unknown
         for s in self.severities:
-            if s not in (1, 2, 3, 4, 5):
+            if s not in SEVERITIES:
                 raise ValueError(f"severity {s} outside 1..5")
         if self.point_budget < 64:
             raise ValueError("point budget must be >= 64")

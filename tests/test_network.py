@@ -301,6 +301,8 @@ def test_train_config_validation_and_json():
     assert cfg.mix == "rsmix" and cfg.mix_lam == 0.3 and cfg.epochs == 2
     with pytest.raises(ValueError):
         TrainConfig.from_json('{"optimizer": "sgd"}')
+    with pytest.raises(ValueError):  # a name and its alias together are ambiguous
+        TrainConfig.from_json('{"mix": "mixup", "augmentation": "rsmix"}')
 
 
 def test_train_learns_separable_toy_set():

@@ -9,7 +9,6 @@ from pccorrupt import (
     Bvh,
     CANONICAL_AZIMUTHS,
     DegenerateViewError,
-    Ray,
     TriangleMesh,
     ViewPose,
     lidar_cloud,
@@ -89,12 +88,6 @@ def test_pose_basis_orthonormal_and_aimed_at_origin():
     assert np.allclose(pose.position + np.linalg.norm(pose.position) * forward, 0.0,
                        atol=1e-12)
     assert right[2] == pytest.approx(0.0, abs=1e-12)  # right stays horizontal
-
-
-def test_ray_requires_unit_direction():
-    with pytest.raises(ValueError):
-        Ray(np.zeros(3), np.array([1.0, 1.0, 0.0]))
-    Ray(np.zeros(3), np.array([0.0, 0.0, 1.0]))
 
 
 # -- BVH vs brute force ----------------------------------------------------

@@ -7,21 +7,16 @@ import pytest
 from pccorrupt import (
     CorruptionKind,
     CorruptionSpec,
-    DENSITY_KINDS,
     MESH_KINDS,
-    NOISE_KINDS,
     SeverityTable,
-    TRANSFORM_KINDS,
 )
 
 
 def test_fifteen_kinds_in_three_families():
     assert len(list(CorruptionKind)) == 15
-    assert len(DENSITY_KINDS) == 5
-    assert len(NOISE_KINDS) == 5
-    assert len(TRANSFORM_KINDS) == 5
-    combined = set(DENSITY_KINDS) | set(NOISE_KINDS) | set(TRANSFORM_KINDS)
-    assert combined == set(CorruptionKind)
+    families = [k.family for k in CorruptionKind]
+    # declaration order keeps each family contiguous (the report header relies on it)
+    assert families == ["Density"] * 5 + ["Noise"] * 5 + ["Transformation"] * 5
 
 
 def test_ordinals_are_stable_and_distinct():
@@ -113,6 +108,40 @@ def test_override_validation():
         SeverityTable(decreasing)
     with pytest.raises(ValueError):
         SeverityTable({"mystery": [{"scale": 0.1}] * 5})
+
+
+def _cutout(**changes):
+    entries = [{"n_clusters": s, "k": 50} for s in range(1, 6)]
+    entries[2] = {**entries[2], **changes}
+    return entries
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"cutout": _cutout(k="50")},                      # string for an int
+        {"cutout": _cutout(k=50.0)},                      # float for an int
+        {"cutout": _cutout(k=True)},                      # bool is not an int
+        {"cutout": _cutout(k=-1)},                        # negative count
+        {"cutout": _cutout(kk=50)},                       # unknown name
+        {"cutout": [{"n_clusters": s} for s in range(1, 6)]},  # k missing
+        {"cutout": 5},                                    # not a list
+        {"cutout": [5, 5, 5, 5, 5]},                      # records not dicts
+        {"uniform": [{"scale": float("nan")}] * 5},       # not finite
+        {"uniform": [{"scale": "0.1"}] * 5},              # string for a float
+        {"impulse": [{"count_div": 0, "count_mul": s, "magnitude": 0.05}
+                     for s in range(1, 6)]},              # divisor below 1
+        [1, 2, 3],                                        # not an object
+    ],
+)
+def test_override_checked_against_registry(override):
+    with pytest.raises(ValueError):
+        SeverityTable(override)
+
+
+def test_override_accepts_int_for_float_parameter():
+    table = SeverityTable({"uniform": [{"scale": s} for s in range(1, 6)]})
+    assert table.params(CorruptionKind.UNIFORM, 2) == {"scale": 2}
 
 
 def test_json_round_trip_and_digest():
