@@ -82,20 +82,30 @@ def _load_config(path):
     return raw
 
 
-def _pick(args, config: dict, name: str, default):
-    """Flag value if given, else config-file value, else default."""
+def _pick(args, config: dict, name: str, default, expected=str):
+    """Flag value if given, else config-file value, else default.
+
+    A config-file value must be of type `expected` (an int passes for
+    float; a bool passes only for bool), else the config is a DataError.
+    """
     value = getattr(args, name, None)
     if value is not None:
         return value
-    if name in config:
-        return config[name]
-    return default
+    if name not in config:
+        return default
+    value = config[name]
+    allowed = (int, float) if expected is float else expected
+    if not isinstance(value, allowed) or (isinstance(value, bool) and expected is not bool):
+        raise DataError(
+            f"config key {name!r} must be of type {expected.__name__}, got {json.dumps(value)}"
+        )
+    return value
 
 
 def _resolve_seed(args, config: dict) -> int:
-    value = _pick(args, config, "seed", None)
+    value = _pick(args, config, "seed", None, int)
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get("PC_CORRUPT_SEED")
     if env is not None:
         try:
@@ -124,10 +134,13 @@ def _parse_severities(text: str) -> tuple[int, ...]:
         values = tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise UsageError(f"bad severity list {text!r}") from None
-    for v in values:
-        if v not in SEVERITIES:
-            raise UsageError(f"severity {v} outside 1..5")
-    return values
+    return tuple(_check_severity(v) for v in values)
+
+
+def _check_severity(value: int) -> int:
+    if value not in SEVERITIES:
+        raise UsageError(f"severity {value} outside 1..5")
+    return value
 
 
 def _load_table(path) -> SeverityTable | None:
@@ -147,9 +160,9 @@ def cmd_gen(args) -> int:
         output_dir=args.output_dir,
         kinds=_parse_kinds(_pick(args, config, "kinds", "all")),
         severities=_parse_severities(_pick(args, config, "severities", "all")),
-        point_budget=int(_pick(args, config, "points", 1024)),
+        point_budget=_pick(args, config, "points", 1024, int),
         seed=_resolve_seed(args, config),
-        workers=int(_pick(args, config, "workers", 1)),
+        workers=_pick(args, config, "workers", 1, int),
         table=_load_table(_pick(args, config, "table", None)),
     )
     manifest = pipeline.run_generate(run, log=lambda e: log_event(**e))
@@ -171,10 +184,10 @@ def cmd_apply(args) -> int:
         kind = CorruptionKind.from_name(kind_name)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    severity = int(_pick(args, config, "severity", 3))
+    severity = _check_severity(_pick(args, config, "severity", 3, int))
     seed = _resolve_seed(args, config)
     table = _load_table(_pick(args, config, "table", None))
-    points = int(_pick(args, config, "points", 1024))
+    points = _pick(args, config, "points", 1024, int)
     spec = CorruptionSpec(kind, severity, seed=seed)
 
     in_path = Path(args.input)
@@ -206,7 +219,7 @@ def cmd_apply(args) -> int:
 def _train_config(args, config: dict) -> network.TrainConfig:
     config = network.TrainConfig.resolve_aliases(config)
     fields = {
-        name: cast(_pick(args, config, name, getattr(network.TrainConfig, name)))
+        name: cast(_pick(args, config, name, getattr(network.TrainConfig, name), cast))
         for name, cast in (
             ("epochs", int),
             ("batch_size", int),
@@ -216,8 +229,8 @@ def _train_config(args, config: dict) -> network.TrainConfig:
             ("mix_lam", float),
         )
     }
-    augment = not args.no_augment if args.no_augment is not None else bool(
-        config.get("augment", True)
+    augment = not args.no_augment if args.no_augment is not None else _pick(
+        args, config, "augment", True, bool
     )
     return network.TrainConfig(
         **fields, augment=augment, seed=_resolve_seed(args, config)

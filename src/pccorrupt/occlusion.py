@@ -3,8 +3,10 @@
 A pinhole camera at distance 2.5 looks at the origin from one of five
 canonical azimuths (0, 72, 144, 216, 288 degrees) with a random elevation
 in [30, 60] degrees.  Rays keep their nearest triangle intersection
-(Moller-Trumbore, t > 1e-9), accelerated by an axis-aligned BVH whose
-traversal is exact (same nearest hit as exhaustive iteration).
+(Moller-Trumbore, t > 1e-9; at equal t the lowest triangle index).  The
+caster bins the rays of a view on its image plane and tests each triangle
+only against the rays near its projection; the result is exact (the same
+nearest hit as exhaustive iteration).
 """
 
 from __future__ import annotations
@@ -22,8 +24,11 @@ DEFAULT_FOV_DEG = 50.0
 DEFAULT_CAMERA_DISTANCE = 2.5
 RAY_T_MIN = 1e-9
 
-_LEAF_SIZE = 8
 _DET_EPS = 1e-12
+_RAYS_PER_BIN = 1  # mean rays per image-plane bin; sets the grid size
+_MIN_COS = 1e-3  # a triangle is "in front" if every corner has cos(angle to axis) > this
+_PAD = 1e-9  # image-plane margin per unit of a triangle's worst |w| / depth
+_CHUNK = 1 << 15  # (triangle, ray) pairs tested per step
 
 
 class DegenerateViewError(RuntimeError):
@@ -77,124 +82,163 @@ def view_pose(severity_index: int, rng: np.random.Generator) -> ViewPose:
     return ViewPose(azimuth, elevation)
 
 
-@dataclass
-class _Node:
-    lo: np.ndarray
-    hi: np.ndarray
-    left: int = -1
-    right: int = -1
-    start: int = 0
-    count: int = 0
+def _cross(a, b):
+    """a x b for (3, n) coordinate rows, with np.cross's float operations."""
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
+def _dot(a, b):
+    """a . b for (3, n) coordinate rows, summed in np.sum's order."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 class Bvh:
-    """Median-split BVH over mesh triangles with batched exact traversal."""
+    """Exact nearest-hit caster for bundles of rays from one shared origin.
+
+    Rays are binned by where their directions meet an image plane facing
+    the bundle.  Each triangle wholly in front of the origin is tested
+    against the rays in the bins its projection covers, row by row; every
+    other triangle is tested against every ray.  Each (triangle, ray) pair
+    goes through the same Moller-Trumbore arithmetic, so the result is
+    that of exhaustive iteration.
+    """
 
     def __init__(self, mesh: TriangleMesh):
         if len(mesh.faces) == 0:
-            raise ValueError("cannot build a BVH over an empty mesh")
-        tri = mesh.triangles
-        self._v0 = tri[:, 0]
-        self._e1 = tri[:, 1] - tri[:, 0]
-        self._e2 = tri[:, 2] - tri[:, 0]
-        self._tri_lo = tri.min(axis=1)
-        self._tri_hi = tri.max(axis=1)
-        centroids = tri.mean(axis=1)
+            raise ValueError("cannot cast rays against an empty mesh")
+        self._vertices = mesh.vertices
+        self._faces = mesh.faces
+        tri = mesh.triangles.transpose(1, 2, 0)  # (corner, coordinate, face)
+        self._v0 = tri[0]
+        self._e1 = tri[1] - tri[0]
+        self._e2 = tri[2] - tri[0]
 
-        self._order = np.arange(len(tri))
-        self._nodes: list[_Node] = []
-        self._build(0, len(tri), centroids)
-
-    def _build(self, start, end, centroids) -> int:
-        idx = self._order[start:end]
-        lo = self._tri_lo[idx].min(axis=0)
-        hi = self._tri_hi[idx].max(axis=0)
-        node_id = len(self._nodes)
-        self._nodes.append(_Node(lo, hi))
-        node = self._nodes[node_id]
-        if end - start <= _LEAF_SIZE:
-            node.start, node.count = start, end - start
-            return node_id
-        axis = int(np.argmax(hi - lo))
-        key = centroids[idx, axis]
-        local = np.argsort(key, kind="stable")
-        self._order[start:end] = idx[local]
-        mid = (start + end) // 2
-        node.left = self._build(start, mid, centroids)
-        node.right = self._build(mid, end, centroids)
-        return node_id
-
-    def nearest_hits(self, origins: np.ndarray, directions: np.ndarray):
+    def nearest_hits(self, origin: np.ndarray, directions: np.ndarray):
         """Nearest intersection per ray: (t, triangle index); misses are (inf, -1).
 
-        Accepts a single shared origin (shape (3,)) or one origin per ray.
+        All rays start at `origin`, shape (3,).  Among hits at equal t the
+        lowest triangle index wins.
         """
+        origin = np.asarray(origin, dtype=np.float64)
+        if origin.shape != (3,):
+            raise ValueError(f"origin must have shape (3,), got {origin.shape}")
         directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
         n = len(directions)
-        origins = np.asarray(origins, dtype=np.float64)
-        if origins.ndim == 1:
-            origins = np.broadcast_to(origins, (n, 3))
-        safe = np.where(np.abs(directions) < 1e-300, 1e-300, directions)
-        inv_dir = 1.0 / safe
-
         best_t = np.full(n, np.inf)
         best_tri = np.full(n, -1, dtype=np.int64)
-        self._visit(0, np.arange(n), origins, directions, inv_dir, best_t, best_tri)
+
+        # with one origin these Moller-Trumbore terms depend on the triangle only
+        tvec = origin[:, None] - self._v0
+        qvec = np.stack(_cross(tvec, self._e1))
+        tnum = _dot(self._e2, qvec)
+        dirs = directions.T.copy()
+
+        ray_order, tri_ids, lo, hi = self._candidates(origin, directions)
+        lens = hi - lo
+        cuts = np.unique(np.searchsorted(np.cumsum(lens), np.arange(_CHUNK, lens.sum(), _CHUNK)))
+        found = []
+        for tris, start, length in zip(*(np.split(a, cuts) for a in (tri_ids, lo, lens))):
+            before = np.cumsum(length) - length
+            rays = ray_order[np.repeat(start - before, length) + np.arange(length.sum())]
+            tris = np.repeat(tris, length)
+            d = dirs[:, rays]
+            pvec = _cross(d, self._e2[:, tris])
+            det = _dot(self._e1[:, tris], pvec)
+            ok = np.abs(det) > _DET_EPS
+            with np.errstate(divide="ignore", over="ignore"):
+                inv_det = np.where(ok, 1.0 / det, 0.0)
+            u = _dot(tvec[:, tris], pvec) * inv_det
+            v = _dot(d, qvec[:, tris]) * inv_det
+            t = tnum[tris] * inv_det
+            valid = ok & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > RAY_T_MIN)
+            found.append((rays[valid], t[valid], tris[valid]))
+
+        rays, t, tris = (np.concatenate(c) for c in zip(*found))
+        order = np.lexsort((tris, t, rays))
+        rays, t, tris = rays[order], t[order], tris[order]
+        first = np.ones(len(rays), dtype=bool)
+        first[1:] = rays[1:] != rays[:-1]
+        best_t[rays[first]] = t[first]
+        best_tri[rays[first]] = tris[first]
         return best_t, best_tri
 
-    def _visit(self, node_id, ray_ids, origins, directions, inv_dir, best_t, best_tri):
-        if ray_ids.size == 0:
-            return
-        node = self._nodes[node_id]
-        o = origins[ray_ids]
-        inv = inv_dir[ray_ids]
-        t1 = (node.lo[None, :] - o) * inv
-        t2 = (node.hi[None, :] - o) * inv
-        tmin = np.minimum(t1, t2).max(axis=1)
-        tmax = np.maximum(t1, t2).min(axis=1)
-        live = (tmax >= np.maximum(tmin, 0.0)) & (tmin < best_t[ray_ids])
-        ray_ids = ray_ids[live]
-        if ray_ids.size == 0:
-            return
-        if node.count > 0:
-            tris = self._order[node.start : node.start + node.count]
-            self._intersect_leaf(tris, ray_ids, origins, directions, best_t, best_tri)
-        else:
-            self._visit(node.left, ray_ids, origins, directions, inv_dir, best_t, best_tri)
-            self._visit(node.right, ray_ids, origins, directions, inv_dir, best_t, best_tri)
+    def _candidates(self, origin, directions):
+        """Candidate pairs as segments: triangle tri_ids[i] against the rays
+        ray_order[lo[i]:hi[i]]."""
+        n = len(directions)
+        axis = directions.sum(axis=0)
+        forward = axis / np.linalg.norm(axis) if axis.any() else np.array([1.0, 0.0, 0.0])
+        right = np.cross(forward, np.eye(3)[np.argmin(np.abs(forward))])
+        right /= np.linalg.norm(right)
+        frame = np.stack([forward, right, np.cross(forward, right)], axis=1)
 
-    def _intersect_leaf(self, tris, ray_ids, origins, directions, best_t, best_tri):
-        o = origins[ray_ids][:, None, :]
-        d = directions[ray_ids][:, None, :]
-        v0 = self._v0[tris][None, :, :]
-        e1 = self._e1[tris][None, :, :]
-        e2 = self._e2[tris][None, :, :]
+        # rays binned on a uniform grid by where they cross the image plane.
+        # A ray at cos <= _MIN_COS / 2 to the axis stays a finite angle away
+        # from every triangle in front (their cone is convex); it goes last
+        # in ray_order and meets only the triangles not in front.
+        depth, dr, du = (directions @ frame).T
+        ahead = np.flatnonzero(depth > _MIN_COS / 2 * np.linalg.norm(directions, axis=1))
+        m = len(ahead)
+        rx, ry = dr[ahead] / depth[ahead], du[ahead] / depth[ahead]
+        grid = max(1, math.isqrt(m // _RAYS_PER_BIN))
+        x0, y0 = (rx.min(), ry.min()) if m else (0.0, 0.0)
+        wx = (rx.max() - x0) / grid if m and rx.max() > x0 else 1.0
+        wy = (ry.max() - y0) / grid if m and ry.max() > y0 else 1.0
+        cols = np.minimum(np.floor((rx - x0) / wx), grid - 1)
+        bins = (np.minimum(np.floor((ry - y0) / wy), grid - 1) * grid + cols).astype(np.int64)
+        sort = np.argsort(bins, kind="stable")
+        ray_order = np.concatenate([ahead[sort], np.setdiff1d(np.arange(n), ahead)])
+        bin_start = np.searchsorted(bins[sort], np.arange(grid * grid + 1))
 
-        pvec = np.cross(d, e2)
-        det = (e1 * pvec).sum(axis=2)
+        # triangles in front, projected; per-triangle arrays are (3, triangles).
+        # The pad covers rounding in projection, binning and Moller-Trumbore,
+        # which grows with a corner's |w| / depth.
+        w = self._vertices - origin
+        wz, wr, wu = (w @ frame).T
+        in_front = (wz > _MIN_COS * np.linalg.norm(w, axis=1))[self._faces].all(axis=1)
+        front = np.flatnonzero(in_front)
+        corners = self._faces[front].T
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv_det = np.where(np.abs(det) > _DET_EPS, 1.0 / det, 0.0)
-            tvec = o - v0
-            u = (tvec * pvec).sum(axis=2) * inv_det
-            qvec = np.cross(tvec, e1)
-            v = (d * qvec).sum(axis=2) * inv_det
-            t = (e2 * qvec).sum(axis=2) * inv_det
-        valid = (
-            (np.abs(det) > _DET_EPS)
-            & (u >= 0.0)
-            & (v >= 0.0)
-            & (u + v <= 1.0)
-            & (t > RAY_T_MIN)
-        )
-        t = np.where(valid, t, np.inf)
-        # lowest triangle array position wins exact ties, matching brute force
-        col = np.argmin(t, axis=1)
-        rows = np.arange(len(ray_ids))
-        t_best_local = t[rows, col]
-        better = t_best_local < best_t[ray_ids]
-        upd = ray_ids[better]
-        best_t[upd] = t_best_local[better]
-        best_tri[upd] = tris[col[better]]
+            px, py = (wr / wz)[corners], (wu / wz)[corners]
+            pad = _PAD * (np.linalg.norm(w, axis=1) / wz)[corners].max(axis=0)
+
+        # one entry k per (triangle, bin row) its padded y-span covers
+        r0 = np.floor((py.min(axis=0) - pad - y0) / wy)
+        r1 = np.floor((py.max(axis=0) + pad - y0) / wy)
+        keep = np.flatnonzero((r1 >= 0) & (r0 <= grid - 1))
+        r0 = np.maximum(r0[keep], 0).astype(np.int64)
+        nrows = np.minimum(r1[keep], grid - 1).astype(np.int64) - r0 + 1
+        k = np.repeat(keep, nrows)
+        rows = np.repeat(r0 - np.cumsum(nrows) + nrows, nrows) + np.arange(len(k))
+
+        # the triangle's x-span within the row's padded strip: its edges
+        # clipped to the strip (a flat edge's ends are its neighbours' ends)
+        xb, yb = np.roll(px, -1, axis=0), np.roll(py, -1, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(yb != py, (xb - px) / (yb - py), 0.0)[:, k]
+        e_lo, e_hi = np.minimum(py, yb)[:, k], np.maximum(py, yb)[:, k]
+        xa, ya, pad = px[:, k], py[:, k], pad[k]
+        s_lo = y0 + rows * wy - pad
+        s_hi = y0 + (rows + 1) * wy + pad
+        x_lo = xa + (np.clip(s_lo, e_lo, e_hi) - ya) * slope
+        x_hi = xa + (np.clip(s_hi, e_lo, e_hi) - ya) * slope
+        meets = (e_hi >= s_lo) & (e_lo <= s_hi)
+        span_lo = np.where(meets, np.minimum(x_lo, x_hi), np.inf).min(axis=0) - pad
+        span_hi = np.where(meets, np.maximum(x_lo, x_hi), -np.inf).max(axis=0) + pad
+        c0 = np.floor((span_lo - x0) / wx)
+        c1 = np.floor((span_hi - x0) / wx)
+        keep = (c1 >= 0) & (c0 <= grid - 1) & (span_lo <= span_hi)
+        cells = rows[keep] * grid
+        c0 = np.maximum(c0[keep], 0).astype(np.int64)
+        c1 = np.minimum(c1[keep], grid - 1).astype(np.int64)
+
+        # and the triangles not in front against every ray
+        behind = np.flatnonzero(~in_front)
+        tri_ids = np.concatenate([front[k[keep]], behind])
+        lo = np.concatenate([bin_start[cells + c0], np.zeros_like(behind)])
+        hi = np.concatenate([bin_start[cells + c1 + 1], np.full_like(behind, n)])
+        nonempty = hi > lo
+        return ray_order, tri_ids[nonempty], lo[nonempty], hi[nonempty]
 
 
 def _pinhole_directions(pose: ViewPose, grid: int, fov_deg: float) -> np.ndarray:
@@ -207,6 +251,20 @@ def _pinhole_directions(pose: ViewPose, grid: int, fov_deg: float) -> np.ndarray
         + xs.reshape(-1, 1) * right[None, :]
         + ys.reshape(-1, 1) * up[None, :]
     )
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+def _lidar_directions(pose: ViewPose, n_beams: int, azimuth_steps: int,
+                      fov_deg: float) -> np.ndarray:
+    forward, right, up = pose.basis()
+    half = math.radians(fov_deg) / 2.0
+    tan_beam = np.tan(np.linspace(-half, half, n_beams))
+    tan_az = np.tan(np.linspace(-half, half, azimuth_steps))
+    dirs = (
+        forward[None, None, :]
+        + tan_az[None, :, None] * right[None, None, :]
+        + tan_beam[:, None, None] * up[None, None, :]
+    ).reshape(-1, 3)
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
@@ -259,19 +317,7 @@ def lidar_scan(
         raise ValueError("n_beams must be >= 2")
     if azimuth_steps < 1:
         raise ValueError("azimuth_steps must be >= 1")
-    forward, right, up = pose.basis()
-    half = math.radians(fov_deg) / 2.0
-    beam_angles = np.linspace(-half, half, n_beams)
-    az_angles = np.linspace(-half, half, azimuth_steps)
-    tan_beam = np.tan(beam_angles)
-    tan_az = np.tan(az_angles)
-    dirs = (
-        forward[None, None, :]
-        + tan_az[None, :, None] * right[None, None, :]
-        + tan_beam[:, None, None] * up[None, None, :]
-    ).reshape(-1, 3)
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-
+    dirs = _lidar_directions(pose, n_beams, azimuth_steps, fov_deg)
     if bvh is None:
         bvh = Bvh(mesh)
     t, tri = bvh.nearest_hits(pose.position, dirs)

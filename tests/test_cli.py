@@ -78,6 +78,20 @@ def test_gen_bad_severity_is_usage_error(workspace, tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("entry", [
+    {"kinds": 5}, {"severities": [1, 2]}, {"points": "64"}, {"workers": 1.5},
+    {"seed": True}, {"table": 3},
+])
+def test_gen_config_wrong_type_is_data_error(workspace, tmp_path, capsys, entry):
+    _, src, _, _ = workspace
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps(entry))
+    code = main(["gen", str(src), str(tmp_path / "out"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and repr(next(iter(entry))) in err
+
+
 def test_gen_broken_sample_gives_partial_exit(tmp_path, capsys):
     src = tmp_path / "src"
     write_shape_dataset(src, n_per_class=1, seed=5)
@@ -188,6 +202,20 @@ def test_apply_mesh_kind_on_cloud_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("how", [["--severity", "9"], ["--severity", "0"], ["config"]])
+def test_apply_bad_severity_is_usage_error(tmp_path, capsys, how):
+    src = tmp_path / "in.ply"
+    save_cloud(random_cloud(64, seed=4), src)
+    if how == ["config"]:
+        cfg = tmp_path / "a.json"
+        cfg.write_text(json.dumps({"severity": 6}))
+        how = ["--config", str(cfg)]
+    code = main(["apply", str(src), str(tmp_path / "o.ply"), "--kind", "gaussian", *how])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "outside 1..5" in err
+
+
 @pytest.mark.parametrize("k", ["50", None])
 def test_apply_bad_severity_table_is_data_error(tmp_path, capsys, k):
     src = tmp_path / "in.ply"
@@ -283,6 +311,21 @@ def test_train_config_with_name_and_alias_is_data_error(workspace, tmp_path, cap
                  "--epochs", "1", "--batch-size", "4", "--config", str(config)])
     assert code == 2
     assert "alias" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [
+    {"epochs": [1]}, {"batch_size": 4.0}, {"lr": "0.01"}, {"mix": 1}, {"augment": "no"},
+])
+def test_train_config_wrong_type_is_data_error(workspace, tmp_path, capsys, entry):
+    _, _, data, _ = workspace
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(entry))
+    code = main(["train", str(data / "manifest.json"), "--out", str(tmp_path / "m.tpn"),
+                 "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and repr(next(iter(entry))) in err
+    assert not (tmp_path / "m.tpn").exists()
 
 
 def test_eval_writes_predictions(workspace, tmp_path, capsys):

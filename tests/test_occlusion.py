@@ -1,4 +1,4 @@
-"""View simulation: poses, BVH raycasting, occlusion and LiDAR clouds."""
+"""View simulation: poses, ray casting, occlusion and LiDAR clouds."""
 
 import math
 
@@ -18,37 +18,51 @@ from pccorrupt import (
     sensor_frame_elevation,
     view_pose,
 )
-from pccorrupt.occlusion import RAY_T_MIN
+from pccorrupt.occlusion import (
+    DEFAULT_FOV_DEG,
+    RAY_T_MIN,
+    _lidar_directions,
+    _pinhole_directions,
+)
 
 from synthdata import box_mesh, prism_mesh, pyramid_mesh, uv_sphere
 
 
 def brute_nearest_hits(mesh, origin, directions):
-    """Reference Moller-Trumbore over every (ray, triangle) pair."""
+    """Reference Moller-Trumbore over every (ray, triangle) pair.
+
+    Same float operations per pair as the caster (cross products and
+    3-term sums in the same order), so hit distances compare bit for bit.
+    """
     tris = mesh.triangles
-    e1 = tris[:, 1] - tris[:, 0]
-    e2 = tris[:, 2] - tris[:, 0]
+    e1 = (tris[:, 1] - tris[:, 0]).T[:, None, :]  # (3, 1, faces)
+    e2 = (tris[:, 2] - tris[:, 0]).T[:, None, :]
+    s = (origin - tris[:, 0]).T[:, None, :]
+    q = (s[1] * e1[2] - s[2] * e1[1], s[2] * e1[0] - s[0] * e1[2],
+         s[0] * e1[1] - s[1] * e1[0])
+    tnum = e2[0] * q[0] + e2[1] * q[1] + e2[2] * q[2]
     n_rays = len(directions)
     best_t = np.full(n_rays, np.inf)
     best_tri = np.full(n_rays, -1, dtype=np.int64)
-    for r in range(n_rays):
-        d = directions[r]
-        p = np.cross(np.broadcast_to(d, e2.shape), e2)
-        det = (e1 * p).sum(axis=1)
+    step = max(1, 50_000 // len(tris))
+    for r0 in range(0, n_rays, step):
+        d = directions[r0:r0 + step].T[:, :, None]  # (3, rays, 1)
+        p = (d[1] * e2[2] - d[2] * e2[1], d[2] * e2[0] - d[0] * e2[2],
+             d[0] * e2[1] - d[1] * e2[0])
+        det = e1[0] * p[0] + e1[1] * p[1] + e1[2] * p[2]
         ok = np.abs(det) > 1e-12
-        inv = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-        s = origin - tris[:, 0]
-        u = (s * p).sum(axis=1) * inv
-        q = np.cross(s, e1)
-        v = (q @ d) * inv
-        t = (e2 * q).sum(axis=1) * inv
-        valid = ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > RAY_T_MIN)
-        if valid.any():
-            idx = np.flatnonzero(valid)
-            # nearest t; ties at equal t resolve to the lowest triangle index
-            order = np.lexsort((idx, t[idx]))
-            best_tri[r] = idx[order[0]]
-            best_t[r] = t[idx[order[0]]]
+        with np.errstate(divide="ignore", over="ignore"):
+            inv = np.where(ok, 1.0 / det, 0.0)
+        u = (s[0] * p[0] + s[1] * p[1] + s[2] * p[2]) * inv
+        v = (d[0] * q[0] + d[1] * q[1] + d[2] * q[2]) * inv
+        t = tnum * inv
+        t[~(ok & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > RAY_T_MIN))] = np.inf
+        # nearest t; argmin resolves ties at equal t to the lowest triangle index
+        col = np.argmin(t, axis=1)
+        t_col = t[np.arange(len(col)), col]
+        hit = t_col < np.inf
+        best_t[r0:r0 + step][hit] = t_col[hit]
+        best_tri[r0:r0 + step][hit] = col[hit]
     return best_t, best_tri
 
 
@@ -90,26 +104,115 @@ def test_pose_basis_orthonormal_and_aimed_at_origin():
     assert right[2] == pytest.approx(0.0, abs=1e-12)  # right stays horizontal
 
 
-# -- BVH vs brute force ----------------------------------------------------
+# -- caster vs brute force -------------------------------------------------
+
+
+def assert_same_as_brute(mesh, origin, dirs, audit=slice(None)):
+    """Cast the whole bundle; rays[audit] must equal brute force exactly."""
+    t, tri = Bvh(mesh).nearest_hits(origin, dirs)
+    bt, btri = brute_nearest_hits(mesh, origin, dirs[audit])
+    assert np.array_equal(t[audit], bt)
+    assert np.array_equal(tri[audit], btri)
+    return t, tri
 
 
 @pytest.mark.parametrize("builder", [box_mesh, uv_sphere, pyramid_mesh, prism_mesh])
 def test_bvh_matches_brute_force(builder):
     mesh = builder()
-    bvh = Bvh(mesh)
     rng = np.random.default_rng(31)
     origin = np.array([2.0, 1.5, 1.8])
     targets = rng.uniform(-1, 1, size=(400, 3))
     dirs = targets - origin
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    t, tri = bvh.nearest_hits(origin, dirs)
-    bt, btri = brute_nearest_hits(mesh, origin, dirs)
-    assert np.array_equal(tri, btri)
+    t, tri = assert_same_as_brute(mesh, origin, dirs)
     hit = tri >= 0
     assert hit.sum() > 100  # the bundle must actually intersect the shape
-    assert np.allclose(t[hit], bt[hit], rtol=0, atol=1e-12)
     assert np.all(np.isinf(t[~hit]))
+
+
+VIEW_MESHES = {
+    "sphere_6240": lambda: uv_sphere(n_lat=40, n_lon=80),
+    "prism_150": lambda: prism_mesh(n_side=150),  # thin fan triangles on the caps
+}
+# (directions of one cast, ray rows, rows audited per azimuth on the big sphere)
+VIEW_PATTERNS = {
+    "pinhole_48": (lambda pose: _pinhole_directions(pose, 48, DEFAULT_FOV_DEG), 48, 1),
+    "pinhole_96": (lambda pose: _pinhole_directions(pose, 96, DEFAULT_FOV_DEG), 96, 4),
+    "lidar_32x512": (lambda pose: _lidar_directions(pose, 32, 512, DEFAULT_FOV_DEG), 32, 8),
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(VIEW_PATTERNS))
+@pytest.mark.parametrize("mesh_name", sorted(VIEW_MESHES))
+def test_bvh_matches_brute_force_on_view_patterns(mesh_name, pattern):
+    mesh = VIEW_MESHES[mesh_name]()
+    make_dirs, n_rows, stride = VIEW_PATTERNS[pattern]
+    if len(mesh.faces) < 1000:
+        stride = 1
+    for i, azimuth in enumerate(CANONICAL_AZIMUTHS):
+        pose = ViewPose(azimuth, 33.0 + 6.0 * i)
+        dirs = make_dirs(pose)
+        # on the big sphere brute force audits every stride-th row of rays,
+        # a different residue per azimuth; every ray is still cast
+        rows = np.arange(len(dirs)) // (len(dirs) // n_rows)
+        audit = rows % stride == i % stride
+        t, tri = assert_same_as_brute(mesh, pose.position, dirs, audit)
+        assert (tri[audit] >= 0).any() and (tri[audit] < 0).any()
+
+
+def test_bvh_origin_inside_mesh():
+    # every triangle of the box straddles the image plane of some bundle
+    mesh = box_mesh()
+    rng = np.random.default_rng(7)
+    origin = np.array([0.1, -0.2, 0.3])
+    everywhere = rng.normal(size=(1500, 3))
+    cone = np.array([1.0, 0.3, -0.2]) + 0.8 * rng.uniform(-1, 1, size=(1500, 3))
+    for dirs in (everywhere, cone):
+        t, tri = assert_same_as_brute(mesh, origin, dirs)
+        assert np.all(tri >= 0)  # no ray escapes a closed box
+
+
+def test_bvh_rays_pointing_away_all_miss():
+    mesh = uv_sphere(n_lat=20, n_lon=40)
+    rng = np.random.default_rng(8)
+    origin = np.array([3.0, 0.5, -0.5])
+    dirs = np.array([1.0, 0.0, 0.0]) + 0.6 * rng.uniform(-1, 1, size=(2000, 3))
+    t, tri = assert_same_as_brute(mesh, origin, dirs)
+    assert np.all(tri == -1) and np.all(np.isinf(t))
+
+
+def test_bvh_exact_ties_resolve_to_lowest_triangle_index():
+    # unit squares in z = 0 split along a diagonal, faces in shuffled order,
+    # two faces repeated; with dyadic coordinates and |det| = 4 every
+    # Moller-Trumbore step is exact, so rays through a shared vertex or edge
+    # hit all triangles around it at exactly t = 1
+    n = 4
+    verts = np.array([(x, y, 0.0) for y in range(n + 1) for x in range(n + 1)])
+    faces = []
+    for y in range(n):
+        for x in range(n):
+            a, b = y * (n + 1) + x, y * (n + 1) + x + 1
+            c, d = a + n + 1, b + n + 1
+            faces += [(a, b, d), (a, d, c)] if (x + y) % 2 else [(a, b, c), (b, d, c)]
+    faces = np.array(faces)[np.random.default_rng(9).permutation(2 * n * n)]
+    faces = np.concatenate([faces, faces[[5, 11]]])
+    mesh = TriangleMesh(verts, faces)
+    origin = np.array([1.25, 2.5, 4.0])
+    edges = {tuple(sorted(e)) for f in faces for e in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0]))}
+    targets = np.concatenate([verts, [(verts[a] + verts[b]) / 2 for a, b in sorted(edges)]])
+    t, tri = assert_same_as_brute(mesh, origin, targets - origin)
+    assert np.all(t == 1.0)
+    for target, got in zip(targets, tri):
+        touching = [i for i, f in enumerate(faces) if _in_triangle(target, verts[f])]
+        assert got == min(touching)
+
+
+def _in_triangle(p, corners):
+    """Is p inside or on the xy-projection of the triangle?"""
+    sides = [(q[0] - o[0]) * (p[1] - o[1]) - (q[1] - o[1]) * (p[0] - o[0])
+             for o, q in zip(corners, np.roll(corners, -1, axis=0))]
+    return min(sides) >= 0 or max(sides) <= 0
 
 
 def test_bvh_misses_report_no_hit():
@@ -119,15 +222,11 @@ def test_bvh_misses_report_no_hit():
     assert np.all(tri == -1)
 
 
-def test_bvh_per_ray_origins():
-    mesh = uv_sphere()
-    bvh = Bvh(mesh)
+def test_bvh_rejects_per_ray_origins():
+    bvh = Bvh(uv_sphere())
     origins = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-    dirs = -origins / np.linalg.norm(origins, axis=1, keepdims=True)
-    t, tri = bvh.nearest_hits(origins, dirs)
-    assert np.all(tri >= 0)
-    # a (faceted) unit sphere seen from 3 units away: first hit near t = 2
-    assert np.allclose(t, 2.0, atol=0.12)
+    with pytest.raises(ValueError, match="origin"):
+        bvh.nearest_hits(origins, -origins)
 
 
 # -- visible-surface clouds ------------------------------------------------

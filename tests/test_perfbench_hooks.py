@@ -1,0 +1,37 @@
+"""The benchmark's span wrappers still find, and then restore, every traced
+entry point of the program (a renamed function fails here, not mid-run)."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench import spans  # noqa: E402
+
+TRACED_MODULES = ("augmentation", "cli", "corruptions", "metrics", "network",
+                  "occlusion", "pipeline")
+
+
+def _snapshot():
+    """(owner, attribute) -> value over the traced modules and their classes."""
+    owners = [getattr(spans, name) for name in TRACED_MODULES]
+    owners += [
+        value for module in list(owners) for value in vars(module).values()
+        if isinstance(value, type) and value.__module__.startswith("pccorrupt.")
+    ]
+    return {(owner, key): value for owner in owners for key, value in vars(owner).items()}
+
+
+def test_instrument_wraps_and_restores_every_entry_point():
+    before = _snapshot()
+    with spans.instrument(spans.Tracer()):
+        during = _snapshot()
+    after = _snapshot()
+
+    wrapped = {key for key, value in during.items() if value is not before.get(key)}
+    occlusion = spans.occlusion
+    assert (occlusion.Bvh, "nearest_hits") in wrapped
+    assert (occlusion.Bvh, "__init__") in wrapped
+    assert (spans.pipeline, "run_generate") in wrapped
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
