@@ -546,3 +546,50 @@ def test_bn_eps_is_tiny():
     # the variance floor must stay far below real feature variances so that
     # adapted statistics standardize within the documented 1e-3 bound
     assert BN_EPS <= 1e-8
+
+
+# -- golden output ---------------------------------------------------------
+
+
+def test_golden_forward_backward_checkpoint_and_adaptation(tmp_path):
+    """Pin one sha256 over logits, gradients and statistics in every mode,
+    the checkpoint bytes of a tiny trained model and its reload, and the
+    TENT, BN-adaptation and PGD outputs, so refactors cannot drift silently."""
+    import hashlib
+
+    h = hashlib.sha256()
+
+    def feed(tensors):
+        for name in sorted(tensors):
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(tensors[name], dtype="<f8").tobytes())
+
+    clouds = _clouds([9, 5, 12], seed=40)
+    labels = np.array([0, 1, 2])
+    for dims, head in (((64, 128, 256), 128), ((4, 6, 8), 6), ((5,), 3)):
+        state = NetworkState.create(3, point_dims=dims, head_dim=head, seed=2)
+        for mode in ("eval", "train", "adapt"):
+            logits, cache = forward(state, clouds, mode=mode)
+            _, dlogits = loss_smoothed_ce(logits, labels, 0.2)
+            grads, dpoints = backward(state, cache, dlogits)
+            feed({"logits": logits, "points": dpoints, **grads, **cache["new_stats"]})
+
+    data = labelled_clouds(4, 24, seed=41, n_classes=3)
+    config = TrainConfig(epochs=2, batch_size=4, lr=3e-3, mix="cutmix_r", seed=6)
+    trained, _ = train(_tiny_state(seed=5), data, config)
+    path = tmp_path / "golden.tpn"
+    save_checkpoint(trained, path, class_names=["a", "b", "c"], config_digest="sha256:g")
+    saved = path.read_bytes()
+    h.update(saved)
+    loaded, _ = load_checkpoint(path)
+    save_checkpoint(loaded, path, class_names=["a", "b", "c"], config_digest="sha256:g")
+    assert path.read_bytes() == saved
+    feed({"logits": forward(loaded, clouds, mode="eval")[0],
+          "predict": predict(loaded, clouds)})
+
+    tented = tent_adapt(loaded, clouds, TentConfig(lr=1e-2, steps=2))
+    feed({**tented.parameters(), **tented.running_stats()})
+    feed(bn_adapt(loaded, clouds, blend=0.5).running_stats())
+    adv = pgd_attack(loaded, PointCloud(clouds[2]), 1, PgdConfig(), np.random.default_rng(42))
+    feed({"pgd": adv.points})
+    assert h.hexdigest() == "41ffbbc71da6862ccf1fb34ba4e798e41a5529f1ae88278ff6ab8ffd12fef6e2"
