@@ -261,14 +261,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _adapted_state(base, clouds, args):
-    if args.adapt == "bn" and len(clouds) >= 2:
+def _adapted_state(base, clouds, args, kind, severity):
+    if args.adapt == "none":
+        return base
+    if len(clouds) < 2:  # batch statistics need at least two clouds
+        log_event(event="adaptation_skipped", corruption=kind, severity=severity,
+                  n=len(clouds))
+        return base
+    if args.adapt == "bn":
         return network.bn_adapt(base, clouds, blend=args.blend)
-    if args.adapt == "tent" and len(clouds) >= 2:
-        return network.tent_adapt(
-            base, clouds, network.TentConfig(lr=args.tent_lr, steps=args.tent_steps)
-        )
-    return base
+    return network.tent_adapt(
+        base, clouds, network.TentConfig(lr=args.tent_lr, steps=args.tent_steps)
+    )
 
 
 def cmd_eval(args) -> int:
@@ -285,7 +289,7 @@ def cmd_eval(args) -> int:
         for start in range(0, len(batch), args.adapt_batch):
             chunk = batch[start : start + args.adapt_batch]
             clouds = [cloud for _, _, cloud in chunk]
-            model = _adapted_state(state, clouds, args)
+            model = _adapted_state(state, clouds, args, kind, severity)
             preds.extend(network.predict(model, clouds).tolist())
         wrong = 0
         for (sid, cls, _), pred in zip(batch, preds):

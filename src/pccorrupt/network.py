@@ -1,11 +1,13 @@
 """A small permutation-invariant point classifier, written out by hand.
 
-Shared per-point linear layers (3 -> 64 -> 128 -> 256, each with batch norm
-and ReLU), a global max pool over points, then a 256 -> 128 -> C head.  The
-forward pass is pure; batch-norm running statistics are updated explicitly
-by the training loop from values the forward pass reports.  The backward
-pass produces exact analytic gradients for every parameter and for the
-input points, which is what the projected-gradient attack consumes.
+The network is one ordered list of layers, each a shared linear map, batch
+norm and ReLU: the per-point layers (3 -> 64 -> 128 -> 256), a global max
+pool over each cloud's points, then the head layer (256 -> 128), and last
+an affine map to the C class logits.  The forward pass is pure; batch-norm
+running statistics are updated explicitly by the training loop from values
+the forward pass reports.  The backward pass produces exact analytic
+gradients for every parameter and for the input points, which is what the
+projected-gradient attack consumes.
 
 Everything is float64.  Batch statistics use the biased variance (divide
 by N), both for normalization and for the running-average update.
@@ -31,6 +33,7 @@ BN_MOMENTUM = 0.1
 CHECKPOINT_MAGIC = b"TPN1"
 
 _MODES = ("train", "eval", "adapt")
+_STAT_SUFFIXES = (".bn.mean", ".bn.var")
 
 
 class StaleCacheError(RuntimeError):
@@ -38,28 +41,20 @@ class StaleCacheError(RuntimeError):
 
 
 @dataclass
-class BnParams:
+class Layer:
+    """Linear map `w` (width, fan_in), then batch norm, then ReLU."""
+
+    name: str
+    w: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray
     mean: np.ndarray
     var: np.ndarray
 
-    @classmethod
-    def create(cls, width: int):
-        return cls(
-            gamma=np.ones(width),
-            beta=np.zeros(width),
-            mean=np.zeros(width),
-            var=np.ones(width),
-        )
-
 
 @dataclass
 class NetworkState:
-    point_weights: list[np.ndarray]
-    point_bns: list[BnParams]
-    head_weight: np.ndarray
-    head_bn: BnParams
+    layers: list[Layer]  # point0 ... pointN-1, then head; the max pool precedes head
     out_weight: np.ndarray
     out_bias: np.ndarray
     version: int = 0
@@ -75,22 +70,16 @@ class NetworkState:
         if n_classes < 2:
             raise ValueError("need at least 2 classes")
         rng = _rng.stream(seed, 0x6E6574)  # distinct stream for init draws
-        weights, bns = [], []
+        names = [f"point{i}" for i in range(len(point_dims))] + ["head"]
+        layers = []
         fan_in = 3
-        for width in point_dims:
-            weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(width, fan_in)))
-            bns.append(BnParams.create(width))
+        for name, width in zip(names, (*point_dims, head_dim)):
+            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(width, fan_in))
+            layers.append(Layer(name, w, np.ones(width), np.zeros(width),
+                                np.zeros(width), np.ones(width)))
             fan_in = width
-        head_w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(head_dim, fan_in))
         out_w = rng.normal(0.0, np.sqrt(2.0 / head_dim), size=(n_classes, head_dim))
-        return cls(
-            point_weights=weights,
-            point_bns=bns,
-            head_weight=head_w,
-            head_bn=BnParams.create(head_dim),
-            out_weight=out_w,
-            out_bias=np.zeros(n_classes),
-        )
+        return cls(layers=layers, out_weight=out_w, out_bias=np.zeros(n_classes))
 
     @property
     def n_classes(self) -> int:
@@ -98,40 +87,32 @@ class NetworkState:
 
     @property
     def point_dims(self) -> tuple[int, ...]:
-        return tuple(w.shape[0] for w in self.point_weights)
+        return tuple(layer.w.shape[0] for layer in self.layers[:-1])
 
     @property
     def head_dim(self) -> int:
-        return self.head_weight.shape[0]
+        return self.layers[-1].w.shape[0]
 
     def copy(self) -> "NetworkState":
         return copy.deepcopy(self)
 
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Every tensor, layer by layer, in the fixed checkpoint order."""
+        out = {}
+        for layer in self.layers:
+            out[f"{layer.name}.w"] = layer.w
+            for part in ("gamma", "beta", "mean", "var"):
+                out[f"{layer.name}.bn.{part}"] = getattr(layer, part)
+        out["out.w"] = self.out_weight
+        out["out.b"] = self.out_bias
+        return out
+
     def parameters(self) -> dict[str, np.ndarray]:
         """Trainable tensors, in a fixed declared order."""
-        params = {}
-        for i, (w, bn) in enumerate(zip(self.point_weights, self.point_bns)):
-            params[f"point{i}.w"] = w
-            params[f"point{i}.bn.gamma"] = bn.gamma
-            params[f"point{i}.bn.beta"] = bn.beta
-        params["head.w"] = self.head_weight
-        params["head.bn.gamma"] = self.head_bn.gamma
-        params["head.bn.beta"] = self.head_bn.beta
-        params["out.w"] = self.out_weight
-        params["out.b"] = self.out_bias
-        return params
+        return {n: t for n, t in self.tensors().items() if not n.endswith(_STAT_SUFFIXES)}
 
     def running_stats(self) -> dict[str, np.ndarray]:
-        stats = {}
-        for i, bn in enumerate(self.point_bns):
-            stats[f"point{i}.bn.mean"] = bn.mean
-            stats[f"point{i}.bn.var"] = bn.var
-        stats["head.bn.mean"] = self.head_bn.mean
-        stats["head.bn.var"] = self.head_bn.var
-        return stats
-
-    def _bn_layers(self) -> list[BnParams]:
-        return [*self.point_bns, self.head_bn]
+        return {n: t for n, t in self.tensors().items() if n.endswith(_STAT_SUFFIXES)}
 
     def touch(self):
         self.version += 1
@@ -164,15 +145,28 @@ def pack_batch(clouds) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(arrays, axis=0), offsets
 
 
-def _bn_forward(z, bn: BnParams, batch_stats: bool):
+def _max_pool(h, offsets):
+    """Per-cloud feature maxima and their rows; the first index wins ties."""
+    n_batch, feat_dim = len(offsets) - 1, h.shape[1]
+    pooled = np.empty((n_batch, feat_dim))
+    argmax_rows = np.empty((n_batch, feat_dim), dtype=np.int64)
+    for s in range(n_batch):
+        seg = h[offsets[s] : offsets[s + 1]]
+        local = seg.argmax(axis=0)
+        argmax_rows[s] = offsets[s] + local
+        pooled[s] = seg[local, np.arange(feat_dim)]
+    return pooled, argmax_rows
+
+
+def _bn_forward(z, layer: Layer, batch_stats: bool):
     if batch_stats:
         mean = z.mean(axis=0)
         var = z.var(axis=0)  # biased
     else:
-        mean, var = bn.mean, bn.var
+        mean, var = layer.mean, layer.var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat = (z - mean) * inv_std
-    return bn.gamma * x_hat + bn.beta, x_hat, mean, var, inv_std
+    return layer.gamma * x_hat + layer.beta, x_hat, mean, var, inv_std
 
 
 def forward(state: NetworkState, clouds, mode: str = "eval"):
@@ -186,83 +180,54 @@ def forward(state: NetworkState, clouds, mode: str = "eval"):
         raise ValueError(f"mode must be one of {_MODES}")
     x, offsets = pack_batch(clouds)
     batch_stats = mode in ("train", "adapt")
-    n_batch = len(offsets) - 1
 
     cache = {
         "state": state,
         "version": state.version,
         "mode": mode,
-        "offsets": offsets,
         "x": x,
         "layers": [],
-        "new_stats": {},
         "batch_stats": {},
     }
 
     h = x
-    for i, (w, bn) in enumerate(zip(state.point_weights, state.point_bns)):
-        z = h @ w.T
-        y, x_hat, mean, var, inv_std = _bn_forward(z, bn, batch_stats)
+    head = state.layers[-1]
+    for layer in state.layers:
+        if layer is head:
+            h, cache["argmax_rows"] = _max_pool(h, offsets)
+        z = h @ layer.w.T
+        y, x_hat, mean, var, inv_std = _bn_forward(z, layer, batch_stats)
         relu_mask = y > 0
         cache["layers"].append(
             {"input": h, "x_hat": x_hat, "inv_std": inv_std, "relu_mask": relu_mask}
         )
         if batch_stats:
-            cache["batch_stats"][f"point{i}.bn.mean"] = mean
-            cache["batch_stats"][f"point{i}.bn.var"] = var
-            cache["new_stats"][f"point{i}.bn.mean"] = (
-                (1 - BN_MOMENTUM) * bn.mean + BN_MOMENTUM * mean
-            )
-            cache["new_stats"][f"point{i}.bn.var"] = (
-                (1 - BN_MOMENTUM) * bn.var + BN_MOMENTUM * var
-            )
+            cache["batch_stats"][f"{layer.name}.bn.mean"] = mean
+            cache["batch_stats"][f"{layer.name}.bn.var"] = var
         h = np.where(relu_mask, y, 0.0)
 
-    # global max pool per cloud; first index wins ties
-    feat_dim = h.shape[1]
-    pooled = np.empty((n_batch, feat_dim))
-    argmax_rows = np.empty((n_batch, feat_dim), dtype=np.int64)
-    for s in range(n_batch):
-        seg = h[offsets[s] : offsets[s + 1]]
-        local = seg.argmax(axis=0)
-        argmax_rows[s] = offsets[s] + local
-        pooled[s] = seg[local, np.arange(feat_dim)]
-    cache["pooled_input"] = h
-    cache["pooled"] = pooled
-    cache["argmax_rows"] = argmax_rows
-
-    z4 = pooled @ state.head_weight.T
-    y4, x_hat4, mean4, var4, inv_std4 = _bn_forward(z4, state.head_bn, batch_stats)
-    relu4 = y4 > 0
-    cache["head"] = {"x_hat": x_hat4, "inv_std": inv_std4, "relu_mask": relu4}
-    if batch_stats:
-        cache["batch_stats"]["head.bn.mean"] = mean4
-        cache["batch_stats"]["head.bn.var"] = var4
-        cache["new_stats"]["head.bn.mean"] = (
-            (1 - BN_MOMENTUM) * state.head_bn.mean + BN_MOMENTUM * mean4
-        )
-        cache["new_stats"]["head.bn.var"] = (
-            (1 - BN_MOMENTUM) * state.head_bn.var + BN_MOMENTUM * var4
-        )
-    h4 = np.where(relu4, y4, 0.0)
-    cache["h4"] = h4
-
-    logits = h4 @ state.out_weight.T + state.out_bias
+    running = state.running_stats()
+    cache["new_stats"] = {
+        name: (1 - BN_MOMENTUM) * running[name] + BN_MOMENTUM * value
+        for name, value in cache["batch_stats"].items()
+    }
+    cache["out_input"] = h
+    logits = h @ state.out_weight.T + state.out_bias
     return logits, cache
 
 
-def _bn_backward(dy, layer_cache, bn: BnParams, batch_stats: bool):
+def _bn_backward(dy, layer_cache, layer: Layer, batch_stats: bool):
     x_hat = layer_cache["x_hat"]
     inv_std = layer_cache["inv_std"]
     dgamma = (dy * x_hat).sum(axis=0)
     dbeta = dy.sum(axis=0)
     if batch_stats:
         n = len(dy)
-        dz = (bn.gamma * inv_std) * (
+        dz = (layer.gamma * inv_std) * (
             dy - dy.mean(axis=0) - x_hat * (dy * x_hat).sum(axis=0) / n
         )
     else:
-        dz = dy * bn.gamma * inv_std
+        dz = dy * layer.gamma * inv_std
     return dz, dgamma, dbeta
 
 
@@ -277,33 +242,23 @@ def backward(state: NetworkState, cache: dict, grad_logits: np.ndarray):
     batch_stats = cache["mode"] in ("train", "adapt")
     grads: dict[str, np.ndarray] = {}
 
-    h4 = cache["h4"]
-    grads["out.w"] = grad_logits.T @ h4
+    grads["out.w"] = grad_logits.T @ cache["out_input"]
     grads["out.b"] = grad_logits.sum(axis=0)
-    dh4 = grad_logits @ state.out_weight
+    dh = grad_logits @ state.out_weight
 
-    dy4 = np.where(cache["head"]["relu_mask"], dh4, 0.0)
-    dz4, dg4, db4 = _bn_backward(dy4, cache["head"], state.head_bn, batch_stats)
-    grads["head.bn.gamma"] = dg4
-    grads["head.bn.beta"] = db4
-    grads["head.w"] = dz4.T @ cache["pooled"]
-    dpooled = dz4 @ state.head_weight
-
-    # route pooled gradient back to each feature's winning point
-    h = cache["pooled_input"]
-    dh = np.zeros_like(h)
-    feat_cols = np.arange(h.shape[1])
-    np.add.at(dh, (cache["argmax_rows"], feat_cols[None, :]), dpooled)
-
-    for i in range(len(state.point_weights) - 1, -1, -1):
-        layer = cache["layers"][i]
-        bn = state.point_bns[i]
-        dy = np.where(layer["relu_mask"], dh, 0.0)
-        dz, dgamma, dbeta = _bn_backward(dy, layer, bn, batch_stats)
-        grads[f"point{i}.bn.gamma"] = dgamma
-        grads[f"point{i}.bn.beta"] = dbeta
-        grads[f"point{i}.w"] = dz.T @ layer["input"]
-        dh = dz @ state.point_weights[i]
+    head = state.layers[-1]
+    for layer, layer_cache in zip(reversed(state.layers), reversed(cache["layers"])):
+        dy = np.where(layer_cache["relu_mask"], dh, 0.0)
+        dz, dgamma, dbeta = _bn_backward(dy, layer_cache, layer, batch_stats)
+        grads[f"{layer.name}.bn.gamma"] = dgamma
+        grads[f"{layer.name}.bn.beta"] = dbeta
+        grads[f"{layer.name}.w"] = dz.T @ layer_cache["input"]
+        dh = dz @ layer.w
+        if layer is head:
+            # route pooled gradient back to each feature's winning point
+            feat_cols = np.arange(dh.shape[1])
+            dpooled, dh = dh, np.zeros((len(cache["x"]), len(feat_cols)))
+            np.add.at(dh, (cache["argmax_rows"], feat_cols[None, :]), dpooled)
 
     return grads, dh
 
@@ -602,11 +557,6 @@ def pgd_attack(
 # test-time adaptation
 
 
-def _batch_norm_stats(state: NetworkState, clouds) -> dict[str, np.ndarray]:
-    _, cache = forward(state, clouds, mode="adapt")
-    return cache["batch_stats"]
-
-
 def bn_adapt(state: NetworkState, clouds, blend: float = 1.0) -> NetworkState:
     """Re-estimate batch-norm statistics from one batch; weights untouched.
 
@@ -618,7 +568,7 @@ def bn_adapt(state: NetworkState, clouds, blend: float = 1.0) -> NetworkState:
     if len(clouds) < 2:
         raise ValueError("need a batch of at least 2 clouds")
     adapted = state.copy()
-    batch = _batch_norm_stats(adapted, clouds)
+    batch = forward(adapted, clouds, mode="adapt")[1]["batch_stats"]
     running = adapted.running_stats()
     merged = {
         name: blend * batch[name] + (1.0 - blend) * running[name] for name in batch
@@ -669,30 +619,12 @@ def tent_adapt(state: NetworkState, clouds, config: TentConfig | None = None) ->
             adapted.touch()
     # store the batch statistics seen under the final scale/shift values, so
     # a later eval-mode pass reproduces the adapted forward exactly
-    adapted.set_running_stats(_batch_norm_stats(adapted, clouds))
+    adapted.set_running_stats(forward(adapted, clouds, mode="adapt")[1]["batch_stats"])
     return adapted
 
 
 # ---------------------------------------------------------------------------
 # checkpoint container
-
-
-def _tensor_entries(state: NetworkState):
-    entries = []
-    for i, (w, bn) in enumerate(zip(state.point_weights, state.point_bns)):
-        entries.append((f"point{i}.w", w))
-        entries.append((f"point{i}.bn.gamma", bn.gamma))
-        entries.append((f"point{i}.bn.beta", bn.beta))
-        entries.append((f"point{i}.bn.mean", bn.mean))
-        entries.append((f"point{i}.bn.var", bn.var))
-    entries.append(("head.w", state.head_weight))
-    entries.append(("head.bn.gamma", state.head_bn.gamma))
-    entries.append(("head.bn.beta", state.head_bn.beta))
-    entries.append(("head.bn.mean", state.head_bn.mean))
-    entries.append(("head.bn.var", state.head_bn.var))
-    entries.append(("out.w", state.out_weight))
-    entries.append(("out.b", state.out_bias))
-    return entries
 
 
 def save_checkpoint(
@@ -702,7 +634,7 @@ def save_checkpoint(
     config_digest: str | None = None,
 ) -> None:
     """Write magic + length-prefixed JSON metadata + float64 LE tensors."""
-    entries = _tensor_entries(state)
+    entries = state.tensors().items()
     meta = {
         "format": CHECKPOINT_MAGIC.decode(),
         "point_dims": list(state.point_dims),
@@ -722,28 +654,40 @@ def save_checkpoint(
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (state, metadata)."""
+    """Read a checkpoint; returns (state, metadata).  Malformed files raise ValueError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
         raise ValueError("not a model checkpoint (bad magic bytes)")
+    if len(data) < 8:
+        raise ValueError("checkpoint truncated inside its 8-byte header")
     (meta_len,) = struct.unpack("<I", data[4:8])
     try:
         meta = json.loads(data[8 : 8 + meta_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"corrupt checkpoint metadata: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ValueError("checkpoint metadata is not a JSON object")
+    for key, kind in (("n_classes", int), ("head_dim", int), ("point_dims", list),
+                      ("tensors", list)):
+        if type(meta.get(key)) is not kind:
+            raise ValueError(f"checkpoint metadata needs {key!r} as JSON {kind.__name__}")
+    dims = (meta["n_classes"], meta["head_dim"], *meta["point_dims"])
+    if not all(type(d) is int and d >= 1 for d in dims):
+        raise ValueError("checkpoint n_classes, head_dim and point_dims must be ints >= 1")
+    entries = meta["tensors"]
+    if not all(isinstance(e, dict) and isinstance(e.get("name"), str) and "shape" in e
+               for e in entries):
+        raise ValueError("each checkpoint tensor entry needs a name and a shape")
     state = NetworkState.create(
-        meta["n_classes"],
-        point_dims=tuple(meta["point_dims"]),
-        head_dim=meta["head_dim"],
+        meta["n_classes"], point_dims=tuple(meta["point_dims"]), head_dim=meta["head_dim"]
     )
     offset = 8 + meta_len
-    declared = {e["name"]: tuple(e["shape"]) for e in meta["tensors"]}
-    for name, tensor in _tensor_entries(state):
-        shape = declared.get(name)
-        if shape != tensor.shape:
-            raise ValueError(f"checkpoint tensor {name!r} has shape {shape}, "
-                             f"expected {tensor.shape}")
+    declared = {e["name"]: e["shape"] for e in entries}
+    for name, tensor in state.tensors().items():
+        shape, expected = declared.get(name), list(tensor.shape)
+        if shape != expected:
+            raise ValueError(f"checkpoint tensor {name!r} has shape {shape}, not {expected}")
         size = tensor.size * 8
         raw = data[offset : offset + size]
         if len(raw) != size:

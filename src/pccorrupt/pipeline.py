@@ -126,10 +126,16 @@ class DatasetManifest:
     @classmethod
     def from_json(cls, text: str) -> "DatasetManifest":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise DataError("a manifest must be a JSON object")
         if raw.get("manifest_version") != MANIFEST_VERSION:
             raise DataError(
                 f"unsupported manifest_version {raw.get('manifest_version')!r}"
             )
+        required = {"seed", "point_budget", "severity_table_digest", "samples"}
+        missing = sorted(required - raw.keys())
+        if missing:
+            raise DataError(f"manifest lacks {missing}")
         return cls(
             seed=raw["seed"],
             point_budget=raw["point_budget"],

@@ -360,6 +360,44 @@ def test_eval_with_adaptation(workspace, tmp_path, capsys, adapt):
     assert len(ingest_predictions(out)) == 20
 
 
+@pytest.mark.parametrize("adapt", ["bn", "tent"])
+def test_eval_single_cloud_chunk_logs_adaptation_skipped(workspace, tmp_path, capsys, adapt):
+    # 4 clouds per cell in chunks of 3 leave a 1-cloud chunk in each of the
+    # 5 cells; that cloud is predicted by the unadapted model
+    _, _, data, model = workspace
+    out, plain = tmp_path / "adapted.csv", tmp_path / "plain.csv"
+    code = main(["eval", str(model), str(data / "manifest.json"),
+                 "--out", str(out), "--adapt", adapt, "--adapt-batch", "3"])
+    events = _read_json_lines(capsys.readouterr().err)
+    assert code == 0
+    skipped = [e for e in events if e["event"] == "adaptation_skipped"]
+    assert len(skipped) == 5
+    assert {(e["corruption"], e["severity"]) for e in skipped} == {
+        ("clean", 0), ("gaussian", 1), ("gaussian", 3), ("cutout", 1), ("cutout", 3)}
+    assert all(e["n"] == 1 for e in skipped)
+    main(["eval", str(model), str(data / "manifest.json"), "--out", str(plain)])
+    capsys.readouterr()
+    from pccorrupt import ingest_predictions
+
+    unadapted = {(r.sample_id, r.corruption, r.severity): r.pred_label
+                 for r in ingest_predictions(plain)}
+    records = ingest_predictions(out)
+    assert len(records) == 20
+    for r in records[3::4]:  # the last cloud of each cell
+        assert r.pred_label == unadapted[(r.sample_id, r.corruption, r.severity)]
+
+
+def test_eval_truncated_checkpoint_is_data_error(workspace, tmp_path, capsys):
+    _, _, data, model = workspace
+    short = tmp_path / "short.tpn"
+    short.write_bytes(model.read_bytes()[:6])
+    code = main(["eval", str(short), str(data / "manifest.json"),
+                 "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "header" in err
+
+
 def test_bench_json_and_markdown(workspace, tmp_path, capsys):
     _, _, data, model = workspace
     preds = tmp_path / "p.csv"
@@ -388,6 +426,20 @@ def test_bench_missing_predictions_is_data_error(workspace, tmp_path, capsys):
     code = main(["bench", str(tmp_path / "nope.csv"), str(data / "manifest.json")])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("payload", [{"manifest_version": 1}, [1]])
+def test_bench_malformed_manifest_is_data_error(workspace, tmp_path, capsys, payload):
+    _, _, data, model = workspace
+    preds = tmp_path / "p.csv"
+    main(["eval", str(model), str(data / "manifest.json"), "--out", str(preds)])
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["bench", str(preds), str(bad), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "manifest" in err
 
 
 def test_attack_reports_accuracies(workspace, tmp_path, capsys):

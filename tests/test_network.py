@@ -1,7 +1,9 @@
 """The point-cloud classifier: forward/backward, training loop, attack and
 test-time adaptation."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -50,7 +52,7 @@ def test_forward_shapes():
     assert logits.shape == (3, 3)
     assert np.isfinite(logits).all()
     assert cache["mode"] == "eval"
-    assert len(cache["layers"]) == 3
+    assert len(cache["layers"]) == 4  # point0-point2, then head
 
 
 def test_forward_rejects_bad_mode():
@@ -103,7 +105,7 @@ def test_forward_train_batch_stats_are_biased_moments():
     state = _tiny_state()
     clouds = _clouds([6, 10], seed=8)
     _, cache = forward(state, clouds, mode="train")
-    x = np.concatenate(clouds) @ state.point_weights[0].T
+    x = np.concatenate(clouds) @ state.layers[0].w.T
     assert np.allclose(cache["batch_stats"]["point0.bn.mean"], x.mean(axis=0))
     assert np.allclose(cache["batch_stats"]["point0.bn.var"], x.var(axis=0))  # ddof=0
 
@@ -390,6 +392,55 @@ def test_checkpoint_rejects_garbage(tmp_path):
     (tmp_path / "cut.tpn").write_bytes(data[:-17])
     with pytest.raises(ValueError):
         load_checkpoint(tmp_path / "cut.tpn")
+
+
+def _meta_edited(edit):
+    """Corrupt a checkpoint by applying the in-place `edit` to its metadata."""
+
+    def corrupt(data):
+        (n,) = struct.unpack("<I", data[4:8])
+        meta = json.loads(data[8 : 8 + n])
+        edit(meta)
+        blob = json.dumps(meta).encode()
+        return data[:4] + struct.pack("<I", len(blob)) + blob + data[8 + n :]
+
+    return corrupt
+
+
+def _meta_replaced(blob):
+    return lambda data: data[:4] + struct.pack("<I", len(blob)) + blob
+
+
+_MALFORMED_CHECKPOINTS = {
+    "header_only_magic": lambda data: data[:4],
+    "header_cut": lambda data: data[:7],
+    "meta_list": _meta_replaced(b"[1, 2]"),
+    "meta_string": _meta_replaced(b'"meta"'),
+    **{f"no_{key}": _meta_edited(lambda m, key=key: m.pop(key))
+       for key in ("n_classes", "point_dims", "head_dim", "tensors")},
+    "n_classes_str": _meta_edited(lambda m: m.update(n_classes="x")),
+    "n_classes_bool": _meta_edited(lambda m: m.update(n_classes=True)),
+    "head_dim_float": _meta_edited(lambda m: m.update(head_dim=2.5)),
+    "head_dim_zero": _meta_edited(lambda m: m.update(head_dim=0)),
+    "point_dims_str": _meta_edited(lambda m: m.update(point_dims="468")),
+    "point_dims_mixed": _meta_edited(lambda m: m.update(point_dims=[4, "6", 8])),
+    "tensors_object": _meta_edited(lambda m: m.update(tensors={"point0.w": [4, 3]})),
+    "entry_no_name": _meta_edited(lambda m: m["tensors"][0].pop("name")),
+    "entry_no_shape": _meta_edited(lambda m: m["tensors"][0].pop("shape")),
+    "entry_string": _meta_edited(lambda m: m["tensors"].insert(0, "point0.w")),
+    "entry_name_list": _meta_edited(lambda m: m["tensors"][0].update(name=["point0.w"])),
+    "entry_shape_int": _meta_edited(lambda m: m["tensors"][0].update(shape=12)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_CHECKPOINTS))
+def test_checkpoint_rejects_malformed_header_and_metadata(tmp_path, case):
+    good = tmp_path / "good.tpn"
+    save_checkpoint(_tiny_state(), good)
+    bad = tmp_path / "bad.tpn"
+    bad.write_bytes(_MALFORMED_CHECKPOINTS[case](good.read_bytes()))
+    with pytest.raises(ValueError):
+        load_checkpoint(bad)
 
 
 # -- the attack ------------------------------------------------------------

@@ -225,6 +225,23 @@ def test_manifest_version_guard():
         DatasetManifest.from_json(bad)
 
 
+_GOOD_MANIFEST = {"manifest_version": 1, "seed": 0, "point_budget": 64,
+                  "severity_table_digest": "sha256:0", "samples": []}
+
+
+@pytest.mark.parametrize("payload", [
+    [1],
+    "manifest",
+    {"manifest_version": 1},
+    *({k: v for k, v in _GOOD_MANIFEST.items() if k != key}
+      for key in ("seed", "point_budget", "severity_table_digest", "samples")),
+])
+def test_manifest_malformed_is_data_error(payload):
+    DatasetManifest.from_json(json.dumps(_GOOD_MANIFEST))
+    with pytest.raises(DataError):
+        DatasetManifest.from_json(json.dumps(payload))
+
+
 # -- dataset access --------------------------------------------------------
 
 
