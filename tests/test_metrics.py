@@ -350,3 +350,62 @@ def test_render_report_dispatch():
     assert "| metric |" in render_report(report, "markdown")
     with pytest.raises(ValueError):
         render_report(report, "csv")
+
+
+# -- golden output ---------------------------------------------------------
+
+
+def test_golden_report_bytes(tmp_path, capsys):
+    """Pin the JSON and markdown report bytes, and what `bench` prints and
+    writes, for a report with clean records, one without and one with a
+    partial kind set."""
+    import hashlib
+    import json
+
+    from pccorrupt.cli import main
+
+    with_clean = _random_records(600, seed=11)
+    without_clean = [r for r in _random_records(600, seed=12) if r.corruption != "clean"]
+    partial = [
+        r for r in _random_records(600, seed=13)
+        if r.corruption in ("clean", "lidar", "uniform", "shear")
+    ]
+    h = hashlib.sha256()
+    for i, records in enumerate((with_clean, without_clean, partial)):
+        for report in (aggregate(records), aggregate(records, n_classes=8)):
+            h.update(report_to_json(report).encode())
+            h.update(render_markdown(report).encode())
+
+        preds = tmp_path / f"p{i}.csv"
+        write_predictions(records, preds)
+        cells = {(r.corruption, r.severity) for r in records} | {("rbf", 4)}
+        samples = [
+            {
+                "sample_id": sid,
+                "class_name": "c",
+                "clean": {"path": f"clean/{sid}.ply", "sha256": "sha256:0"},
+                "corrupted": {
+                    kind: {
+                        str(s): {"path": f"{kind}/s{s}/{sid}.ply",
+                                 "sidecar": f"{kind}/s{s}/{sid}.json",
+                                 "sha256": "sha256:0"}
+                        for k, s in sorted(cells) if k == kind
+                    }
+                    for kind in sorted({k for k, _ in cells} - {"clean"})
+                },
+            }
+            for sid in sorted({r.sample_id for r in records})
+        ]
+        manifest = tmp_path / f"m{i}.json"
+        manifest.write_text(json.dumps({
+            "manifest_version": 1, "seed": 0, "point_budget": 64,
+            "severity_table_digest": "sha256:0", "samples": samples,
+        }))
+        for fmt in ("json", "markdown"):
+            out = tmp_path / f"r{i}.{fmt}"
+            code = main(["bench", str(preds), str(manifest), "--out", str(out),
+                         "--format", fmt])
+            assert code == 0
+            h.update(capsys.readouterr().out.encode())
+            h.update(out.read_bytes())
+    assert h.hexdigest() == "0010ba74baeba20d5bf0ed54ec3dcb2efc93c43efcc9e403645fd7f8a7024411"
