@@ -1,8 +1,8 @@
 """Pair mixing augmentations: random/kNN cutmix, assignment mixup, rigid subset mix.
 
 All mixes take two equally sized labeled clouds and return exactly n points
-with a soft label that sums to one.  The mixing weight is fixed at 0.5 by
-default; a Beta(alpha, alpha) draw can be switched on per MixSpec.
+with a soft label that sums to one.  The mixing weight is MixSpec.lam,
+0.5 by default.
 """
 
 from __future__ import annotations
@@ -52,23 +52,14 @@ class LabeledCloud:
 
 @dataclass(frozen=True)
 class MixSpec:
-    """lam is the weight of the first cloud; beta_alpha switches on a
-    Beta(alpha, alpha) draw of lam per call (off by default)."""
+    """lam is the weight of the first cloud."""
 
     lam: float = 0.5
     seed: int = 0
-    beta_alpha: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must be in [0, 1], got {self.lam}")
-        if self.beta_alpha is not None and self.beta_alpha <= 0:
-            raise ValueError("beta_alpha must be > 0")
-
-    def resolve_lambda(self, rng: np.random.Generator) -> float:
-        if self.beta_alpha is None:
-            return self.lam
-        return float(rng.beta(self.beta_alpha, self.beta_alpha))
 
 
 @dataclass(frozen=True)
@@ -114,7 +105,7 @@ def cutmix_r(
     """Union of floor(lam*n) random points of a and the remainder from b."""
     _check_pair(a, b)
     rng = _resolve_rng(spec, rng)
-    lam = spec.resolve_lambda(rng)
+    lam = spec.lam
     n = a.cloud.count
     n_a = int(lam * n)
     idx_a = rng.choice(n, size=n_a, replace=False)
@@ -132,7 +123,7 @@ def cutmix_k(
     distance to that same anchor, skipping the first floor(lam*n) ranks."""
     _check_pair(a, b)
     rng = _resolve_rng(spec, rng)
-    lam = spec.resolve_lambda(rng)
+    lam = spec.lam
     n = a.cloud.count
     n_a = int(lam * n)
     anchor = a.cloud.points[int(rng.integers(0, n))]
@@ -209,10 +200,10 @@ def emd_assign(a: PointCloud, b: PointCloud) -> Permutation:
 def mixup_emd(
     a: LabeledCloud, b: LabeledCloud, spec: MixSpec, rng: np.random.Generator | None = None
 ) -> LabeledCloud:
-    """Pointwise interpolation along the minimum-cost matching of the pair."""
+    """Pointwise interpolation along the minimum-cost matching of the pair;
+    draws nothing from rng."""
     _check_pair(a, b)
-    rng = _resolve_rng(spec, rng)
-    lam = spec.resolve_lambda(rng)
+    lam = spec.lam
     perm = emd_assign(a.cloud, b.cloud)
     points = lam * a.cloud.points + (1.0 - lam) * b.cloud.points[perm.indices]
     label = mix_labels(a.label, b.label, lam)
@@ -231,7 +222,7 @@ def rsmix(
     """
     _check_pair(a, b)
     rng = _resolve_rng(spec, rng)
-    lam = spec.resolve_lambda(rng)
+    lam = spec.lam
     n = a.cloud.count
     n_region = int(lam * n)
     if n_region == 0:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: gen, apply, train, eval, attack, bench, export.  Every
-parameter can come from a --config JSON file; explicit flags win.  Logs
-are JSON lines on stderr, the human-readable summary goes to stdout.
+Subcommands: gen, apply, train, eval, attack, bench, export.  gen, apply
+and train also read their parameters from a --config JSON file; explicit
+flags win, and an unknown key is a data error.  Logs are JSON lines on
+stderr, the human-readable summary goes to stdout.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error,
 3 generation finished with some per-sample failures.
@@ -73,12 +74,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _load_config(path):
+def _load_config(path, accepted) -> dict:
+    """The --config JSON object; a key outside `accepted` is a DataError."""
     if path is None:
         return {}
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise DataError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(raw) - set(accepted))
+    if unknown:
+        raise DataError(
+            f"config file {path} has unknown keys {unknown}; accepted: {sorted(accepted)}"
+        )
     return raw
 
 
@@ -154,7 +161,9 @@ def _load_table(path) -> SeverityTable | None:
 
 
 def cmd_gen(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(
+        args.config, ("kinds", "severities", "points", "seed", "workers", "table")
+    )
     run = RunConfig(
         input_dir=args.input_dir,
         output_dir=args.output_dir,
@@ -176,7 +185,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, ("kind", "severity", "seed", "table", "points"))
     kind_name = _pick(args, config, "kind", None)
     if kind_name is None:
         raise UsageError("apply needs --kind (or 'kind' in the config file)")
@@ -216,18 +225,30 @@ def cmd_apply(args) -> int:
     return 0
 
 
+# The TrainConfig fields that train reads from a flag or its config file,
+# besides `augment` and `seed`; a config file may give two of them by alias.
+_TRAIN_FIELDS = (
+    ("epochs", int),
+    ("batch_size", int),
+    ("lr", float),
+    ("smoothing", float),
+    ("mix", str),
+    ("mix_lam", float),
+)
+_TRAIN_ALIASES = {"augmentation": "mix", "lambda": "mix_lam"}
+_TRAIN_KEYS = (*(name for name, _ in _TRAIN_FIELDS), "augment", "seed", *_TRAIN_ALIASES)
+
+
 def _train_config(args, config: dict) -> network.TrainConfig:
-    config = network.TrainConfig.resolve_aliases(config)
+    config = dict(config)
+    for alias, name in _TRAIN_ALIASES.items():
+        if alias in config:
+            if name in config:
+                raise DataError(f"config gives both {name!r} and its alias {alias!r}")
+            config[name] = config.pop(alias)
     fields = {
         name: cast(_pick(args, config, name, getattr(network.TrainConfig, name), cast))
-        for name, cast in (
-            ("epochs", int),
-            ("batch_size", int),
-            ("lr", float),
-            ("smoothing", float),
-            ("mix", str),
-            ("mix_lam", float),
-        )
+        for name, cast in _TRAIN_FIELDS
     }
     augment = not args.no_augment if args.no_augment is not None else _pick(
         args, config, "augment", True, bool
@@ -238,7 +259,7 @@ def _train_config(args, config: dict) -> network.TrainConfig:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args.config, _TRAIN_KEYS)
     tconf = _train_config(args, config)
     manifest = pipeline.load_manifest(args.manifest)
     root = Path(args.manifest).parent

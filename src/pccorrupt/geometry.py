@@ -176,7 +176,7 @@ def parse_off(data) -> TriangleMesh:
     if n_vert < 0 or n_face < 0:
         raise OffParseError("negative counts", counts_no)
 
-    vertices = np.empty((n_vert, 3), dtype=np.float64)
+    vertices = []  # grown line by line: the count line may claim any size
     for i in range(n_vert):
         try:
             no, line = next(lines)
@@ -188,7 +188,7 @@ def parse_off(data) -> TriangleMesh:
         if len(tokens) != 3:
             raise OffParseError(f"expected 3 coordinates, got {line!r}", no)
         try:
-            vertices[i] = [float(t) for t in tokens]
+            vertices.append([float(t) for t in tokens])
         except ValueError:
             raise OffParseError(f"bad coordinate in {line!r}", no) from None
 
@@ -220,7 +220,7 @@ def parse_off(data) -> TriangleMesh:
                 triangles.append(tri)
 
     faces = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
-    return TriangleMesh(vertices, faces)
+    return TriangleMesh(np.array(vertices, dtype=np.float64).reshape(-1, 3), faces)
 
 
 def write_off(mesh: TriangleMesh) -> str:

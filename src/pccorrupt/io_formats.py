@@ -32,6 +32,7 @@ _PLY_HEADER = (
     "property float z\n"
     "end_header\n"
 )
+_HEADER_TOKENS = {"format": 2, "element": 3, "property": 3}  # fewest tokens per line
 
 
 def write_ply(cloud: PointCloud, ascii_format: bool = False) -> bytes:
@@ -56,21 +57,28 @@ def read_ply(data: bytes) -> PointCloud:
     fmt = None
     n_vertex = None
     properties = []
-    for line in header[1:]:
+    for line_no, line in enumerate(header[1:], start=2):
         tokens = line.split()
         if not tokens or tokens[0] == "comment":
             continue
+        if len(tokens) < _HEADER_TOKENS.get(tokens[0], 1):
+            raise PlyParseError(f"header line {line_no}: incomplete {line!r}")
         if tokens[0] == "format":
             if tokens[1] not in ("ascii", "binary_little_endian"):
-                raise PlyParseError(f"unsupported format {tokens[1]!r}")
+                raise PlyParseError(f"header line {line_no}: unsupported format {tokens[1]!r}")
             fmt = tokens[1]
         elif tokens[0] == "element":
             if tokens[1] != "vertex" or n_vertex is not None:
-                raise PlyParseError(f"unsupported element {tokens[1]!r}")
+                raise PlyParseError(f"header line {line_no}: unsupported element {tokens[1]!r}")
+            # no sign; 18 digits already exceed any body (and int()'s digit limit)
+            if not (tokens[2].isdigit() and len(tokens[2]) <= 18):
+                raise PlyParseError(f"header line {line_no}: bad vertex count {tokens[2]!r}")
             n_vertex = int(tokens[2])
         elif tokens[0] == "property":
             if tokens[1] not in ("float", "float32"):
-                raise PlyParseError(f"unsupported property type {tokens[1]!r}")
+                raise PlyParseError(
+                    f"header line {line_no}: unsupported property type {tokens[1]!r}"
+                )
             properties.append(tokens[2])
     if fmt is None or n_vertex is None:
         raise PlyParseError("header missing format or vertex element")
@@ -115,16 +123,17 @@ def read_raw(data: bytes) -> PointCloud:
 
 
 MESH_SUFFIXES = {".off"}
-CLOUD_SUFFIXES = {".ply", ".bin", ".raw", ".xyz"}
+RAW_SUFFIXES = {".bin", ".raw"}
+CLOUD_SUFFIXES = {".ply", *RAW_SUFFIXES}
 
 
 def load_cloud(path) -> PointCloud:
-    """Load a cloud file by extension (.ply, or raw .bin/.raw/.xyz)."""
+    """Load a cloud file by extension (.ply, or raw .bin/.raw)."""
     path = Path(path)
     data = path.read_bytes()
     if path.suffix.lower() == ".ply":
         return read_ply(data)
-    if path.suffix.lower() in (".bin", ".raw", ".xyz"):
+    if path.suffix.lower() in RAW_SUFFIXES:
         return read_raw(data)
     raise ValueError(f"unrecognized cloud extension {path.suffix!r}")
 
@@ -140,7 +149,7 @@ def save_cloud(cloud: PointCloud, path, ascii_format: bool = False) -> None:
     path = Path(path)
     if path.suffix.lower() == ".ply":
         payload = write_ply(cloud, ascii_format=ascii_format)
-    elif path.suffix.lower() in (".bin", ".raw", ".xyz"):
+    elif path.suffix.lower() in RAW_SUFFIXES:
         payload = write_raw(cloud)
     else:
         raise ValueError(f"unrecognized cloud extension {path.suffix!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -192,48 +192,14 @@ def merge_tables(a: CountTable, b: CountTable) -> CountTable:
 # direct record-level metrics
 
 
-def _pooled(records, empty_message="cannot compute an error rate over zero records"):
-    """One Cell over every record, whatever its (corruption, severity)."""
+def error_rate(records) -> float:
+    """Share of wrong predictions among all records, whatever their cell."""
     cell = Cell()
     for r in records:
         cell.add(r)
     if not cell.count:
-        raise ValueError(empty_message)
-    return cell
-
-
-def error_rate(records) -> float:
-    return _pooled(records).error_rate()
-
-
-def class_mean_error_rate(records) -> float:
-    """Unweighted mean of per-class error rates; classes without samples
-    simply do not participate."""
-    return _pooled(records).class_mean_error_rate()
-
-
-def confusion(records, corruption=None, severity=None, n_classes=None):
-    """Count matrix and row-normalized matrix for a record scope.
-
-    corruption/severity filter the scope when given; entry (i, j) counts
-    true class i predicted as j.
-    """
-    cell = _pooled(
-        (
-            r
-            for r in records
-            if (corruption is None or r.corruption == corruption)
-            and (severity is None or r.severity == severity)
-        ),
-        "empty scope for confusion matrix",
-    )
-    if n_classes is None:
-        n_classes = 1 + max(max(pair) for pair in cell.confusion)
-    counts = _confusion_matrix(cell.confusion, n_classes)
-    row_sums = counts.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        normalized = np.where(row_sums > 0, counts / row_sums, 0.0)
-    return counts, normalized
+        raise ValueError("cannot compute an error rate over zero records")
+    return cell.error_rate()
 
 
 # ---------------------------------------------------------------------------
@@ -259,21 +225,17 @@ class MetricsReport:
     report_version: int = REPORT_VERSION
 
 
-def _confusion_matrix(pairs: Counter, n_classes: int) -> np.ndarray:
-    """C x C count matrix from a (true, pred) -> count tally."""
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for (i, j), n in pairs.items():
-        matrix[i, j] += n
-    return matrix
-
-
 def _scope_confusion(cells: dict, keys, n_classes: int):
+    """C x C count matrix, as nested lists, pooled over the given cells."""
     pooled = Counter()
     for key in keys:
         pooled += cells[key].confusion
     if not pooled:
         return None
-    return _confusion_matrix(pooled, n_classes).tolist()
+    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for (i, j), n in pooled.items():
+        matrix[i, j] += n
+    return matrix.tolist()
 
 
 def report_from_table(table: CountTable, n_classes: int | None = None) -> MetricsReport:
@@ -350,58 +312,9 @@ def aggregate(records, n_classes: int | None = None) -> MetricsReport:
 # rendering
 
 
-def _jsonable(report: MetricsReport) -> dict:
-    def str_keys(d):
-        return {str(k): v for k, v in d.items()}
-
-    return {
-        "report_version": report.report_version,
-        "n_classes": report.n_classes,
-        "cells": {c: str_keys(by_s) for c, by_s in report.cells.items()},
-        "er_clean": report.er_clean,
-        "mer_clean": report.mer_clean,
-        "er": {c: str_keys(by_s) for c, by_s in report.er.items()},
-        "mer": {c: str_keys(by_s) for c, by_s in report.mer.items()},
-        "er_c": report.er_c,
-        "mer_c": report.mer_c,
-        "sum_er_c": report.sum_er_c,
-        "er_cor": report.er_cor,
-        "mer_cor": report.mer_cor,
-        "sum_er_cor": report.sum_er_cor,
-        "presence": report.presence,
-        "confusion_counts": report.confusion_counts,
-    }
-
-
 def report_to_json(report: MetricsReport) -> str:
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True)
-
-
-def report_from_json(text: str) -> MetricsReport:
-    raw = json.loads(text)
-    if raw.get("report_version") != REPORT_VERSION:
-        raise ValueError(f"unsupported report_version {raw.get('report_version')!r}")
-
-    def int_keys(d):
-        return {int(k): v for k, v in d.items()}
-
-    return MetricsReport(
-        n_classes=raw["n_classes"],
-        cells={c: int_keys(by_s) for c, by_s in raw["cells"].items()},
-        er_clean=raw["er_clean"],
-        mer_clean=raw["mer_clean"],
-        er={c: int_keys(by_s) for c, by_s in raw["er"].items()},
-        mer={c: int_keys(by_s) for c, by_s in raw["mer"].items()},
-        er_c=raw["er_c"],
-        mer_c=raw["mer_c"],
-        sum_er_c=raw["sum_er_c"],
-        er_cor=raw["er_cor"],
-        mer_cor=raw["mer_cor"],
-        sum_er_cor=raw["sum_er_cor"],
-        presence=raw["presence"],
-        confusion_counts=raw["confusion_counts"],
-        report_version=raw["report_version"],
-    )
+    """Every field of the report; severity keys become JSON strings."""
+    return json.dumps(asdict(report), indent=2, sort_keys=True)
 
 
 def _pct(rate) -> str:
@@ -445,6 +358,6 @@ def render_markdown(report: MetricsReport) -> str:
 def render_report(report: MetricsReport, fmt: str = "json") -> str:
     if fmt == "json":
         return report_to_json(report)
-    if fmt in ("markdown", "markdown-table", "md"):
+    if fmt == "markdown":
         return render_markdown(report)
     raise ValueError(f"unknown report format {fmt!r}")

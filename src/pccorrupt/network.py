@@ -348,9 +348,6 @@ class AdamState:
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-_TRAIN_ALIASES = {"augmentation": "mix", "lambda": "mix_lam"}
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
@@ -375,33 +372,6 @@ class TrainConfig:
             raise ValueError("smoothing must be in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-
-    @staticmethod
-    def resolve_aliases(raw: dict) -> dict:
-        """Copy of a config dict with alias keys renamed to field names.
-
-        A config that gives both a field and its alias is ambiguous and
-        raises ValueError.
-        """
-        out = dict(raw)
-        for alias, name in _TRAIN_ALIASES.items():
-            if alias in out:
-                if name in out:
-                    raise ValueError(f"config gives both {name!r} and its alias {alias!r}")
-                out[name] = out.pop(alias)
-        return out
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainConfig":
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("a training config must be a JSON object")
-        raw = cls.resolve_aliases(raw)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown training-config fields: {sorted(unknown)}")
-        return cls(**raw)
 
 
 def _default_augment(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -20,9 +20,11 @@ from .geometry import PointCloud, TriangleMesh
 from .severity import SEVERITIES
 
 CANONICAL_AZIMUTHS = (0.0, 72.0, 144.0, 216.0, 288.0)
-DEFAULT_FOV_DEG = 50.0
+FIELD_OF_VIEW_DEG = 50.0  # of the pinhole grid and of the LiDAR pattern
 DEFAULT_CAMERA_DISTANCE = 2.5
 RAY_T_MIN = 1e-9
+OCCLUSION_HITS = (768, 1280)  # hit counts occlusion_cloud searches for
+LIDAR_POINTS = 1024  # lidar_cloud keeps at most this many hits
 
 _DET_EPS = 1e-12
 _RAYS_PER_BIN = 1  # mean rays per image-plane bin; sets the grid size
@@ -241,9 +243,9 @@ class Bvh:
         return ray_order, tri_ids[nonempty], lo[nonempty], hi[nonempty]
 
 
-def _pinhole_directions(pose: ViewPose, grid: int, fov_deg: float) -> np.ndarray:
+def _pinhole_directions(pose: ViewPose, grid: int) -> np.ndarray:
     forward, right, up = pose.basis()
-    half = math.tan(math.radians(fov_deg) / 2.0)
+    half = math.tan(math.radians(FIELD_OF_VIEW_DEG) / 2.0)
     coords = half * (2.0 * (np.arange(grid) + 0.5) / grid - 1.0)
     xs, ys = np.meshgrid(coords, -coords, indexing="xy")  # row-major, top row first
     dirs = (
@@ -254,10 +256,9 @@ def _pinhole_directions(pose: ViewPose, grid: int, fov_deg: float) -> np.ndarray
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _lidar_directions(pose: ViewPose, n_beams: int, azimuth_steps: int,
-                      fov_deg: float) -> np.ndarray:
+def _lidar_directions(pose: ViewPose, n_beams: int, azimuth_steps: int) -> np.ndarray:
     forward, right, up = pose.basis()
-    half = math.radians(fov_deg) / 2.0
+    half = math.radians(FIELD_OF_VIEW_DEG) / 2.0
     tan_beam = np.tan(np.linspace(-half, half, n_beams))
     tan_az = np.tan(np.linspace(-half, half, azimuth_steps))
     dirs = (
@@ -269,17 +270,13 @@ def _lidar_directions(pose: ViewPose, n_beams: int, azimuth_steps: int,
 
 
 def raycast_visible(
-    mesh: TriangleMesh,
-    pose: ViewPose,
-    n_rays: int,
-    fov_deg: float = DEFAULT_FOV_DEG,
-    bvh: Bvh | None = None,
+    mesh: TriangleMesh, pose: ViewPose, n_rays: int, bvh: Bvh | None = None
 ) -> PointCloud:
     """Hit points of a ceil(sqrt(n_rays))^2 pinhole ray grid, nearest hits only."""
     if n_rays < 1:
         raise ValueError("n_rays must be >= 1")
     grid = math.ceil(math.sqrt(n_rays))
-    dirs = _pinhole_directions(pose, grid, fov_deg)
+    dirs = _pinhole_directions(pose, grid)
     if bvh is None:
         bvh = Bvh(mesh)
     t, tri = bvh.nearest_hits(pose.position, dirs)
@@ -303,8 +300,6 @@ def lidar_scan(
     pose: ViewPose,
     n_beams: int = 32,
     azimuth_steps: int = 512,
-    fov_deg: float = DEFAULT_FOV_DEG,
-    bvh: Bvh | None = None,
     return_beams: bool = False,
 ):
     """Scan-line raycast: n_beams elevation lines x azimuth_steps per line.
@@ -317,10 +312,8 @@ def lidar_scan(
         raise ValueError("n_beams must be >= 2")
     if azimuth_steps < 1:
         raise ValueError("azimuth_steps must be >= 1")
-    dirs = _lidar_directions(pose, n_beams, azimuth_steps, fov_deg)
-    if bvh is None:
-        bvh = Bvh(mesh)
-    t, tri = bvh.nearest_hits(pose.position, dirs)
+    dirs = _lidar_directions(pose, n_beams, azimuth_steps)
+    t, tri = Bvh(mesh).nearest_hits(pose.position, dirs)
     hit = tri >= 0
     if not hit.any():
         raise DegenerateViewError(
@@ -334,30 +327,20 @@ def lidar_scan(
     return cloud
 
 
-def occlusion_cloud(
-    mesh: TriangleMesh,
-    pose: ViewPose,
-    target_range: tuple[int, int] = (768, 1280),
-    start_grid: int = 96,
-    max_iterations: int = 6,
-    fov_deg: float = DEFAULT_FOV_DEG,
-    bvh: Bvh | None = None,
-) -> PointCloud:
+def occlusion_cloud(mesh: TriangleMesh, pose: ViewPose) -> PointCloud:
     """Single-view occlusion cloud with the ray budget auto-scaled.
 
-    Starts at start_grid^2 rays and binary-searches the grid size until the
-    hit count lands in target_range or max_iterations casts elapse.
+    Starts at 96^2 rays and binary-searches the grid size until the hit
+    count lands in OCCLUSION_HITS or 6 casts elapse.
     """
-    if bvh is None:
-        bvh = Bvh(mesh)
+    bvh = Bvh(mesh)
     lo_grid, hi_grid = 8, 512
-    grid = start_grid
-    cloud = None
-    for _ in range(max_iterations):
-        cloud = raycast_visible(mesh, pose, grid * grid, fov_deg=fov_deg, bvh=bvh)
-        if target_range[0] <= cloud.count <= target_range[1]:
+    grid = 96
+    for _ in range(6):
+        cloud = raycast_visible(mesh, pose, grid * grid, bvh=bvh)
+        if OCCLUSION_HITS[0] <= cloud.count <= OCCLUSION_HITS[1]:
             break
-        if cloud.count < target_range[0]:
+        if cloud.count < OCCLUSION_HITS[0]:
             lo_grid = grid + 1
         else:
             hi_grid = grid - 1
@@ -367,22 +350,10 @@ def occlusion_cloud(
     return cloud
 
 
-def lidar_cloud(
-    mesh: TriangleMesh,
-    pose: ViewPose,
-    rng: np.random.Generator,
-    n_beams: int = 32,
-    azimuth_steps: int = 512,
-    max_points: int = 1024,
-    fov_deg: float = DEFAULT_FOV_DEG,
-    bvh: Bvh | None = None,
-) -> PointCloud:
-    """LiDAR-style cloud, randomly downsampled to at most max_points."""
-    cloud = lidar_scan(
-        mesh, pose, n_beams=n_beams, azimuth_steps=azimuth_steps,
-        fov_deg=fov_deg, bvh=bvh,
-    )
-    if cloud.count <= max_points:
+def lidar_cloud(mesh: TriangleMesh, pose: ViewPose, rng: np.random.Generator) -> PointCloud:
+    """LiDAR-style cloud, randomly downsampled to at most LIDAR_POINTS."""
+    cloud = lidar_scan(mesh, pose)
+    if cloud.count <= LIDAR_POINTS:
         return cloud
-    keep = np.sort(rng.choice(cloud.count, size=max_points, replace=False))
+    keep = np.sort(rng.choice(cloud.count, size=LIDAR_POINTS, replace=False))
     return PointCloud(cloud.points[keep])

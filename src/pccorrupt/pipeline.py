@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +41,8 @@ from .severity import SEVERITIES, CorruptionKind, CorruptionSpec, MESH_KINDS, Se
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
+_KIND_NAMES = frozenset(k.value for k in CorruptionKind)
+_SEVERITY_KEYS = frozenset(str(s) for s in SEVERITIES)
 
 
 class DataError(Exception):
@@ -71,6 +74,13 @@ class RunConfig:
             raise ValueError("point budget must be >= 64")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _sha256(path: Path) -> str:
@@ -136,6 +146,10 @@ class DatasetManifest:
         missing = sorted(required - raw.keys())
         if missing:
             raise DataError(f"manifest lacks {missing}")
+        if not isinstance(raw["samples"], list):
+            raise DataError("manifest samples must be a list")
+        for i, sample in enumerate(raw["samples"]):
+            _check_sample(i, sample)
         return cls(
             seed=raw["seed"],
             point_budget=raw["point_budget"],
@@ -150,6 +164,31 @@ class DatasetManifest:
 
     def class_names(self) -> list[str]:
         return sorted({s["class_name"] for s in self.samples})
+
+
+def _has_strings(entry, keys) -> bool:
+    return isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in keys)
+
+
+def _check_sample(i: int, sample) -> None:
+    """DataError naming samples[i] unless it has the shape run_generate writes."""
+    where = f"manifest samples[{i}]"
+    if not _has_strings(sample, ("sample_id", "class_name")):
+        raise DataError(f"{where} needs a string sample_id and class_name")
+    if not _has_strings(sample.get("clean"), ("path", "sha256")):
+        raise DataError(f"{where}: clean needs a string path and sha256")
+    corrupted = sample.get("corrupted")
+    if not isinstance(corrupted, dict):
+        raise DataError(f"{where}: corrupted must be an object")
+    for kind, by_sev in corrupted.items():
+        if kind not in _KIND_NAMES or not isinstance(by_sev, dict):
+            raise DataError(f"{where}: corrupted[{kind!r}] must be an object of a known kind")
+        for sev, entry in by_sev.items():
+            if sev not in _SEVERITY_KEYS or not _has_strings(entry, ("path", "sidecar", "sha256")):
+                raise DataError(
+                    f"{where}: corrupted[{kind!r}][{sev!r}] needs a severity in 1..5 "
+                    "and a string path, sidecar and sha256"
+                )
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
@@ -298,11 +337,11 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
         except Exception as exc:  # noqa: BLE001 - per-task isolation
             return sid, kind, severity, None, str(exc)
 
-    if config.workers == 1:
-        results = [run_task(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(run_task, tasks))
+    workers = min(config.workers, _usable_cpus())
+    if workers < config.workers:
+        log({"event": "workers_capped", "requested": config.workers, "used": workers})
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(run_task, tasks))
 
     for sid, kind, severity, entry, error in results:
         if error is not None:

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, logs, config precedence."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -255,6 +256,34 @@ def test_export_conversion(tmp_path, capsys):
     assert np.allclose(load_cloud(dst).points, load_cloud(src).points)
 
 
+@pytest.mark.parametrize("old,new", [
+    (b"format ascii 1.0", b"format"),
+    (b"element vertex 2", b"element vertex"),
+    (b"property float x", b"property float"),
+    (b"element vertex 2", b"element vertex -3"),
+])
+def test_export_ply_header_defect_is_data_error(tmp_path, capsys, old, new):
+    src = tmp_path / "in.ply"
+    save_cloud(random_cloud(2, seed=6), src, ascii_format=True)
+    src.write_bytes(src.read_bytes().replace(old, new))
+    code = main(["export", str(src), str(tmp_path / "out.ply")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and '"type": "PlyParseError"' in err and "header line" in err
+
+
+@pytest.mark.parametrize("command", ["export", "apply"])
+def test_xyz_is_unrecognized_extension(tmp_path, capsys, command):
+    src = tmp_path / "in.xyz"
+    src.write_text("0 0 0\n1 1 1\n0.5 0.5 0.5\n")
+    extra = ["--kind", "gaussian"] if command == "apply" else []
+    code = main([command, str(src), str(tmp_path / "out.ply"), *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "unrecognized cloud extension" in err
+    assert not (tmp_path / "out.ply").exists()
+
+
 def test_export_rejects_mesh_input(workspace, tmp_path, capsys):
     _, src, _, _ = workspace
     mesh = next((src / "prism").glob("*.off"))
@@ -311,6 +340,44 @@ def test_train_config_with_name_and_alias_is_data_error(workspace, tmp_path, cap
                  "--epochs", "1", "--batch-size", "4", "--config", str(config)])
     assert code == 2
     assert "alias" in capsys.readouterr().err
+
+
+def test_train_config_aliases_set_fields(workspace, tmp_path, capsys):
+    from pccorrupt import TrainConfig, load_checkpoint
+
+    _, _, data, _ = workspace
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"augmentation": "rsmix", "lambda": 0.3, "epochs": 2}))
+    out = tmp_path / "m.tpn"
+    code = main(["train", str(data / "manifest.json"), "--out", str(out),
+                 "--batch-size", "4", "--config", str(config)])
+    capsys.readouterr()
+    assert code == 0
+    want = TrainConfig(epochs=2, batch_size=4, mix="rsmix", mix_lam=0.3)
+    digest = hashlib.sha256(json.dumps(want.__dict__, sort_keys=True).encode()).hexdigest()
+    assert load_checkpoint(out)[1]["config_digest"] == "sha256:" + digest
+
+
+@pytest.mark.parametrize("command", ["gen", "apply", "train"])
+def test_config_unknown_key_is_data_error(workspace, tmp_path, capsys, command):
+    _, src, data, _ = workspace
+    cloud = tmp_path / "in.ply"
+    save_cloud(random_cloud(64, seed=4), cloud)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"point": 64, "optimizer": "sgd"}))
+    out = tmp_path / "out"
+    argv, accepted = {
+        "gen": (["gen", str(src), str(out), "--kinds", "shear", "--severities", "1"],
+                "'points'"),
+        "apply": (["apply", str(cloud), str(out), "--kind", "gaussian"], "'points'"),
+        "train": (["train", str(data / "manifest.json"), "--out", str(out)], "'lambda'"),
+    }[command]
+    code = main([*argv, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert "unknown keys ['optimizer', 'point']" in err and accepted in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("entry", [
@@ -428,7 +495,12 @@ def test_bench_missing_predictions_is_data_error(workspace, tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("payload", [{"manifest_version": 1}, [1]])
+@pytest.mark.parametrize("payload", [
+    {"manifest_version": 1},
+    [1],
+    {"manifest_version": 1, "seed": 0, "point_budget": 64,
+     "severity_table_digest": "sha256:0", "samples": [1]},
+])
 def test_bench_malformed_manifest_is_data_error(workspace, tmp_path, capsys, payload):
     _, _, data, model = workspace
     preds = tmp_path / "p.csv"

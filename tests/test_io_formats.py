@@ -10,6 +10,7 @@ from pccorrupt import (
     PointCloud,
     RawFormatError,
     load_cloud,
+    parse_off,
     read_ply,
     read_raw,
     save_cloud,
@@ -69,6 +70,64 @@ def test_ply_rejects_malformed(mutate, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "old,new,line,fragment",
+    [
+        (b"format binary_little_endian 1.0", b"format", 2, "incomplete"),
+        (b"element vertex 17", b"element vertex", 3, "incomplete"),
+        (b"property float x", b"property float", 4, "incomplete"),
+        (b"element vertex 17", b"element", 3, "incomplete"),
+        (b"element vertex 17", b"element vertex -3", 3, "bad vertex count"),
+        (b"element vertex 17", b"element vertex 1e3", 3, "bad vertex count"),
+    ],
+)
+def test_ply_header_line_defects_name_the_line(old, new, line, fragment):
+    data = write_ply(_cloud()).replace(old, new)
+    with pytest.raises(PlyParseError, match=f"header line {line}: {fragment}"):
+        read_ply(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200))
+def test_decoders_on_arbitrary_bytes(data):
+    for decode in (read_ply, read_raw, parse_off):
+        try:
+            decode(data)
+        except ValueError:
+            pass
+
+
+_HEADER_LINES = [
+    "format ascii 1.0", "format binary_little_endian 1.0", "element vertex 2",
+    "property float x", "property float y", "property float z",
+]
+_HEADER_TOKENS = [
+    "format", "ascii", "binary_little_endian", "binary_big_endian", "1.0", "element",
+    "vertex", "face", "property", "float", "float32", "double", "list", "uchar", "x",
+    "y", "z", "0", "2", "-3", "1e3", "9" * 30, "comment", "end_header",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(_HEADER_LINES),
+            st.lists(st.sampled_from(_HEADER_TOKENS), max_size=4).map(" ".join),
+        ),
+        max_size=8,
+    ),
+    st.one_of(st.binary(max_size=48), st.sampled_from([b"0 1 2 3 4 5\n", b"1 nan 2\n"])),
+)
+def test_ply_token_headers_give_cloud_or_value_error(lines, body):
+    data = ("\n".join(["ply", *lines, "end_header"]) + "\n").encode() + body
+    try:
+        cloud = read_ply(data)
+    except ValueError:
+        return
+    assert cloud.points.shape[1] == 3
+
+
 def test_ply_ascii_rejects_bad_token():
     data = write_ply(_cloud(n=2), ascii_format=True)
     bad = data.rsplit(b"\n", 2)[0] + b"\n0.0 zzz 0.0\n"
@@ -88,10 +147,15 @@ def test_raw_round_trip_and_errors():
 
 def test_save_load_dispatch(tmp_path):
     cloud = _cloud(n=11)
-    for name in ("c.ply", "c.bin", "c.raw", "c.xyz"):
+    for name in ("c.ply", "c.bin", "c.raw"):
         path = tmp_path / name
         save_cloud(cloud, path)
         assert np.array_equal(load_cloud(path).points, cloud.points)
+    (tmp_path / "c.xyz").write_text("0 0 0\n1 1 1\n0.5 0.5 0.5\n")  # ASCII, not raw
+    with pytest.raises(ValueError, match="unrecognized cloud extension"):
+        load_cloud(tmp_path / "c.xyz")
+    with pytest.raises(ValueError, match="unrecognized cloud extension"):
+        save_cloud(cloud, tmp_path / "c.xyz")
     with pytest.raises(ValueError):
         save_cloud(cloud, tmp_path / "c.obj")
     (tmp_path / "c.obj").write_text("o mesh\n")  # suffix decides, not content

@@ -294,17 +294,11 @@ def test_adam_accumulates_momentum():
 # -- training --------------------------------------------------------------
 
 
-def test_train_config_validation_and_json():
+def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(smoothing=1.0)
-    cfg = TrainConfig.from_json('{"augmentation": "rsmix", "lambda": 0.3, "epochs": 2}')
-    assert cfg.mix == "rsmix" and cfg.mix_lam == 0.3 and cfg.epochs == 2
-    with pytest.raises(ValueError):
-        TrainConfig.from_json('{"optimizer": "sgd"}')
-    with pytest.raises(ValueError):  # a name and its alias together are ambiguous
-        TrainConfig.from_json('{"mix": "mixup", "augmentation": "rsmix"}')
 
 
 def test_train_learns_separable_toy_set():

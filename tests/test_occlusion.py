@@ -19,7 +19,6 @@ from pccorrupt import (
     view_pose,
 )
 from pccorrupt.occlusion import (
-    DEFAULT_FOV_DEG,
     RAY_T_MIN,
     _lidar_directions,
     _pinhole_directions,
@@ -137,9 +136,9 @@ VIEW_MESHES = {
 }
 # (directions of one cast, ray rows, rows audited per azimuth on the big sphere)
 VIEW_PATTERNS = {
-    "pinhole_48": (lambda pose: _pinhole_directions(pose, 48, DEFAULT_FOV_DEG), 48, 1),
-    "pinhole_96": (lambda pose: _pinhole_directions(pose, 96, DEFAULT_FOV_DEG), 96, 4),
-    "lidar_32x512": (lambda pose: _lidar_directions(pose, 32, 512, DEFAULT_FOV_DEG), 32, 8),
+    "pinhole_48": (lambda pose: _pinhole_directions(pose, 48), 48, 1),
+    "pinhole_96": (lambda pose: _pinhole_directions(pose, 96), 96, 4),
+    "lidar_32x512": (lambda pose: _lidar_directions(pose, 32, 512), 32, 8),
 }
 
 
@@ -303,7 +302,7 @@ def test_lidar_cloud_downsample_cap():
     pose = ViewPose(0.0, 45.0)
     rng = np.random.default_rng(5)
     full = lidar_scan(mesh, pose)
-    capped = lidar_cloud(mesh, pose, rng, max_points=1024)
+    capped = lidar_cloud(mesh, pose, rng)
     assert capped.count == min(1024, full.count)
     rows = {tuple(p) for p in full.points}
     assert all(tuple(p) in rows for p in capped.points)

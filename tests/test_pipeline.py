@@ -142,6 +142,39 @@ def test_generate_reproducible_across_worker_counts(mesh_dataset, tmp_path):
     assert trees[0] == trees[1]
 
 
+@pytest.mark.parametrize("requested,cpus,used", [(8, 2, 2), (3, 4, 3), (1, 4, 1)])
+def test_generate_worker_threads_capped_at_usable_cpus(
+    mesh_dataset, tmp_path, monkeypatch, requested, cpus, used
+):
+    import threading
+
+    from pccorrupt import pipeline
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    live = []
+    apply = pipeline.apply_corruption
+
+    def counting_apply(*args, **kwargs):
+        live.append(threading.active_count())
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "apply_corruption", counting_apply)
+    events = []
+    before = threading.active_count()
+    run_generate(
+        RunConfig(input_dir=mesh_dataset, output_dir=tmp_path, kinds=FAST_KINDS,
+                  severities=(1, 2, 3), point_budget=64, workers=requested),
+        log=events.append,
+    )
+    assert len(live) == 4 * len(FAST_KINDS) * 3
+    assert max(live) - before <= used
+    capped = [e for e in events if e["event"] == "workers_capped"]
+    if used < requested:
+        assert capped == [{"event": "workers_capped", "requested": requested, "used": used}]
+    else:
+        assert capped == []
+
+
 def test_generate_counts_respect_contracts(generated):
     out, manifest = generated
     from pccorrupt import load_cloud
@@ -227,6 +260,31 @@ def test_manifest_version_guard():
 
 _GOOD_MANIFEST = {"manifest_version": 1, "seed": 0, "point_budget": 64,
                   "severity_table_digest": "sha256:0", "samples": []}
+_ENTRY = {"path": "gaussian/s1/a.ply", "sidecar": "gaussian/s1/a.json", "sha256": "sha256:0"}
+_GOOD_SAMPLE = {"sample_id": "a", "class_name": "c",
+                "clean": {"path": "clean/a.ply", "sha256": "sha256:0"},
+                "corrupted": {"gaussian": {"1": _ENTRY}}}
+
+
+def _with_sample(**changes):
+    """The good manifest with one good sample and, after it, one changed copy."""
+    return {**_GOOD_MANIFEST, "samples": [_GOOD_SAMPLE, {**_GOOD_SAMPLE, **changes}]}
+
+
+_BAD_SAMPLES = [
+    {**_GOOD_MANIFEST, "samples": 5},
+    {**_GOOD_MANIFEST, "samples": [_GOOD_SAMPLE, 1]},
+    _with_sample(sample_id=1),
+    _with_sample(class_name=None),
+    _with_sample(clean=None),
+    _with_sample(clean={"path": "clean/a.ply"}),
+    _with_sample(corrupted=[]),
+    _with_sample(corrupted={"gaussian": [_ENTRY]}),
+    _with_sample(corrupted={"fog": {"1": _ENTRY}}),
+    _with_sample(corrupted={"gaussian": {"9": _ENTRY}}),
+    _with_sample(corrupted={"gaussian": {"1": {**_ENTRY, "sidecar": 3}}}),
+    _with_sample(corrupted={"gaussian": {"1": "gaussian/s1/a.ply"}}),
+]
 
 
 @pytest.mark.parametrize("payload", [
@@ -235,10 +293,18 @@ _GOOD_MANIFEST = {"manifest_version": 1, "seed": 0, "point_budget": 64,
     {"manifest_version": 1},
     *({k: v for k, v in _GOOD_MANIFEST.items() if k != key}
       for key in ("seed", "point_budget", "severity_table_digest", "samples")),
+    *_BAD_SAMPLES,
 ])
 def test_manifest_malformed_is_data_error(payload):
     DatasetManifest.from_json(json.dumps(_GOOD_MANIFEST))
+    DatasetManifest.from_json(json.dumps({**_GOOD_MANIFEST, "samples": [_GOOD_SAMPLE]}))
     with pytest.raises(DataError):
+        DatasetManifest.from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("payload", _BAD_SAMPLES[1:])
+def test_manifest_sample_error_names_the_entry(payload):
+    with pytest.raises(DataError, match=r"samples\[1\]"):
         DatasetManifest.from_json(json.dumps(payload))
 
 
