@@ -9,6 +9,15 @@ the forward pass reports.  The backward pass produces exact analytic
 gradients for every parameter and for the input points, which is what the
 projected-gradient attack consumes.
 
+The activation cache holds, per layer, its `input`, the normalized `x_hat`
+and `inv_std`, plus the packed points `x`, each pooled feature's winning
+row `argmax_rows` and the out map's input `out_input`.  No ReLU mask is
+kept: a layer's ReLU output is the next layer's cached input (the head's
+is `out_input`), and the pre-pool layer's mask is applied to the pooled
+gradient before it is routed back to the winning points.  Batch norm and
+ReLU work in place, in the operation order of the plain expressions, so
+the bits are those of the plain expressions.
+
 Everything is float64.  Batch statistics use the biased variance (divide
 by N), both for normalization and for the running-average update.
 """
@@ -139,6 +148,8 @@ def pack_batch(clouds) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError("each cloud must have shape (n, 3)")
         if len(pts) == 0:
             raise ValueError("empty cloud in batch")
+        if not np.isfinite(pts).all():
+            raise ValueError("non-finite coordinates in batch")
         arrays.append(pts.astype(np.float64, copy=False))
     offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
     np.cumsum([len(a) for a in arrays], out=offsets[1:])
@@ -158,15 +169,18 @@ def _max_pool(h, offsets):
     return pooled, argmax_rows
 
 
-def _bn_forward(z, layer: Layer, batch_stats: bool):
-    if batch_stats:
-        mean = z.mean(axis=0)
-        var = z.var(axis=0)  # biased
-    else:
-        mean, var = layer.mean, layer.var
+def _bn_relu_forward(z, layer: Layer, batch_stats: bool):
+    """Batch norm then ReLU; `z` is a fresh buffer and becomes `x_hat`."""
+    mean = z.mean(axis=0) if batch_stats else layer.mean
+    x_hat = np.subtract(z, mean, out=z)
+    # the biased variance, summed from the centered values as np.var does
+    var = np.square(x_hat).sum(axis=0) / len(z) if batch_stats else layer.var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    x_hat = (z - mean) * inv_std
-    return layer.gamma * x_hat + layer.beta, x_hat, mean, var, inv_std
+    x_hat *= inv_std
+    y = np.multiply(layer.gamma, x_hat)
+    y += layer.beta
+    np.maximum(y, 0.0, out=y)  # gives +0.0 for -0.0; np.maximum(0.0, y) would not
+    return y, x_hat, mean, var, inv_std
 
 
 def forward(state: NetworkState, clouds, mode: str = "eval"):
@@ -195,16 +209,12 @@ def forward(state: NetworkState, clouds, mode: str = "eval"):
     for layer in state.layers:
         if layer is head:
             h, cache["argmax_rows"] = _max_pool(h, offsets)
-        z = h @ layer.w.T
-        y, x_hat, mean, var, inv_std = _bn_forward(z, layer, batch_stats)
-        relu_mask = y > 0
-        cache["layers"].append(
-            {"input": h, "x_hat": x_hat, "inv_std": inv_std, "relu_mask": relu_mask}
-        )
+        y, x_hat, mean, var, inv_std = _bn_relu_forward(h @ layer.w.T, layer, batch_stats)
+        cache["layers"].append({"input": h, "x_hat": x_hat, "inv_std": inv_std})
         if batch_stats:
             cache["batch_stats"][f"{layer.name}.bn.mean"] = mean
             cache["batch_stats"][f"{layer.name}.bn.var"] = var
-        h = np.where(relu_mask, y, 0.0)
+        h = y
 
     running = state.running_stats()
     cache["new_stats"] = {
@@ -217,17 +227,23 @@ def forward(state: NetworkState, clouds, mode: str = "eval"):
 
 
 def _bn_backward(dy, layer_cache, layer: Layer, batch_stats: bool):
+    """Gradients through batch norm; `dy` is a fresh buffer and becomes `dz`."""
     x_hat = layer_cache["x_hat"]
     inv_std = layer_cache["inv_std"]
     dgamma = (dy * x_hat).sum(axis=0)
     dbeta = dy.sum(axis=0)
+    dz = dy
     if batch_stats:
         n = len(dy)
-        dz = (layer.gamma * inv_std) * (
-            dy - dy.mean(axis=0) - x_hat * (dy * x_hat).sum(axis=0) / n
-        )
+        # (gamma * inv_std) * (dy - mean(dy) - x_hat * dgamma / n), in that order
+        dz -= dbeta / n
+        correction = np.multiply(x_hat, dgamma)
+        correction /= n
+        dz -= correction
+        dz *= layer.gamma * inv_std
     else:
-        dz = dy * layer.gamma * inv_std
+        dz *= layer.gamma
+        dz *= inv_std
     return dz, dgamma, dbeta
 
 
@@ -245,15 +261,21 @@ def backward(state: NetworkState, cache: dict, grad_logits: np.ndarray):
     grads["out.w"] = grad_logits.T @ cache["out_input"]
     grads["out.b"] = grad_logits.sum(axis=0)
     dh = grad_logits @ state.out_weight
+    # a ReLU unit whose output is 0 passes no gradient; each layer's ReLU
+    # output is the next layer's cached input (the head's is out_input)
+    np.copyto(dh, 0.0, where=cache["out_input"] <= 0)
 
-    head = state.layers[-1]
+    head, first = state.layers[-1], state.layers[0]
     for layer, layer_cache in zip(reversed(state.layers), reversed(cache["layers"])):
-        dy = np.where(layer_cache["relu_mask"], dh, 0.0)
-        dz, dgamma, dbeta = _bn_backward(dy, layer_cache, layer, batch_stats)
+        dz, dgamma, dbeta = _bn_backward(dh, layer_cache, layer, batch_stats)
         grads[f"{layer.name}.bn.gamma"] = dgamma
         grads[f"{layer.name}.bn.beta"] = dbeta
         grads[f"{layer.name}.w"] = dz.T @ layer_cache["input"]
         dh = dz @ layer.w
+        if layer is not first:
+            # below the head this masks the pooled gradient: each feature's
+            # winning point holds the pooled value, and the others get none
+            np.copyto(dh, 0.0, where=layer_cache["input"] <= 0)
         if layer is head:
             # route pooled gradient back to each feature's winning point
             feat_cols = np.arange(dh.shape[1])

@@ -288,13 +288,6 @@ def raycast_visible(
     return PointCloud(pose.position[None, :] + t[hit, None] * dirs[hit])
 
 
-def sensor_frame_elevation(points: np.ndarray, pose: ViewPose) -> np.ndarray:
-    """Vertical angle atan2(up-component, forward-component) per point."""
-    forward, _right, up = pose.basis()
-    delta = np.asarray(points, dtype=np.float64) - pose.position
-    return np.arctan2(delta @ up, delta @ forward)
-
-
 def lidar_scan(
     mesh: TriangleMesh,
     pose: ViewPose,

@@ -297,7 +297,8 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
             prepared.append((rel, *_prepare_sample(in_root, rel, is_mesh, config)))
         except Exception as exc:  # noqa: BLE001 - per-sample isolation
             failures.append({"sample": rel.as_posix(), "stage": "load", "error": str(exc)})
-            log({"event": "sample_failed", "sample": rel.as_posix(), "error": str(exc)})
+            log({"event": "sample_failed", "sample": rel.as_posix(), "error": str(exc),
+                 "error_type": type(exc).__name__})
     if not prepared and failures:
         raise DataError("every input sample failed to load")
 
@@ -335,7 +336,7 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
             )
             return sid, kind, severity, entry, None
         except Exception as exc:  # noqa: BLE001 - per-task isolation
-            return sid, kind, severity, None, str(exc)
+            return sid, kind, severity, None, exc
 
     workers = min(config.workers, _usable_cpus())
     if workers < config.workers:
@@ -346,9 +347,10 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
     for sid, kind, severity, entry, error in results:
         if error is not None:
             failures.append(
-                {"sample": sid, "kind": kind, "severity": severity, "error": error}
+                {"sample": sid, "kind": kind, "severity": severity, "error": str(error)}
             )
-            log({"event": "task_failed", "sample": sid, "kind": kind, "error": error})
+            log({"event": "task_failed", "sample": sid, "kind": kind, "severity": severity,
+                 "error": str(error), "error_type": type(error).__name__})
             continue
         samples[sid]["corrupted"].setdefault(kind, {})[str(severity)] = entry
 

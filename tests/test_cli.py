@@ -103,6 +103,31 @@ def test_gen_broken_sample_gives_partial_exit(tmp_path, capsys):
     assert code == 3  # dataset generated, but with recorded failures
 
 
+def test_gen_failure_events_name_cell_and_exception_type(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    save_cloud(random_cloud(20, 1), src / "small.ply")  # too few points for the clusters
+    (src / "broken.ply").write_text("ply\nnonsense\n")
+    out = tmp_path / "out"
+    code = main(["gen", str(src), str(out), "--kinds", "local_density_inc",
+                 "--severities", "5"])
+    events = _read_json_lines(capsys.readouterr().err)
+    assert code == 3
+    by_event = {e["event"]: e for e in events}
+    assert by_event["sample_failed"]["sample"] == "broken.ply"
+    assert by_event["sample_failed"]["error_type"] == "PlyParseError"
+    task = by_event["task_failed"]
+    assert (task["sample"], task["kind"], task["severity"]) == ("small", "local_density_inc", 5)
+    assert task["error_type"] == "ValueError"
+    # the manifest keeps its failure entries free of the exception type
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert failures == [
+        {"sample": "small", "kind": "local_density_inc", "severity": 5,
+         "error": task["error"]},
+        {"sample": "broken.ply", "stage": "load", "error": by_event["sample_failed"]["error"]},
+    ]
+
+
 def test_gen_seed_env_and_flag_precedence(workspace, tmp_path, capsys, monkeypatch):
     _, src, _, _ = workspace
     args = ["--kinds", "shear", "--severities", "1", "--points", "64"]

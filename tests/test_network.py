@@ -110,6 +110,57 @@ def test_forward_train_batch_stats_are_biased_moments():
     assert np.allclose(cache["batch_stats"]["point0.bn.var"], x.var(axis=0))  # ddof=0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forward_rejects_non_finite_raw_points(bad):
+    clouds = _clouds([5, 6], seed=12)
+    clouds[1][2, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        forward(_tiny_state(), clouds, mode="eval")
+
+
+def _perturbed_state(seed=13):
+    """A tiny state whose batch-norm tensors are all away from their init."""
+    state = _tiny_state(seed=seed)
+    rng = np.random.default_rng(seed)
+    for layer in state.layers:
+        layer.gamma[...] = rng.uniform(0.5, 1.5, layer.gamma.shape)
+        layer.beta[...] = rng.normal(0.0, 0.3, layer.beta.shape)
+        layer.mean[...] = rng.normal(0.0, 0.3, layer.mean.shape)
+        layer.var[...] = rng.uniform(0.5, 2.0, layer.var.shape)
+    state.touch()
+    return state
+
+
+@pytest.mark.parametrize("mode", ["eval", "train", "adapt"])
+def test_forward_and_backward_leave_inputs_and_state_unchanged(mode):
+    state = _perturbed_state()
+    clouds = _clouds([7, 9], seed=14)
+    clouds_before = [c.copy() for c in clouds]
+    tensors_before = {n: t.copy() for n, t in state.tensors().items()}
+    logits, cache = forward(state, clouds, mode=mode)
+    _, dlogits = loss_smoothed_ce(logits, np.array([0, 2]), 0.2)
+    dlogits_before = dlogits.copy()
+    backward(state, cache, dlogits)
+    for before, after in zip(clouds_before, clouds):
+        assert before.tobytes() == after.tobytes()
+    for name, tensor in state.tensors().items():
+        assert tensors_before[name].tobytes() == tensor.tobytes(), name
+    assert dlogits_before.tobytes() == dlogits.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["eval", "train", "adapt"])
+def test_backward_twice_on_one_cache_is_bit_identical(mode):
+    state = _perturbed_state()
+    logits, cache = forward(state, _clouds([7, 9], seed=15), mode=mode)
+    _, dlogits = loss_smoothed_ce(logits, np.array([1, 2]), 0.2)
+    grads1, dpoints1 = backward(state, cache, dlogits)
+    grads2, dpoints2 = backward(state, cache, dlogits)
+    assert dpoints1.tobytes() == dpoints2.tobytes()
+    assert grads1.keys() == grads2.keys()
+    for name in grads1:
+        assert grads1[name].tobytes() == grads2[name].tobytes(), name
+
+
 # -- backward --------------------------------------------------------------
 
 
@@ -199,6 +250,26 @@ def test_max_pool_gradient_skips_shadowed_duplicates():
     _, dpoints = backward(state, cache, dlogits)
     assert np.array_equal(dpoints[12], np.zeros(3))
     assert np.abs(dpoints[:12]).max() > 0.0
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_pre_pool_feature_pooled_at_zero_routes_no_gradient(mode):
+    # a pre-pool feature whose ReLU output is 0 at every point pools to 0, so
+    # no gradient may reach that feature's column at any point
+    state = _perturbed_state()
+    pre_pool = state.layers[-2]
+    dead = 3
+    pre_pool.beta[dead] = -1e3
+    state.touch()
+    logits, cache = forward(state, _clouds([7, 9], seed=16), mode=mode)
+    assert np.all(cache["layers"][-1]["input"][:, dead] == 0.0)
+    _, dlogits = loss_smoothed_ce(logits, np.array([0, 1]), 0.2)
+    grads, _ = backward(state, cache, dlogits)
+    assert grads[f"{pre_pool.name}.bn.beta"][dead] == 0.0
+    assert grads[f"{pre_pool.name}.bn.gamma"][dead] == 0.0
+    assert np.all(grads[f"{pre_pool.name}.w"][dead] == 0.0)
+    live = np.delete(np.arange(pre_pool.w.shape[0]), dead)
+    assert np.abs(grads[f"{pre_pool.name}.bn.beta"][live]).max() > 0.0
 
 
 # -- losses ----------------------------------------------------------------

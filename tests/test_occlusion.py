@@ -15,7 +15,6 @@ from pccorrupt import (
     lidar_scan,
     occlusion_cloud,
     raycast_visible,
-    sensor_frame_elevation,
     view_pose,
 )
 from pccorrupt.occlusion import (
@@ -278,7 +277,10 @@ def test_lidar_beams_have_constant_sensor_elevation():
     mesh = uv_sphere()
     pose = ViewPose(216.0, 50.0)
     cloud, beam_ids = lidar_scan(mesh, pose, return_beams=True)
-    elev = sensor_frame_elevation(cloud.points, pose)
+    # vertical angle of each point in the sensor frame
+    forward, _right, up = pose.basis()
+    delta = cloud.points - pose.position
+    elev = np.arctan2(delta @ up, delta @ forward)
     for b in np.unique(beam_ids):
         spread = np.ptp(elev[beam_ids == b])
         assert spread < 1e-9
