@@ -211,6 +211,44 @@ def test_mixup_identical_clouds_fixed_point():
     assert np.allclose(out.label, [0.37, 0.63])
 
 
+def test_emd_cost_matrix_bits_equal_direct_subtraction():
+    """The one-call cost matrix must equal the direct subtraction bit for bit;
+    a scipy build that fuses multiply-add into the sum would fail here."""
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(41)
+    for scale in (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3):
+        a = rng.normal(scale=scale, size=(300, 3))
+        b = rng.normal(scale=scale, size=(300, 3)) + scale / 3
+        direct = ((a[:, None] - b[None]) ** 2).sum(axis=2)
+        assert np.array_equal(cdist(a, b, "sqeuclidean"), direct), scale
+
+
+def test_golden_emd_assign_and_mixup():
+    """Pin the matching and the lam=0.3 mixup points bit for bit on both
+    branches (n = 6 and 256 exact, 257 and 1,024 greedy): random pairs, pairs
+    with duplicated points so that costs tie, equal clouds and an offset copy."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for n in (6, EXACT_ASSIGN_LIMIT, EXACT_ASSIGN_LIMIT + 1, 1024):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, 3))
+        b = rng.normal(size=(n, 3))
+        dup = b[np.arange(n) % (n // 2)]
+        pairs = [(a, b), (a, dup), (dup, a), (a, a.copy()), (a, a + 0.25)]
+        for p, q in pairs:
+            perm = emd_assign(PointCloud(p), PointCloud(q))
+            h.update(perm.indices.tobytes())
+            out = mixup_emd(
+                LabeledCloud.from_class(PointCloud(p), 0, 2),
+                LabeledCloud.from_class(PointCloud(q), 1, 2),
+                MixSpec(lam=0.3),
+            )
+            h.update(np.ascontiguousarray(out.cloud.points).tobytes())
+    assert h.hexdigest() == "874d79202bfd8610eabc0230bf25985367fe4f14e6b0b30344cffacb60ff7b20"
+
+
 # -- rsmix -----------------------------------------------------------------
 
 
