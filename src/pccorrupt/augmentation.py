@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from . import _rng
 from .geometry import PointCloud, nearest_indices
@@ -137,19 +138,6 @@ def cutmix_k(
     return LabeledCloud(PointCloud(points), label)
 
 
-def _cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, computed by direct subtraction."""
-    n = len(a)
-    cost = np.empty((n, n))
-    # row blocks keep the (block, n, 3) temporary small for big clouds
-    step = 256
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        diff = a[start:stop, None, :] - b[None, :, :]
-        cost[start:stop] = (diff * diff).sum(axis=2)
-    return cost
-
-
 def assignment_cost(a: PointCloud, b: PointCloud, perm: Permutation) -> float:
     diff = a.points - b.points[perm.indices]
     return float((diff * diff).sum())
@@ -168,26 +156,35 @@ def emd_assign(a: PointCloud, b: PointCloud) -> Permutation:
     identity_diff = a.points - b.points
     if not identity_diff.any():
         return Permutation(np.arange(n))
-    cost = _cost_matrix(a.points, b.points)
+    # bit-equal to ((a[:, None] - b[None]) ** 2).sum(axis=2), which a test checks
+    cost = cdist(a.points, b.points, "sqeuclidean")
     if n <= EXACT_ASSIGN_LIMIT:
         _rows, cols = linear_sum_assignment(cost)
         return Permutation(cols)
 
-    # greedy nearest-available, then one pass of pairwise swap improvements
-    perm = np.full(n, -1, dtype=np.int64)
-    taken = np.zeros(n, dtype=bool)
+    # greedy nearest-available: a taken column's penalty is +inf, so argmin
+    # skips it
+    perm = np.empty(n, dtype=np.int64)
+    penalty = np.zeros(n)
+    row = np.empty(n)
     for i in range(n):
-        row = np.where(taken, np.inf, cost[i])
-        j = int(np.argmin(row))
+        np.add(cost[i], penalty, out=row)
+        j = int(row.argmin())
         perm[i] = j
-        taken[j] = True
+        penalty[j] = np.inf
+    # then one pass of pairwise swap improvements; cost_t's rows are cost's
+    # columns, so both candidate vectors are read from contiguous rows
+    cost_t = cost.T.copy()
     own = cost[np.arange(n), perm]
     for i in range(n - 1):
-        js = np.arange(i + 1, n)
-        delta = (cost[i, perm[js]] + cost[js, perm[i]]) - (own[i] + own[js])
-        k = int(np.argmin(delta))
+        # delta[k] = (cost[i, perm[j]] + cost[j, perm[i]]) - (own[i] + own[j])
+        # with j = i + 1 + k
+        delta = cost[i].take(perm[i + 1:])
+        delta += cost_t[perm[i], i + 1:]
+        delta -= own[i] + own[i + 1:]
+        k = int(delta.argmin())
         if delta[k] < 0:
-            j = int(js[k])
+            j = i + 1 + k
             perm[i], perm[j] = perm[j], perm[i]
             own[i] = cost[i, perm[i]]
             own[j] = cost[j, perm[j]]
