@@ -216,7 +216,7 @@ def forward(state: NetworkState, clouds, mode: str = "eval"):
             cache["batch_stats"][f"{layer.name}.bn.var"] = var
         h = y
 
-    running = state.running_stats()
+    running = state.running_stats() if batch_stats else {}
     cache["new_stats"] = {
         name: (1 - BN_MOMENTUM) * running[name] + BN_MOMENTUM * value
         for name, value in cache["batch_stats"].items()
