@@ -102,8 +102,17 @@ def read_ply(data: bytes) -> PointCloud:
             values = [float(t) for t in rows[: n_vertex * 3]]
         except ValueError as exc:
             raise PlyParseError(f"bad ascii value: {exc}") from None
-        pts = np.asarray(values, dtype=np.float32).reshape(n_vertex, 3)
-    return PointCloud(pts.astype(np.float64))
+        # a value beyond float32 becomes inf, which PointCloud rejects
+        with np.errstate(over="ignore"):
+            pts = np.asarray(values, dtype=np.float32).reshape(n_vertex, 3)
+    return _float32_cloud(pts)
+
+
+def _float32_cloud(pts: np.ndarray) -> PointCloud:
+    # casting a signalling NaN warns; PointCloud rejects it with a ValueError
+    with np.errstate(invalid="ignore"):
+        points = pts.astype(np.float64)
+    return PointCloud(points)
 
 
 def write_raw(cloud: PointCloud) -> bytes:
@@ -119,7 +128,7 @@ def read_raw(data: bytes) -> PointCloud:
     if len(data) == 0:
         raise RawFormatError("raw cloud is empty")
     pts = np.frombuffer(data, dtype="<f4").reshape(-1, 3)
-    return PointCloud(pts.astype(np.float64))
+    return _float32_cloud(pts)
 
 
 MESH_SUFFIXES = {".off"}

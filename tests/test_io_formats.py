@@ -145,6 +145,26 @@ def test_raw_round_trip_and_errors():
         read_raw(b"")
 
 
+def test_non_finite_values_fail_typed_with_warnings_as_errors():
+    """A signalling NaN, or an ascii value beyond float32, reaches PointCloud's
+    ValueError instead of stopping at a cast warning."""
+    import warnings
+
+    snan = b"\x01\x00\x80\x7f" * 3
+    binary_header = write_ply(_cloud(n=1)).split(b"end_header\n")[0]
+    ascii_header = write_ply(_cloud(n=1), ascii_format=True).split(b"end_header\n")[0]
+    cases = [
+        (read_raw, snan),
+        (read_ply, binary_header + b"end_header\n" + snan),
+        (read_ply, ascii_header + b"end_header\n1e39 0 0\n"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for decode, data in cases:
+            with pytest.raises(ValueError, match="finite"):
+                decode(data)
+
+
 def test_save_load_dispatch(tmp_path):
     cloud = _cloud(n=11)
     for name in ("c.ply", "c.bin", "c.raw"):
