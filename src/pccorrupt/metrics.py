@@ -56,6 +56,20 @@ class PredictionRecord:
         return self.true_label != self.pred_label
 
 
+def _csv_rows(lines):
+    """Yield each CSV row; a row the csv module cannot parse, such as one with
+    a field over its size limit, is a PredictionFormatError naming the row."""
+    reader = csv.reader(lines)
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise PredictionFormatError(f"row {reader.line_num}: {exc}") from None
+        yield row
+
+
 def ingest_predictions(source) -> list[PredictionRecord]:
     """Read and validate a prediction CSV.
 
@@ -72,9 +86,9 @@ def ingest_predictions(source) -> list[PredictionRecord]:
             lines = fh.read().splitlines()
     else:
         lines = [str(l) for l in source]
-    reader = csv.reader(lines)
+    rows = _csv_rows(lines)
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise PredictionFormatError("row 1: empty file, expected a header") from None
     if [h.strip() for h in header] != CSV_HEADER:
@@ -83,7 +97,7 @@ def ingest_predictions(source) -> list[PredictionRecord]:
         )
     records = []
     seen = set()
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 5:

@@ -520,6 +520,17 @@ def test_bench_missing_predictions_is_data_error(workspace, tmp_path, capsys):
     assert code == 2
 
 
+def test_bench_oversized_csv_field_is_data_error(workspace, tmp_path, capsys):
+    _, _, data, _ = workspace
+    preds = tmp_path / "p.csv"
+    preds.write_text("sample_id,corruption,severity,true_label,pred_label\n"
+                     + "a" * 131_073 + ",clean,0,0,0\n")
+    code = main(["bench", str(preds), str(data / "manifest.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "row 2" in err
+
+
 @pytest.mark.parametrize("payload", [
     {"manifest_version": 1},
     [1],

@@ -107,6 +107,13 @@ def test_ingest_rejects_bad_rows(body, row, fragment):
     assert fragment in message
 
 
+def test_ingest_oversized_field_names_the_row():
+    body = ("sample_id,corruption,severity,true_label,pred_label\n"
+            "a,gaussian,1,0,0\n" + "b" * 131_073 + ",gaussian,1,0,0\n")
+    with pytest.raises(PredictionFormatError, match="row 3: field larger"):
+        ingest_predictions(body)
+
+
 def test_ingest_empty_file():
     with pytest.raises(PredictionFormatError):
         ingest_predictions(iter([]))
