@@ -162,8 +162,7 @@ def emd_assign(a: PointCloud, b: PointCloud) -> Permutation:
         _rows, cols = linear_sum_assignment(cost)
         return Permutation(cols)
 
-    # greedy nearest-available: a taken column's penalty is +inf, so argmin
-    # skips it
+    # greedy nearest-available; a +inf penalty keeps argmin off taken columns
     perm = np.empty(n, dtype=np.int64)
     penalty = np.zeros(n)
     row = np.empty(n)
@@ -178,7 +177,7 @@ def emd_assign(a: PointCloud, b: PointCloud) -> Permutation:
     own = cost[np.arange(n), perm]
     for i in range(n - 1):
         # delta[k] = (cost[i, perm[j]] + cost[j, perm[i]]) - (own[i] + own[j])
-        # with j = i + 1 + k
+        # with j = i + 1 + k; the matcher golden test pins this operation order
         delta = cost[i].take(perm[i + 1:])
         delta += cost_t[perm[i], i + 1:]
         delta -= own[i] + own[i + 1:]

@@ -56,20 +56,6 @@ class PredictionRecord:
         return self.true_label != self.pred_label
 
 
-def _csv_rows(lines):
-    """Yield each CSV row; a row the csv module cannot parse, such as one with
-    a field over its size limit, is a PredictionFormatError naming the row."""
-    reader = csv.reader(lines)
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise PredictionFormatError(f"row {reader.line_num}: {exc}") from None
-        yield row
-
-
 def ingest_predictions(source) -> list[PredictionRecord]:
     """Read and validate a prediction CSV.
 
@@ -86,18 +72,21 @@ def ingest_predictions(source) -> list[PredictionRecord]:
             lines = fh.read().splitlines()
     else:
         lines = [str(l) for l in source]
-    rows = _csv_rows(lines)
+    reader = csv.reader(lines)
     try:
-        header = next(rows)
-    except StopIteration:
-        raise PredictionFormatError("row 1: empty file, expected a header") from None
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise PredictionFormatError(f"row {reader.line_num}: {exc}") from None
+    if not rows:
+        raise PredictionFormatError("row 1: empty file, expected a header")
+    header = rows[0]
     if [h.strip() for h in header] != CSV_HEADER:
         raise PredictionFormatError(
             f"row 1: header must be {','.join(CSV_HEADER)}, got {','.join(header)}"
         )
     records = []
     seen = set()
-    for row_no, row in enumerate(rows, start=2):
+    for row_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 5:
