@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Subcommands: gen, apply, train, eval, attack, bench, export.  gen, apply
-and train also read their parameters from a --config JSON file; explicit
-flags win, and an unknown key is a data error.  Logs are JSON lines on
-stderr, the human-readable summary goes to stdout.
+and train declare the options a flag or a --config JSON file may set in
+one table each (GEN_OPTIONS, APPLY_OPTIONS, TRAIN_OPTIONS); explicit
+flags win over the file.  An unknown config key, a value of the wrong
+JSON type and a value outside a flag's choices are data errors.  A
+default that a consuming dataclass holds (RunConfig, TrainConfig,
+PgdConfig, TentConfig, CorruptionSpec) or bn_adapt's blend is read from
+there.  Logs are JSON lines on stderr, the human-readable summary goes to
+stdout.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error,
 3 generation finished with some per-sample failures.
@@ -13,28 +18,18 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import _rng, metrics, network, pipeline
 from ._version import __version__
-from .geometry import (
-    DegenerateGeometryError,
-    OffParseError,
-    normalize_mesh,
-    normalize_unit_sphere,
-    sample_surface,
-)
-from .io_formats import (
-    MESH_SUFFIXES,
-    PlyParseError,
-    RawFormatError,
-    load_cloud,
-    load_mesh,
-    save_cloud,
-)
+from .augmentation import MIXERS
+from .geometry import normalize_mesh, normalize_unit_sphere, sample_surface
+from .io_formats import MESH_SUFFIXES, load_cloud, load_mesh, save_cloud
 from .corruptions import apply_corruption
 from .occlusion import DegenerateViewError
 from .pipeline import DataError, RunConfig
@@ -48,17 +43,44 @@ PARTIAL_ERROR = 3
 class UsageError(Exception):
     """Bad invocation detected after argparse (maps to exit code 1)."""
 
-_DATA_EXCEPTIONS = (
-    DataError,
-    OffParseError,
-    PlyParseError,
-    RawFormatError,
-    DegenerateGeometryError,
-    DegenerateViewError,
-    metrics.PredictionFormatError,
-    json.JSONDecodeError,
-    FileNotFoundError,
-)
+
+class Option(NamedTuple):
+    """An option a flag or the --config file may set; a None default means unset."""
+
+    type: type
+    default: object = None
+    choices: tuple | None = None
+    help: str | None = None
+
+
+GEN_OPTIONS = {
+    "kinds": Option(str, help="comma list or 'all'"),
+    "severities": Option(str, help="comma list or 'all'"),
+    "points": Option(int, RunConfig.point_budget),
+    "seed": Option(int, RunConfig.seed),
+    "workers": Option(int, RunConfig.workers),
+    "table": Option(str, help="severity-table override JSON"),
+}
+APPLY_OPTIONS = {
+    "kind": Option(str),
+    "severity": Option(int, 3),
+    "seed": Option(int, CorruptionSpec.seed),
+    "points": Option(int, RunConfig.point_budget),
+    "table": Option(str),
+}
+# Named as the TrainConfig fields they set; a config file may give two of
+# them by alias.
+TRAIN_OPTIONS = {
+    "epochs": Option(int, network.TrainConfig.epochs),
+    "batch_size": Option(int, network.TrainConfig.batch_size),
+    "lr": Option(float, network.TrainConfig.lr),
+    "smoothing": Option(float, network.TrainConfig.smoothing),
+    "mix": Option(str, network.TrainConfig.mix, choices=("none", *MIXERS)),
+    "mix_lam": Option(float, network.TrainConfig.mix_lam),
+    "seed": Option(int, network.TrainConfig.seed),
+    "augment": Option(bool, network.TrainConfig.augment),
+}
+TRAIN_ALIASES = {"augmentation": "mix", "lambda": "mix_lam"}
 
 
 def log_event(**fields):
@@ -74,52 +96,59 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _load_config(path, accepted) -> dict:
-    """The --config JSON object; a key outside `accepted` is a DataError."""
-    if path is None:
-        return {}
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise DataError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(raw) - set(accepted))
-    if unknown:
-        raise DataError(
-            f"config file {path} has unknown keys {unknown}; accepted: {sorted(accepted)}"
-        )
-    return raw
+def _options(flags: dict, path, options: dict, aliases: dict = {}) -> dict:
+    """Each option's flag value if given, else its --config value, else its default.
 
-
-def _pick(args, config: dict, name: str, default, expected=str):
-    """Flag value if given, else config-file value, else default.
-
-    A config-file value must be of type `expected` (an int passes for
-    float; a bool passes only for bool), else the config is a DataError.
+    For `seed`, PC_CORRUPT_SEED comes between the config file and the
+    default.  The config file holds a JSON object keyed by option names
+    or their `aliases`; a value must be of its option's type (an int
+    passes for a float and becomes one; a bool passes only for bool) and
+    among its choices.  Anything else is a DataError.
     """
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name not in config:
-        return default
-    value = config[name]
-    allowed = (int, float) if expected is float else expected
-    if not isinstance(value, allowed) or (isinstance(value, bool) and expected is not bool):
-        raise DataError(
-            f"config key {name!r} must be of type {expected.__name__}, got {json.dumps(value)}"
-        )
-    return value
+    config = {}
+    if path is not None:
+        config = json.loads(Path(path).read_text())
+        if not isinstance(config, dict):
+            raise DataError(f"config file {path} must hold a JSON object")
+        accepted = sorted([*options, *aliases])
+        unknown = sorted(set(config) - set(accepted))
+        if unknown:
+            raise DataError(f"config file {path} has unknown keys {unknown}; accepted: {accepted}")
+        for alias, name in aliases.items():
+            if alias in config:
+                if name in config:
+                    raise DataError(f"config gives both {name!r} and its alias {alias!r}")
+                config[name] = config.pop(alias)
+    values = {}
+    for name, (kind, default, choices, _) in options.items():
+        value = flags.get(name)
+        if value is None and name in config:
+            value = config[name]
+            allowed = (int, float) if kind is float else kind
+            if not isinstance(value, allowed) or (isinstance(value, bool) and kind is not bool):
+                raise DataError(
+                    f"config key {name!r} must be of type {kind.__name__}, got {json.dumps(value)}"
+                )
+            if choices is not None and value not in choices:
+                raise DataError(
+                    f"config key {name!r} must be one of {list(choices)}, got {json.dumps(value)}"
+                )
+            value = kind(value)
+        if value is None and name == "seed":
+            value = _env_seed(default)
+        values[name] = default if value is None else value
+    return values
 
 
-def _resolve_seed(args, config: dict) -> int:
-    value = _pick(args, config, "seed", None, int)
-    if value is not None:
-        return value
+def _env_seed(default: int) -> int:
+    """PC_CORRUPT_SEED if set, else `default`."""
     env = os.environ.get("PC_CORRUPT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DataError(f"PC_CORRUPT_SEED is not an integer: {env!r}") from None
-    return 0
+    if env is None:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise DataError(f"PC_CORRUPT_SEED is not an integer: {env!r}") from None
 
 
 def _parse_kinds(text: str) -> tuple[str, ...]:
@@ -161,18 +190,16 @@ def _load_table(path) -> SeverityTable | None:
 
 
 def cmd_gen(args) -> int:
-    config = _load_config(
-        args.config, ("kinds", "severities", "points", "seed", "workers", "table")
-    )
+    opts = _options(vars(args), args.config, GEN_OPTIONS)
     run = RunConfig(
         input_dir=args.input_dir,
         output_dir=args.output_dir,
-        kinds=_parse_kinds(_pick(args, config, "kinds", "all")),
-        severities=_parse_severities(_pick(args, config, "severities", "all")),
-        point_budget=_pick(args, config, "points", 1024, int),
-        seed=_resolve_seed(args, config),
-        workers=_pick(args, config, "workers", 1, int),
-        table=_load_table(_pick(args, config, "table", None)),
+        kinds=_parse_kinds(opts["kinds"]),
+        severities=_parse_severities(opts["severities"]),
+        point_budget=opts["points"],
+        seed=opts["seed"],
+        workers=opts["workers"],
+        table=_load_table(opts["table"]),
     )
     manifest = pipeline.run_generate(run, log=lambda e: log_event(**e))
     n_kinds, n_sev = len(run.kinds), len(run.severities)
@@ -185,18 +212,16 @@ def cmd_gen(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    config = _load_config(args.config, ("kind", "severity", "seed", "table", "points"))
-    kind_name = _pick(args, config, "kind", None)
-    if kind_name is None:
+    opts = _options(vars(args), args.config, APPLY_OPTIONS)
+    if opts["kind"] is None:
         raise UsageError("apply needs --kind (or 'kind' in the config file)")
     try:
-        kind = CorruptionKind.from_name(kind_name)
+        kind = CorruptionKind.from_name(opts["kind"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    severity = _check_severity(_pick(args, config, "severity", 3, int))
-    seed = _resolve_seed(args, config)
-    table = _load_table(_pick(args, config, "table", None))
-    points = _pick(args, config, "points", 1024, int)
+    severity = _check_severity(opts["severity"])
+    seed = opts["seed"]
+    table = _load_table(opts["table"])
     spec = CorruptionSpec(kind, severity, seed=seed)
 
     in_path = Path(args.input)
@@ -210,7 +235,7 @@ def cmd_apply(args) -> int:
     elif is_mesh:
         mesh = normalize_mesh(load_mesh(in_path))
         data = normalize_unit_sphere(
-            sample_surface(mesh, points, _rng.mix_keys(seed, 0x73616D70, sample_key))
+            sample_surface(mesh, opts["points"], _rng.mix_keys(seed, 0x73616D70, sample_key))
         )
     else:
         cloud = load_cloud(in_path)
@@ -225,42 +250,9 @@ def cmd_apply(args) -> int:
     return 0
 
 
-# The TrainConfig fields that train reads from a flag or its config file,
-# besides `augment` and `seed`; a config file may give two of them by alias.
-_TRAIN_FIELDS = (
-    ("epochs", int),
-    ("batch_size", int),
-    ("lr", float),
-    ("smoothing", float),
-    ("mix", str),
-    ("mix_lam", float),
-)
-_TRAIN_ALIASES = {"augmentation": "mix", "lambda": "mix_lam"}
-_TRAIN_KEYS = (*(name for name, _ in _TRAIN_FIELDS), "augment", "seed", *_TRAIN_ALIASES)
-
-
-def _train_config(args, config: dict) -> network.TrainConfig:
-    config = dict(config)
-    for alias, name in _TRAIN_ALIASES.items():
-        if alias in config:
-            if name in config:
-                raise DataError(f"config gives both {name!r} and its alias {alias!r}")
-            config[name] = config.pop(alias)
-    fields = {
-        name: cast(_pick(args, config, name, getattr(network.TrainConfig, name), cast))
-        for name, cast in _TRAIN_FIELDS
-    }
-    augment = not args.no_augment if args.no_augment is not None else _pick(
-        args, config, "augment", True, bool
-    )
-    return network.TrainConfig(
-        **fields, augment=augment, seed=_resolve_seed(args, config)
-    )
-
-
 def cmd_train(args) -> int:
-    config = _load_config(args.config, _TRAIN_KEYS)
-    tconf = _train_config(args, config)
+    flags = {**vars(args), "augment": False if args.no_augment else None}
+    tconf = network.TrainConfig(**_options(flags, args.config, TRAIN_OPTIONS, TRAIN_ALIASES))
     manifest = pipeline.load_manifest(args.manifest)
     root = Path(args.manifest).parent
     samples, class_names = pipeline.load_labeled_clean(manifest, root)
@@ -282,6 +274,16 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _model_and_manifest(args):
+    """The checkpoint's state and class-name index, the manifest and its root."""
+    state, meta = network.load_checkpoint(args.model)
+    class_names = meta.get("class_names")
+    if not class_names:
+        raise DataError("model checkpoint carries no class names")
+    index = {name: i for i, name in enumerate(class_names)}
+    return state, index, pipeline.load_manifest(args.manifest), Path(args.manifest).parent
+
+
 def _adapted_state(base, clouds, args, kind, severity):
     if args.adapt == "none":
         return base
@@ -297,13 +299,9 @@ def _adapted_state(base, clouds, args, kind, severity):
 
 
 def cmd_eval(args) -> int:
-    state, meta = network.load_checkpoint(args.model)
-    class_names = meta.get("class_names")
-    if not class_names:
-        raise DataError("model checkpoint carries no class names")
-    index = {name: i for i, name in enumerate(class_names)}
-    manifest = pipeline.load_manifest(args.manifest)
-    root = Path(args.manifest).parent
+    if args.adapt_batch < 1:
+        raise DataError(f"--adapt-batch must be >= 1, got {args.adapt_batch}")
+    state, index, manifest, root = _model_and_manifest(args)
     records = []
     for kind, severity, batch in pipeline.iter_cells(manifest, root):
         preds = []
@@ -335,17 +333,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    state, meta = network.load_checkpoint(args.model)
-    class_names = meta.get("class_names")
-    if not class_names:
-        raise DataError("model checkpoint carries no class names")
-    index = {name: i for i, name in enumerate(class_names)}
-    manifest = pipeline.load_manifest(args.manifest)
-    root = Path(args.manifest).parent
+    state, index, manifest, root = _model_and_manifest(args)
+    pgd = network.PgdConfig(epsilon=args.epsilon, alpha=args.alpha, steps=args.steps)
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    pgd = network.PgdConfig(epsilon=args.epsilon, alpha=args.alpha, steps=args.steps)
-    seed = _resolve_seed(args, {})
+    seed = _env_seed(0) if args.seed is None else args.seed
     n_total = n_clean_ok = n_adv_ok = 0
     for sample in manifest.samples:
         sid, cls = sample["sample_id"], sample["class_name"]
@@ -401,6 +393,15 @@ def cmd_export(args) -> int:
 # parser
 
 
+def _add_options(parser, options: dict):
+    """A --flag for each option but a bool (train's augment has --no-augment), and --config."""
+    for name, (kind, _, choices, help_text) in options.items():
+        if kind is not bool:
+            parser.add_argument("--" + name.replace("_", "-"), type=kind, choices=choices,
+                                help=help_text)
+    parser.add_argument("--config", help="JSON config; flags win")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="pccorrupt", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -409,24 +410,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen", help="generate a corrupted dataset")
     p.add_argument("input_dir")
     p.add_argument("output_dir")
-    p.add_argument("--kinds", help="comma list or 'all'")
-    p.add_argument("--severities", help="comma list or 'all'")
-    p.add_argument("--points", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--table", help="severity-table override JSON")
-    p.add_argument("--config", help="JSON config; flags win")
+    _add_options(p, GEN_OPTIONS)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("apply", help="corrupt a single file")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--kind", required=False)
-    p.add_argument("--severity", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--points", type=int)
-    p.add_argument("--table")
-    p.add_argument("--config")
+    _add_options(p, APPLY_OPTIONS)
     p.add_argument("--ascii", action="store_true")
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--sidecar", help="write provenance JSON here")
@@ -435,15 +425,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the point classifier on clean clouds")
     p.add_argument("manifest")
     p.add_argument("--out", default="model.tpn")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--smoothing", type=float)
-    p.add_argument("--mix", choices=["none", "cutmix_r", "cutmix_k", "mixup", "rsmix"])
-    p.add_argument("--mix-lam", dest="mix_lam", type=float)
-    p.add_argument("--no-augment", action="store_const", const=True, default=None)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
+    _add_options(p, TRAIN_OPTIONS)
+    p.add_argument("--no-augment", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="predict over a generated dataset")
@@ -452,18 +435,20 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="predictions.csv")
     p.add_argument("--adapt", choices=["none", "bn", "tent"], default="none")
     p.add_argument("--adapt-batch", dest="adapt_batch", type=int, default=32)
-    p.add_argument("--blend", type=float, default=1.0)
-    p.add_argument("--tent-lr", dest="tent_lr", type=float, default=1e-3)
-    p.add_argument("--tent-steps", dest="tent_steps", type=int, default=1)
+    p.add_argument("--blend", type=float,
+                   default=inspect.signature(network.bn_adapt).parameters["blend"].default)
+    p.add_argument("--tent-lr", dest="tent_lr", type=float, default=network.TentConfig.lr)
+    p.add_argument("--tent-steps", dest="tent_steps", type=int,
+                   default=network.TentConfig.steps)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("attack", help="run the point-shifting attack on clean clouds")
     p.add_argument("model")
     p.add_argument("manifest")
     p.add_argument("--out", default="adversarial")
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--steps", type=int, default=7)
+    p.add_argument("--epsilon", type=float, default=network.PgdConfig.epsilon)
+    p.add_argument("--alpha", type=float, default=network.PgdConfig.alpha)
+    p.add_argument("--steps", type=int, default=network.PgdConfig.steps)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_attack)
 
@@ -495,12 +480,8 @@ def main(argv=None) -> int:
         log_event(event="usage_error", error=str(exc))
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except _DATA_EXCEPTIONS as exc:
+    except (DataError, DegenerateViewError, ValueError, OSError, OverflowError) as exc:
         log_event(event="error", error=str(exc), type=type(exc).__name__)
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except ValueError as exc:
-        log_event(event="error", error=str(exc), type="ValueError")
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

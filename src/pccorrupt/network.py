@@ -388,6 +388,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not np.isfinite(self.lr):
+            raise ValueError("lr must be finite")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
         if not 0.0 <= self.smoothing < 1.0:
@@ -515,6 +517,8 @@ class PgdConfig:
     smoothing: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite(self.epsilon):
+            raise ValueError("epsilon must be finite")
         if not 0 < self.alpha <= self.epsilon:
             raise ValueError("need 0 < alpha <= epsilon")
         if self.steps < 1:
@@ -575,6 +579,8 @@ class TentConfig:
     steps: int = 1
 
     def __post_init__(self):
+        if not np.isfinite(self.lr):
+            raise ValueError("lr must be finite")
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
         if self.steps < 1:

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pccorrupt import load_cloud, save_cloud
 from pccorrupt.cli import main
@@ -344,17 +346,24 @@ def test_train_writes_checkpoint_and_logs(workspace, capsys):
     assert meta["config_digest"].startswith("sha256:")
 
 
-def test_train_flags_win_over_config_aliases():
-    from pccorrupt.cli import _train_config, build_parser
+def test_train_flags_win_over_config_aliases(workspace, tmp_path, capsys):
+    from pccorrupt import TrainConfig, load_checkpoint
 
-    config = {"augmentation": "rsmix", "lambda": 0.3}
-    args = build_parser().parse_args(
-        ["train", "m.json", "--mix", "cutmix_r", "--mix-lam", "0.7"]
-    )
-    tconf = _train_config(args, config)
-    assert (tconf.mix, tconf.mix_lam) == ("cutmix_r", 0.7)
-    tconf = _train_config(build_parser().parse_args(["train", "m.json"]), config)
-    assert (tconf.mix, tconf.mix_lam) == ("rsmix", 0.3)
+    _, _, data, _ = workspace
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"augmentation": "rsmix", "lambda": 0.3}))
+    for flags, mix, mix_lam in [
+        (["--mix", "cutmix_r", "--mix-lam", "0.7"], "cutmix_r", 0.7),
+        ([], "rsmix", 0.3),
+    ]:
+        out = tmp_path / f"{mix}.tpn"
+        code = main(["train", str(data / "manifest.json"), "--out", str(out), "--epochs", "1",
+                     "--batch-size", "4", "--config", str(config), *flags])
+        capsys.readouterr()
+        assert code == 0
+        want = TrainConfig(epochs=1, batch_size=4, mix=mix, mix_lam=mix_lam)
+        digest = hashlib.sha256(json.dumps(want.__dict__, sort_keys=True).encode()).hexdigest()
+        assert load_checkpoint(out)[1]["config_digest"] == "sha256:" + digest
 
 
 def test_train_config_with_name_and_alias_is_data_error(workspace, tmp_path, capsys):
@@ -418,6 +427,46 @@ def test_train_config_wrong_type_is_data_error(workspace, tmp_path, capsys, entr
     assert code == 2
     assert "Traceback" not in err and repr(next(iter(entry))) in err
     assert not (tmp_path / "m.tpn").exists()
+
+
+def test_train_config_outside_choices_is_data_error(workspace, tmp_path, capsys):
+    _, _, data, _ = workspace
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"augmentation": "cutmix"}))
+    code = main(["train", str(data / "manifest.json"), "--out", str(tmp_path / "m.tpn"),
+                 "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "config key 'mix' must be one of" in err
+    assert not (tmp_path / "m.tpn").exists()
+
+
+_SCALAR = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**1024)
+           | st.floats() | st.text(max_size=8))
+_JSON = _SCALAR | st.lists(_SCALAR, max_size=3) | st.dictionaries(st.text(max_size=8), _SCALAR,
+                                                                  max_size=3)
+
+
+@pytest.mark.parametrize("command", ["gen", "apply", "train"])
+def test_config_fuzz_exits_typed(tmp_path, monkeypatch, command):
+    from pccorrupt import cli
+
+    accepted = {"gen": cli.GEN_OPTIONS, "apply": cli.APPLY_OPTIONS,
+                "train": {**cli.TRAIN_OPTIONS, **cli.TRAIN_ALIASES}}[command]
+    argv = {"gen": ["gen", "missing", "out"],  # gen makes `out` before it checks `missing`
+            "apply": ["apply", "missing.ply", "out.ply"],
+            "train": ["train", "missing.json", "--out", "m.tpn"]}[command]
+    monkeypatch.chdir(tmp_path)  # a path-valued key then names nothing outside tmp_path
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.sampled_from(sorted(accepted)), _JSON, max_size=4),
+           st.dictionaries(st.text(max_size=8), _JSON, max_size=1))
+    def check(known, other):
+        config = {**other, **known}  # `other` is mostly empty or an unknown key
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert main([*argv, "--config", "c.json"]) in (1, 2)
+
+    check()
 
 
 def test_eval_writes_predictions(workspace, tmp_path, capsys):
@@ -573,3 +622,49 @@ def test_attack_adversarial_clouds_stay_in_ball(workspace, tmp_path, capsys):
         adv = load_cloud(out / f"{sample['sample_id']}.ply")
         # both files are float32 on disk; compare at float32 resolution
         assert np.abs(adv.points - clean.points).max() <= 0.02 + 1e-6
+
+
+@pytest.mark.parametrize("command", ["gen", "apply", "train", "eval", "attack", "bench", "export"])
+def test_directory_or_overflowing_argument_is_data_error(workspace, tmp_path, capsys, command):
+    _, src, data, model = workspace
+    manifest, mesh = str(data / "manifest.json"), str(next(src.rglob("*.off")))
+    out = tmp_path / "out"
+    argv = {
+        "gen": ["gen", str(src), str(out), "--config", str(src)],
+        "apply": ["apply", mesh, str(out), "--kind", "shear", "--points", str(10**20)],
+        "train": ["train", manifest, "--out", str(out), "--config", str(src)],
+        "eval": ["eval", str(src), manifest, "--out", str(out)],
+        "attack": ["attack", str(model), manifest, "--out", str(out), "--epsilon", "inf"],
+        "bench": ["bench", str(src), manifest, "--out", str(out)],
+        "export": ["export", str(src), str(out)],
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_non_finite_learning_rate_is_data_error(workspace, tmp_path, capsys):
+    _, _, data, model = workspace
+    out = tmp_path / "out"
+    for argv in (["train", str(data / "manifest.json"), "--lr", "nan"],
+                 ["eval", str(model), str(data / "manifest.json"), "--adapt", "tent",
+                  "--tent-lr", "inf"]):
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and "lr must be finite" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_eval_adapt_batch_below_one_is_data_error(workspace, tmp_path, capsys, size):
+    _, _, data, model = workspace
+    out = tmp_path / "p.csv"
+    code = main(["eval", str(model), str(data / "manifest.json"), "--out", str(out),
+                 "--adapt-batch", size])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "--adapt-batch" in err
+    assert not out.exists()

@@ -370,6 +370,13 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(smoothing=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TrainConfig(lr=bad)
+        with pytest.raises(ValueError):
+            TentConfig(lr=bad)
+        with pytest.raises(ValueError):
+            PgdConfig(epsilon=bad)
 
 
 def test_train_learns_separable_toy_set():
