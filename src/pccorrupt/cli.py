@@ -32,7 +32,7 @@ from .geometry import normalize_mesh, normalize_unit_sphere, sample_surface
 from .io_formats import MESH_SUFFIXES, load_cloud, load_mesh, save_cloud
 from .corruptions import apply_corruption
 from .occlusion import DegenerateViewError
-from .pipeline import DataError, RunConfig
+from .pipeline import MIN_POINT_BUDGET, DataError, RunConfig
 from .severity import SEVERITIES, CorruptionKind, CorruptionSpec, SeverityTable
 
 USAGE_ERROR = 1
@@ -220,6 +220,8 @@ def cmd_apply(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     severity = _check_severity(opts["severity"])
+    if opts["points"] < MIN_POINT_BUDGET:
+        raise DataError(f"--points must be >= {MIN_POINT_BUDGET}, got {opts['points']}")
     seed = opts["seed"]
     table = _load_table(opts["table"])
     spec = CorruptionSpec(kind, severity, seed=seed)
@@ -284,18 +286,21 @@ def _model_and_manifest(args):
     return state, index, pipeline.load_manifest(args.manifest), Path(args.manifest).parent
 
 
-def _adapted_state(base, clouds, args, kind, severity):
+def _predict_chunk(base, clouds, args, kind, severity):
+    """Predicted classes of one chunk under the state `--adapt` makes of `base`."""
     if args.adapt == "none":
-        return base
+        return network.predict(base, clouds)
     if len(clouds) < 2:  # batch statistics need at least two clouds
         log_event(event="adaptation_skipped", corruption=kind, severity=severity,
                   n=len(clouds))
-        return base
+        return network.predict(base, clouds)
     if args.adapt == "bn":
-        return network.bn_adapt(base, clouds, blend=args.blend)
-    return network.tent_adapt(
-        base, clouds, network.TentConfig(lr=args.tent_lr, steps=args.tent_steps)
-    )
+        _, logits = network.bn_adapt(base, clouds, blend=args.blend)
+    else:
+        _, logits = network.tent_adapt(
+            base, clouds, network.TentConfig(lr=args.tent_lr, steps=args.tent_steps)
+        )
+    return logits.argmax(axis=1)
 
 
 def cmd_eval(args) -> int:
@@ -308,8 +313,7 @@ def cmd_eval(args) -> int:
         for start in range(0, len(batch), args.adapt_batch):
             chunk = batch[start : start + args.adapt_batch]
             clouds = [cloud for _, _, cloud in chunk]
-            model = _adapted_state(state, clouds, args, kind, severity)
-            preds.extend(network.predict(model, clouds).tolist())
+            preds.extend(_predict_chunk(state, clouds, args, kind, severity).tolist())
         wrong = 0
         for (sid, cls, _), pred in zip(batch, preds):
             if cls not in index:

@@ -6,8 +6,19 @@ pool over each cloud's points, then the head layer (256 -> 128), and last
 an affine map to the C class logits.  The forward pass is pure; batch-norm
 running statistics are updated explicitly by the training loop from values
 the forward pass reports.  The backward pass produces exact analytic
-gradients for every parameter and for the input points, which is what the
-projected-gradient attack consumes.
+gradients for the input points, which is what the projected-gradient
+attack consumes, and for the parameters its caller names: training takes
+all of them, TENT the batch-norm scale/shift and the attack none.  A
+weight gradient costs as many FLOPs as its forward matmul, so the others
+are not computed.
+
+Both test-time adaptations also return the batch's logits under the
+adapted state, bit-equal to an eval-mode pass over that batch.  When the
+stored statistics are exactly the last batch-statistics pass's (always
+for TENT, and for BN adaptation at blend 1), that pass's logits are
+returned: an eval pass would subtract the same mean and divide by the
+same variance in the same order, so it would repeat it bit for bit.
+Otherwise one eval pass computes them.
 
 The activation cache holds, per layer, its `input`, the normalized `x_hat`
 and `inv_std`, plus the packed points `x`, each pooled feature's winning
@@ -226,12 +237,17 @@ def forward(state: NetworkState, clouds, mode: str = "eval"):
     return logits, cache
 
 
-def _bn_backward(dy, layer_cache, layer: Layer, batch_stats: bool):
-    """Gradients through batch norm; `dy` is a fresh buffer and becomes `dz`."""
+def _bn_backward(dy, layer_cache, layer: Layer, batch_stats: bool,
+                 want_gamma: bool, want_beta: bool):
+    """Gradients through batch norm; `dy` is a fresh buffer and becomes `dz`.
+
+    Batch-statistics dz needs both scale/shift sums; in eval mode a sum
+    that is not wanted is skipped and comes back as None.
+    """
     x_hat = layer_cache["x_hat"]
     inv_std = layer_cache["inv_std"]
-    dgamma = (dy * x_hat).sum(axis=0)
-    dbeta = dy.sum(axis=0)
+    dgamma = (dy * x_hat).sum(axis=0) if batch_stats or want_gamma else None
+    dbeta = dy.sum(axis=0) if batch_stats or want_beta else None
     dz = dy
     if batch_stats:
         n = len(dy)
@@ -247,19 +263,26 @@ def _bn_backward(dy, layer_cache, layer: Layer, batch_stats: bool):
     return dz, dgamma, dbeta
 
 
-def backward(state: NetworkState, cache: dict, grad_logits: np.ndarray):
+def backward(state: NetworkState, cache: dict, grad_logits: np.ndarray, wanted=None):
     """Exact gradients of a scalar loss given d(loss)/d(logits).
 
     Returns (param_grads, point_grads) where point_grads matches the
-    concatenated (total_points, 3) layout of the forward batch.
+    concatenated (total_points, 3) layout of the forward batch and
+    param_grads holds the parameters named in `wanted` (all by default).
     """
     if cache.get("state") is not state or cache.get("version") != state.version:
         raise StaleCacheError("activation cache does not match this state")
+    params = state.parameters()
+    wanted = set(params if wanted is None else wanted)
+    if not wanted.issubset(params):
+        raise KeyError(f"unknown parameters {sorted(wanted.difference(params))}")
     batch_stats = cache["mode"] in ("train", "adapt")
     grads: dict[str, np.ndarray] = {}
 
-    grads["out.w"] = grad_logits.T @ cache["out_input"]
-    grads["out.b"] = grad_logits.sum(axis=0)
+    if "out.w" in wanted:
+        grads["out.w"] = grad_logits.T @ cache["out_input"]
+    if "out.b" in wanted:
+        grads["out.b"] = grad_logits.sum(axis=0)
     dh = grad_logits @ state.out_weight
     # a ReLU unit whose output is 0 passes no gradient; each layer's ReLU
     # output is the next layer's cached input (the head's is out_input)
@@ -267,10 +290,12 @@ def backward(state: NetworkState, cache: dict, grad_logits: np.ndarray):
 
     head, first = state.layers[-1], state.layers[0]
     for layer, layer_cache in zip(reversed(state.layers), reversed(cache["layers"])):
-        dz, dgamma, dbeta = _bn_backward(dh, layer_cache, layer, batch_stats)
-        grads[f"{layer.name}.bn.gamma"] = dgamma
-        grads[f"{layer.name}.bn.beta"] = dbeta
-        grads[f"{layer.name}.w"] = dz.T @ layer_cache["input"]
+        gamma, beta, w = (f"{layer.name}.{part}" for part in ("bn.gamma", "bn.beta", "w"))
+        dz, grads[gamma], grads[beta] = _bn_backward(
+            dh, layer_cache, layer, batch_stats, gamma in wanted, beta in wanted
+        )
+        if w in wanted:
+            grads[w] = dz.T @ layer_cache["input"]
         dh = dz @ layer.w
         if layer is not first:
             # below the head this masks the pooled gradient: each feature's
@@ -282,7 +307,7 @@ def backward(state: NetworkState, cache: dict, grad_logits: np.ndarray):
             dpooled, dh = dh, np.zeros((len(cache["x"]), len(feat_cols)))
             np.add.at(dh, (cache["argmax_rows"], feat_cols[None, :]), dpooled)
 
-    return grads, dh
+    return {name: g for name, g in grads.items() if name in wanted}, dh
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +569,7 @@ def pgd_attack(
     for _ in range(config.steps):
         logits, cache = forward(state, [x], mode="eval")
         _, dlogits = loss_smoothed_ce(logits, np.array([label]), config.smoothing)
-        _, dpoints = backward(state, cache, dlogits)
+        _, dpoints = backward(state, cache, dlogits, wanted=())
         x = np.clip(x + config.alpha * np.sign(dpoints), lo, hi)
     return PointCloud(x)
 
@@ -553,24 +578,29 @@ def pgd_attack(
 # test-time adaptation
 
 
-def bn_adapt(state: NetworkState, clouds, blend: float = 1.0) -> NetworkState:
+def bn_adapt(state: NetworkState, clouds, blend: float = 1.0):
     """Re-estimate batch-norm statistics from one batch; weights untouched.
 
     blend=1 replaces the running statistics outright; smaller values mix
-    batch and running statistics.
+    batch and running statistics.  Returns (adapted state, the batch's
+    eval-mode logits under it).
     """
     if not 0.0 < blend <= 1.0:
         raise ValueError("blend must be in (0, 1]")
     if len(clouds) < 2:
         raise ValueError("need a batch of at least 2 clouds")
     adapted = state.copy()
-    batch = forward(adapted, clouds, mode="adapt")[1]["batch_stats"]
+    logits, cache = forward(adapted, clouds, mode="adapt")
+    batch = cache["batch_stats"]
+    if blend == 1.0:
+        adapted.set_running_stats(batch)
+        return adapted, logits
     running = adapted.running_stats()
     merged = {
         name: blend * batch[name] + (1.0 - blend) * running[name] for name in batch
     }
     adapted.set_running_stats(merged)
-    return adapted
+    return adapted, forward(adapted, clouds, mode="eval")[0]
 
 
 @dataclass(frozen=True)
@@ -590,13 +620,14 @@ class TentConfig:
 _TENT_PARAM_SUFFIXES = (".bn.gamma", ".bn.beta")
 
 
-def tent_adapt(state: NetworkState, clouds, config: TentConfig | None = None) -> NetworkState:
+def tent_adapt(state: NetworkState, clouds, config: TentConfig | None = None):
     """Entropy-minimizing test-time adaptation.
 
     Normalization statistics come from the adaptation batch itself; then
     `steps` Adam updates are applied to the batch-norm scale/shift
     parameters only, minimizing the mean softmax entropy of the batch.
-    Every other parameter is left bit-identical.
+    Every other parameter is left bit-identical.  Returns (adapted state,
+    the batch's eval-mode logits under it).
     """
     if len(clouds) < 2:
         raise ValueError("need a batch of at least 2 clouds")
@@ -608,17 +639,17 @@ def tent_adapt(state: NetworkState, clouds, config: TentConfig | None = None) ->
         if name.endswith(_TENT_PARAM_SUFFIXES)
     }
     adam = AdamState(lr=config.lr)
-    for _ in range(config.steps):
+    for _ in range(config.steps if config.lr > 0 else 0):  # a step at lr 0 moves nothing
         logits, cache = forward(adapted, clouds, mode="adapt")
         _, dlogits = loss_entropy(logits)
-        grads, _ = backward(adapted, cache, dlogits)
-        if config.lr > 0:
-            adam.step(affine, {name: grads[name] for name in affine})
-            adapted.touch()
+        grads, _ = backward(adapted, cache, dlogits, wanted=affine)
+        adam.step(affine, grads)
+        adapted.touch()
     # store the batch statistics seen under the final scale/shift values, so
     # a later eval-mode pass reproduces the adapted forward exactly
-    adapted.set_running_stats(forward(adapted, clouds, mode="adapt")[1]["batch_stats"])
-    return adapted
+    logits, cache = forward(adapted, clouds, mode="adapt")
+    adapted.set_running_stats(cache["batch_stats"])
+    return adapted, logits
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +683,10 @@ def save_checkpoint(
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (state, metadata).  Malformed files raise ValueError."""
+    """Read a checkpoint; returns (state, metadata).
+
+    Malformed files, and tensors holding NaN or infinity, raise ValueError.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CHECKPOINT_MAGIC:
@@ -691,6 +725,8 @@ def load_checkpoint(path):
         if len(raw) != size:
             raise ValueError("checkpoint truncated")
         tensor[...] = np.frombuffer(raw, dtype="<f8").reshape(tensor.shape)
+        if not np.isfinite(tensor).all():
+            raise ValueError(f"checkpoint tensor {name!r} holds non-finite values")
         offset += size
     if offset != len(data):
         raise ValueError("trailing bytes after checkpoint tensors")

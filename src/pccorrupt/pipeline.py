@@ -43,6 +43,7 @@ MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
 _KIND_NAMES = frozenset(k.value for k in CorruptionKind)
 _SEVERITY_KEYS = frozenset(str(s) for s in SEVERITIES)
+MIN_POINT_BUDGET = 64
 
 
 class DataError(Exception):
@@ -70,8 +71,8 @@ class RunConfig:
         for s in self.severities:
             if s not in SEVERITIES:
                 raise ValueError(f"severity {s} outside 1..5")
-        if self.point_budget < 64:
-            raise ValueError("point budget must be >= 64")
+        if self.point_budget < MIN_POINT_BUDGET:
+            raise ValueError(f"point budget must be >= {MIN_POINT_BUDGET}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -279,7 +280,6 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
     table = config.table if config.table is not None else SeverityTable.default()
     in_root = Path(config.input_dir)
     out_root = Path(config.output_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
 
     found = discover_samples(in_root)
     mesh_kind_names = {k.value for k in MESH_KINDS}
@@ -301,6 +301,7 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
                  "error_type": type(exc).__name__})
     if not prepared and failures:
         raise DataError("every input sample failed to load")
+    out_root.mkdir(parents=True, exist_ok=True)
 
     samples: dict[str, dict] = {}
     for rel, sid, sample_hash, mesh, cloud in prepared:

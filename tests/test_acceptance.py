@@ -398,9 +398,9 @@ def test_acceptance_08_adaptation_contracts(desk_model):
         for _ in range(8):
             pts = test_set[rng.integers(len(test_set))].cloud.points
             batch.append(pts + rng.normal(0.0, 0.03, size=pts.shape))
-        baseline = bn_adapt(state, batch, blend=1.0)
+        baseline, _ = bn_adapt(state, batch, blend=1.0)
         ent_before, _ = loss_entropy(forward(baseline, batch, "eval")[0])
-        adapted = tent_adapt(state, batch, TentConfig(lr=1e-3, steps=1))
+        adapted, _ = tent_adapt(state, batch, TentConfig(lr=1e-3, steps=1))
         ent_after, _ = loss_entropy(forward(adapted, batch, "eval")[0])
         wins += ent_after <= ent_before + 1e-12
         for name, t in state.parameters().items():
@@ -411,7 +411,7 @@ def test_acceptance_08_adaptation_contracts(desk_model):
 
     # (b) statistic replacement standardizes the batch
     big_batch = [s.cloud.points for s in test_set[:64]]
-    replaced = bn_adapt(state, big_batch, blend=1.0)
+    replaced, _ = bn_adapt(state, big_batch, blend=1.0)
     _, cache = forward(replaced, big_batch, mode="eval")
     x_hat = cache["layers"][0]["x_hat"]
     mean_dev = float(np.abs(x_hat.mean(axis=0)).max())

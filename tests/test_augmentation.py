@@ -1,6 +1,7 @@
 """Cloud mixing strategies and the minimum-cost point matching."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,34 @@ def test_permutation_validation():
 def test_emd_requires_equal_sizes():
     with pytest.raises(ValueError):
         emd_assign(random_cloud(5, 0), random_cloud(6, 1))
+
+
+@pytest.mark.parametrize("n", [30, EXACT_ASSIGN_LIMIT + 44])
+@pytest.mark.parametrize("scale", [1e200, 1e308])
+def test_emd_overflowing_distances_raise_one_value_error(n, scale):
+    # finite clouds on both matcher branches whose squared distances overflow
+    rng = np.random.default_rng(n)
+    a = PointCloud(rng.uniform(-1, 1, size=(n, 3)) * scale)
+    b = PointCloud(rng.uniform(-1, 1, size=(n, 3)) * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow float64"):
+            emd_assign(a, b)
+
+
+@pytest.mark.parametrize("n", [30, EXACT_ASSIGN_LIMIT + 44])
+def test_emd_largest_matchable_distances_match_without_warnings(n):
+    # scaled so the largest squared distance sits just inside the bound
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+    bound = np.finfo(np.float64).max / (4 * n)
+    scale = np.sqrt(bound / cdist(a, b, "sqeuclidean").max()) * (1 - 1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        perm = emd_assign(PointCloud(a * scale), PointCloud(b * scale))
+    assert len(perm) == n
 
 
 # -- mixup -----------------------------------------------------------------

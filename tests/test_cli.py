@@ -67,6 +67,24 @@ def test_gen_missing_input_is_data_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["missing", "mesh_kind_on_clouds", "nothing_loads"])
+def test_gen_rejected_input_leaves_no_output_directory(tmp_path, capsys, case):
+    src = tmp_path / "src"
+    src.mkdir()
+    if case == "mesh_kind_on_clouds":
+        save_cloud(random_cloud(128, seed=6), src / "a.ply")
+    if case == "nothing_loads":
+        (src / "broken.ply").write_text("ply\nnonsense\n")
+    in_dir = tmp_path / "missing" if case == "missing" else src
+    kinds = "occlusion" if case == "mesh_kind_on_clouds" else "gaussian"
+    out = tmp_path / "out"
+    code = main(["gen", str(in_dir), str(out), "--kinds", kinds])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gen_bad_kind_is_usage_error(workspace, tmp_path, capsys):
     _, src, _, _ = workspace
     code = main(["gen", str(src), str(tmp_path / "out"), "--kinds", "fog"])
@@ -228,6 +246,23 @@ def test_apply_mesh_kind_on_cloud_is_data_error(tmp_path, capsys):
     code = main(["apply", str(src), str(tmp_path / "o.ply"), "--kind", "lidar"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("points", ["63", "3", "1", "0", "-5", "config"])
+def test_apply_points_below_floor_is_data_error(workspace, tmp_path, capsys, points):
+    _, src, _, _ = workspace
+    mesh = next((src / "box").glob("*.off"))
+    how = ["--points", points]
+    if points == "config":
+        cfg = tmp_path / "a.json"
+        cfg.write_text(json.dumps({"points": 8}))
+        how = ["--config", str(cfg)]
+    out = tmp_path / "o.ply"
+    code = main(["apply", str(mesh), str(out), "--kind", "gaussian", *how])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "--points must be >= 64" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("how", [["--severity", "9"], ["--severity", "0"], ["config"]])
@@ -453,7 +488,7 @@ def test_config_fuzz_exits_typed(tmp_path, monkeypatch, command):
 
     accepted = {"gen": cli.GEN_OPTIONS, "apply": cli.APPLY_OPTIONS,
                 "train": {**cli.TRAIN_OPTIONS, **cli.TRAIN_ALIASES}}[command]
-    argv = {"gen": ["gen", "missing", "out"],  # gen makes `out` before it checks `missing`
+    argv = {"gen": ["gen", "missing", "out"],
             "apply": ["apply", "missing.ply", "out.ply"],
             "train": ["train", "missing.json", "--out", "m.tpn"]}[command]
     monkeypatch.chdir(tmp_path)  # a path-valued key then names nothing outside tmp_path
@@ -537,6 +572,54 @@ def test_eval_truncated_checkpoint_is_data_error(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and "header" in err
+
+
+def test_eval_non_finite_checkpoint_is_data_error(workspace, tmp_path, capsys):
+    from pccorrupt import load_checkpoint, save_checkpoint
+
+    _, _, data, model = workspace
+    state, meta = load_checkpoint(model)
+    state.layers[1].w[0, 0] = np.nan
+    state.layers[-1].var[0] = np.inf
+    bad = tmp_path / "bad.tpn"
+    save_checkpoint(state, bad, class_names=meta["class_names"])
+    out = tmp_path / "p.csv"
+    code = main(["eval", str(bad), str(data / "manifest.json"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "'point1.w' holds non-finite values" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("adapt", [["bn", "--blend", "0.5"], ["tent"]])
+def test_eval_adapted_predictions_equal_adapt_then_predict(workspace, tmp_path, capsys, adapt):
+    from pccorrupt import (PredictionRecord, bn_adapt, iter_cells, load_checkpoint,
+                           load_manifest, predict, tent_adapt, write_predictions)
+
+    _, _, data, model = workspace
+    out = tmp_path / "eval.csv"
+    # chunks of 3 over 4 clouds per cell: one adapted chunk, one left unadapted
+    code = main(["eval", str(model), str(data / "manifest.json"), "--out", str(out),
+                 "--adapt-batch", "3", "--adapt", *adapt])
+    capsys.readouterr()
+    assert code == 0
+
+    state, meta = load_checkpoint(model)
+    index = {name: i for i, name in enumerate(meta["class_names"])}
+    records = []
+    for kind, severity, batch in iter_cells(load_manifest(data / "manifest.json"), data):
+        for start in range(0, len(batch), 3):
+            chunk = batch[start : start + 3]
+            clouds = [cloud for _, _, cloud in chunk]
+            adapted = state
+            if len(clouds) > 1:
+                adapted = (bn_adapt(state, clouds, blend=0.5) if adapt[0] == "bn"
+                           else tent_adapt(state, clouds))[0]
+            for (sid, cls, _), pred in zip(chunk, predict(adapted, clouds)):
+                records.append(PredictionRecord(sid, kind, severity, index[cls], int(pred)))
+    expected = tmp_path / "expected.csv"
+    write_predictions(records, expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_bench_json_and_markdown(workspace, tmp_path, capsys):

@@ -164,6 +164,31 @@ def test_backward_twice_on_one_cache_is_bit_identical(mode):
 # -- backward --------------------------------------------------------------
 
 
+@pytest.mark.parametrize("mode", ["train", "eval", "adapt"])
+@pytest.mark.parametrize("requested", ["all", "bn_affine", "none"])
+def test_backward_requested_gradients_equal_full_backward(mode, requested):
+    state = _perturbed_state()
+    logits, cache = forward(state, _clouds([7, 9], seed=17), mode=mode)
+    _, dlogits = loss_smoothed_ce(logits, np.array([2, 0]), 0.2)
+    full, full_points = backward(state, cache, dlogits)
+    assert full.keys() == state.parameters().keys()
+    wanted = {"all": list(full),
+              "bn_affine": [n for n in full if n.endswith((".bn.gamma", ".bn.beta"))],
+              "none": []}[requested]
+    grads, dpoints = backward(state, cache, dlogits, wanted=wanted)
+    assert grads.keys() == set(wanted)
+    for name, g in grads.items():
+        assert g.tobytes() == full[name].tobytes(), name
+    assert dpoints.tobytes() == full_points.tobytes()
+
+
+def test_backward_rejects_unknown_parameter_names():
+    state = _tiny_state()
+    logits, cache = forward(state, _clouds([5]), mode="eval")
+    with pytest.raises(KeyError, match="point9.w"):
+        backward(state, cache, logits, wanted=["point0.w", "point9.w"])
+
+
 def _numeric_grad(f, tensor, h=1e-5):
     g = np.zeros_like(tensor)
     it = np.nditer(tensor, flags=["multi_index"])
@@ -436,7 +461,7 @@ def test_train_needs_two_classes():
 def test_checkpoint_round_trip(tmp_path):
     state = _tiny_state(seed=4)
     # make running stats non-trivial so they round-trip too
-    adapted = bn_adapt(state, _clouds([8, 8], seed=14))
+    adapted, _ = bn_adapt(state, _clouds([8, 8], seed=14))
     path = tmp_path / "model.tpn"
     save_checkpoint(adapted, path, class_names=["a", "b", "c"], config_digest="sha256:x")
     loaded, meta = load_checkpoint(path)
@@ -483,6 +508,23 @@ def _meta_replaced(blob):
     return lambda data: data[:4] + struct.pack("<I", len(blob)) + blob
 
 
+def _tensor_value_set(*edits):
+    """Corrupt a checkpoint by setting the first value of each named tensor."""
+
+    def corrupt(data):
+        (n,) = struct.unpack("<I", data[4:8])
+        offsets, offset = {}, 8 + n
+        for entry in json.loads(data[8 : 8 + n])["tensors"]:
+            offsets[entry["name"]] = offset
+            offset += 8 * math.prod(entry["shape"])
+        for name, value in edits:
+            at = offsets[name]
+            data = data[:at] + struct.pack("<d", value) + data[at + 8 :]
+        return data
+
+    return corrupt
+
+
 _MALFORMED_CHECKPOINTS = {
     "header_only_magic": lambda data: data[:4],
     "header_cut": lambda data: data[:7],
@@ -502,6 +544,11 @@ _MALFORMED_CHECKPOINTS = {
     "entry_string": _meta_edited(lambda m: m["tensors"].insert(0, "point0.w")),
     "entry_name_list": _meta_edited(lambda m: m["tensors"][0].update(name=["point0.w"])),
     "entry_shape_int": _meta_edited(lambda m: m["tensors"][0].update(shape=12)),
+    "nan_weight": _tensor_value_set(("point1.w", math.nan)),
+    "inf_var": _tensor_value_set(("head.bn.var", math.inf)),
+    "nan_weight_and_inf_var": _tensor_value_set(("point1.w", math.nan),
+                                                ("head.bn.var", math.inf)),
+    "minus_inf_bias": _tensor_value_set(("out.b", -math.inf)),
 }
 
 
@@ -576,7 +623,7 @@ def test_pgd_increases_loss(small_model):
 def test_bn_adapt_standardizes_first_layer(small_model):
     state, _ = small_model
     clouds = _clouds([64, 64, 64], seed=33)
-    adapted = bn_adapt(state, clouds, blend=1.0)
+    adapted, _ = bn_adapt(state, clouds, blend=1.0)
     _, cache = forward(adapted, clouds, mode="eval")
     x_hat = cache["layers"][0]["x_hat"]
     assert np.abs(x_hat.mean(axis=0)).max() < 1e-6
@@ -585,7 +632,7 @@ def test_bn_adapt_standardizes_first_layer(small_model):
 
 def test_bn_adapt_touches_only_stats(small_model):
     state, _ = small_model
-    adapted = bn_adapt(state, _clouds([16, 16], seed=34), blend=0.5)
+    adapted, _ = bn_adapt(state, _clouds([16, 16], seed=34), blend=0.5)
     for name, t in state.parameters().items():
         assert np.array_equal(t, adapted.parameters()[name]), name
     changed = [
@@ -608,7 +655,7 @@ def test_bn_adapt_blend_and_batch_validation(small_model):
 
 def test_bn_adapt_tiny_blend_barely_moves(small_model):
     state, _ = small_model
-    adapted = bn_adapt(state, _clouds([16, 16], seed=35), blend=1e-9)
+    adapted, _ = bn_adapt(state, _clouds([16, 16], seed=35), blend=1e-9)
     for name, t in state.running_stats().items():
         assert np.allclose(t, adapted.running_stats()[name], atol=1e-6), name
 
@@ -616,7 +663,7 @@ def test_bn_adapt_tiny_blend_barely_moves(small_model):
 def test_tent_updates_only_affine_and_stats(small_model):
     state, _ = small_model
     clouds = _clouds([32, 32], seed=36)
-    adapted = tent_adapt(state, clouds, TentConfig(lr=1e-2, steps=2))
+    adapted, _ = tent_adapt(state, clouds, TentConfig(lr=1e-2, steps=2))
     for name, t in state.parameters().items():
         same = np.array_equal(t, adapted.parameters()[name])
         if name.endswith((".bn.gamma", ".bn.beta")):
@@ -628,8 +675,8 @@ def test_tent_updates_only_affine_and_stats(small_model):
 def test_tent_zero_lr_equals_stat_replacement(small_model):
     state, _ = small_model
     clouds = _clouds([24, 24], seed=37)
-    tented = tent_adapt(state, clouds, TentConfig(lr=0.0, steps=3))
-    replaced = bn_adapt(state, clouds, blend=1.0)
+    tented, _ = tent_adapt(state, clouds, TentConfig(lr=0.0, steps=3))
+    replaced, _ = bn_adapt(state, clouds, blend=1.0)
     for name, t in tented.running_stats().items():
         assert np.array_equal(t, replaced.running_stats()[name]), name
     for name, t in tented.parameters().items():
@@ -641,10 +688,27 @@ def test_tent_eval_replays_adapted_forward(small_model):
     # adapt-mode pass that produced the stored statistics
     state, _ = small_model
     clouds = _clouds([20, 20], seed=38)
-    adapted = tent_adapt(state, clouds, TentConfig(lr=1e-2, steps=1))
+    adapted, _ = tent_adapt(state, clouds, TentConfig(lr=1e-2, steps=1))
     eval_logits, _ = forward(adapted, clouds, mode="eval")
     adapt_logits, _ = forward(adapted, clouds, mode="adapt")
     assert np.array_equal(eval_logits, adapt_logits)
+
+
+@pytest.mark.parametrize("blend", [1.0, 0.5, 1e-9])
+def test_bn_adapt_logits_equal_eval_pass(small_model, blend):
+    state, _ = small_model
+    clouds = _clouds([20, 24, 16], seed=41)
+    adapted, logits = bn_adapt(state, clouds, blend=blend)
+    assert logits.tobytes() == forward(adapted, clouds, mode="eval")[0].tobytes()
+
+
+@pytest.mark.parametrize("lr", [0.0, 1e-2])
+@pytest.mark.parametrize("steps", [1, 2])
+def test_tent_adapt_logits_equal_eval_pass(small_model, lr, steps):
+    state, _ = small_model
+    clouds = _clouds([20, 24, 16], seed=42)
+    adapted, logits = tent_adapt(state, clouds, TentConfig(lr=lr, steps=steps))
+    assert logits.tobytes() == forward(adapted, clouds, mode="eval")[0].tobytes()
 
 
 def test_tent_reduces_entropy_on_shifted_batches(small_model):
@@ -657,9 +721,9 @@ def test_tent_reduces_entropy_on_shifted_batches(small_model):
             s.cloud.points + rng.normal(0.0, 0.04, size=s.cloud.points.shape)
             for s in (data[rng.integers(len(data))] for _ in range(8))
         ]
-        before = bn_adapt(state, batch, blend=1.0)
+        before, _ = bn_adapt(state, batch, blend=1.0)
         ent_before, _ = loss_entropy(forward(before, batch, "eval")[0])
-        after = tent_adapt(state, batch, TentConfig(lr=1e-3, steps=1))
+        after, _ = tent_adapt(state, batch, TentConfig(lr=1e-3, steps=1))
         ent_after, _ = loss_entropy(forward(after, batch, "eval")[0])
         wins += ent_after <= ent_before + 1e-12
     assert wins >= 9
@@ -710,9 +774,9 @@ def test_golden_forward_backward_checkpoint_and_adaptation(tmp_path):
     feed({"logits": forward(loaded, clouds, mode="eval")[0],
           "predict": predict(loaded, clouds)})
 
-    tented = tent_adapt(loaded, clouds, TentConfig(lr=1e-2, steps=2))
+    tented, _ = tent_adapt(loaded, clouds, TentConfig(lr=1e-2, steps=2))
     feed({**tented.parameters(), **tented.running_stats()})
-    feed(bn_adapt(loaded, clouds, blend=0.5).running_stats())
+    feed(bn_adapt(loaded, clouds, blend=0.5)[0].running_stats())
     adv = pgd_attack(loaded, PointCloud(clouds[2]), 1, PgdConfig(), np.random.default_rng(42))
     feed({"pgd": adv.points})
     assert h.hexdigest() == "41ffbbc71da6862ccf1fb34ba4e798e41a5529f1ae88278ff6ab8ffd12fef6e2"
