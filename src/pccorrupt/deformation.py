@@ -15,6 +15,7 @@ from math import comb
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
+from scipy.spatial.distance import cdist
 
 from .geometry import Aabb, PointCloud
 
@@ -174,8 +175,7 @@ def solve_rbf(centers, displacements, kernel: RbfKernel) -> RbfDeformation:
     if len(centers) != len(displacements):
         raise ValueError("centers and displacements must have equal length")
 
-    diff = centers[:, None, :] - centers[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    dist = cdist(centers, centers)
     off_diag = dist + np.diag(np.full(len(centers), np.inf))
     if len(centers) > 1 and off_diag.min() == 0.0:
         raise ValueError("centers must be pairwise distinct")
@@ -186,6 +186,10 @@ def solve_rbf(centers, displacements, kernel: RbfKernel) -> RbfDeformation:
         lu, piv = lu_factor(phi)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"singular RBF system: {exc}") from None
+    # The factor stays local to this call and is never cached: gen runs tasks
+    # on worker threads, and two threads calling lu_solve on one shared
+    # (lu, piv) abort the process under scipy 1.17.1 ("malloc(): corrupted
+    # top size"), likely because its getrs wrapper shifts `piv` in place.
     rcond, info = dgecon(lu, anorm, norm="1")
     if info != 0 or rcond == 0.0 or 1.0 / rcond > CONDITION_LIMIT:
         cond = np.inf if rcond == 0.0 else 1.0 / rcond
@@ -204,7 +208,5 @@ def solve_rbf(centers, displacements, kernel: RbfKernel) -> RbfDeformation:
 
 def apply_rbf(cloud: PointCloud, deformation: RbfDeformation) -> PointCloud:
     """p -> p + sum_a w_a phi(|p - c_a|), per axis."""
-    diff = cloud.points[:, None, :] - deformation.centers[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    delta = deformation.kernel(dist) @ deformation.weights
+    delta = deformation.kernel(cdist(cloud.points, deformation.centers)) @ deformation.weights
     return PointCloud(cloud.points + delta)

@@ -685,7 +685,8 @@ def save_checkpoint(
 def load_checkpoint(path):
     """Read a checkpoint; returns (state, metadata).
 
-    Malformed files, and tensors holding NaN or infinity, raise ValueError.
+    Malformed files, tensors holding NaN or infinity, and negative BN
+    variances raise ValueError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -727,6 +728,8 @@ def load_checkpoint(path):
         tensor[...] = np.frombuffer(raw, dtype="<f8").reshape(tensor.shape)
         if not np.isfinite(tensor).all():
             raise ValueError(f"checkpoint tensor {name!r} holds non-finite values")
+        if name.endswith(".bn.var") and (tensor < 0).any():
+            raise ValueError(f"checkpoint tensor {name!r} holds negative variances")
         offset += size
     if offset != len(data):
         raise ValueError("trailing bytes after checkpoint tensors")

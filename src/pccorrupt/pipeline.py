@@ -84,8 +84,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _sha256(path: Path) -> str:
-    return "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _write_cloud(path: Path, cloud: PointCloud) -> str:
+    """Write `cloud` as binary PLY; returns the digest of the bytes written."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    data = write_ply(cloud)
+    path.write_bytes(data)
+    return _sha256(data)
 
 
 def _sample_id(rel: Path) -> str:
@@ -208,7 +216,7 @@ def verify_manifest(manifest: DatasetManifest, root: str | Path) -> list[str]:
         path = root / entry["path"]
         if not path.is_file():
             problems.append(f"{what}: missing file {entry['path']}")
-        elif _sha256(path) != entry["sha256"]:
+        elif _sha256(path.read_bytes()) != entry["sha256"]:
             problems.append(f"{what}: digest mismatch for {entry['path']}")
 
     for sample in manifest.samples:
@@ -244,28 +252,30 @@ def _prepare_sample(root: Path, rel: Path, is_mesh: bool, config: RunConfig):
     return sid, sample_hash, mesh, cloud
 
 
-def _corrupt_task(out_root, sid, sample_hash, mesh, cloud, kind, severity, config, table):
-    """One (sample, kind, severity) unit of work; returns a manifest entry."""
+def _corrupt_task(out_root, sid, sample_hash, mesh, cloud, kind, severity, config, table,
+                  table_digest):
+    """One (sample, kind, severity) unit of work; returns a manifest entry.
+
+    `table_digest` is `table.digest()`, computed once per run by the caller.
+    """
     spec = CorruptionSpec(CorruptionKind.from_name(kind), severity, seed=config.seed)
     info: dict = {}
     source = mesh if spec.kind in MESH_KINDS else cloud
     corrupted = apply_corruption(source, spec, table, sample_key=sample_hash, info=info)
     rel_ply = Path(kind) / f"s{severity}" / f"{sid}.ply"
     rel_sidecar = rel_ply.with_suffix(".json")
-    out_path = out_root / rel_ply
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_bytes(write_ply(corrupted))
+    sha256 = _write_cloud(out_root / rel_ply, corrupted)
     sidecar = {
         "sample_id": sid,
         "seed": config.seed,
-        "table_digest": table.digest(),
+        "table_digest": table_digest,
         **info,
     }
     (out_root / rel_sidecar).write_text(json.dumps(sidecar, indent=2, sort_keys=True))
     return {
         "path": rel_ply.as_posix(),
         "sidecar": rel_sidecar.as_posix(),
-        "sha256": _sha256(out_path),
+        "sha256": sha256,
         "n_points": corrupted.count,
     }
 
@@ -278,6 +288,7 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
     """
     log = log or (lambda event: None)
     table = config.table if config.table is not None else SeverityTable.default()
+    table_digest = table.digest()
     in_root = Path(config.input_dir)
     out_root = Path(config.output_dir)
 
@@ -306,16 +317,14 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
     samples: dict[str, dict] = {}
     for rel, sid, sample_hash, mesh, cloud in prepared:
         rel_clean = Path("clean") / f"{sid}.ply"
-        clean_path = out_root / rel_clean
-        clean_path.parent.mkdir(parents=True, exist_ok=True)
-        clean_path.write_bytes(write_ply(cloud))
+        sha256 = _write_cloud(out_root / rel_clean, cloud)
         samples[sid] = {
             "sample_id": sid,
             "class_name": _class_name(rel),
             "source": rel.as_posix(),
             "clean": {
                 "path": rel_clean.as_posix(),
-                "sha256": _sha256(clean_path),
+                "sha256": sha256,
                 "n_points": cloud.count,
             },
             "corrupted": {},
@@ -333,7 +342,8 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
         sid, sample_hash, mesh, cloud, kind, severity = task
         try:
             entry = _corrupt_task(
-                out_root, sid, sample_hash, mesh, cloud, kind, severity, config, table
+                out_root, sid, sample_hash, mesh, cloud, kind, severity, config, table,
+                table_digest,
             )
             return sid, kind, severity, entry, None
         except Exception as exc:  # noqa: BLE001 - per-task isolation
@@ -358,7 +368,7 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
     manifest = DatasetManifest(
         seed=config.seed,
         point_budget=config.point_budget,
-        table_digest=table.digest(),
+        table_digest=table_digest,
         samples=[samples[sid] for sid in sorted(samples)],
         failures=sorted(failures, key=lambda f: json.dumps(f, sort_keys=True)),
     )

@@ -591,6 +591,23 @@ def test_eval_non_finite_checkpoint_is_data_error(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "attack"])
+def test_negative_variance_checkpoint_is_data_error(workspace, tmp_path, capsys, command):
+    from pccorrupt import load_checkpoint, save_checkpoint
+
+    _, _, data, model = workspace
+    state, meta = load_checkpoint(model)
+    state.layers[0].var[0] = -5.0
+    bad = tmp_path / "bad.tpn"
+    save_checkpoint(state, bad, class_names=meta["class_names"])
+    out = tmp_path / "out"
+    code = main([command, str(bad), str(data / "manifest.json"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "'point0.bn.var' holds negative variances" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("adapt", [["bn", "--blend", "0.5"], ["tent"]])
 def test_eval_adapted_predictions_equal_adapt_then_predict(workspace, tmp_path, capsys, adapt):
     from pccorrupt import (PredictionRecord, bn_adapt, iter_cells, load_checkpoint,

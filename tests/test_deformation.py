@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 from pccorrupt import (
     Aabb,
@@ -208,3 +209,42 @@ def test_rbf_near_duplicate_centers_flagged_ill_conditioned():
     with pytest.raises(IllConditionedError):
         solve_rbf(centers, np.zeros((11, 3)), RbfKernel(MULTIQUADRIC, 0.5))
     assert CONDITION_LIMIT == 1e12
+
+
+def _broadcast_distances(a, b):
+    """The (n, m, 3) difference formula the RBF code used before cdist."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt((diff**2).sum(axis=2))
+
+
+def _rbf_clouds():
+    rng = np.random.default_rng(23)
+    beyond = rng.uniform(-1, 1, size=(300, 3))
+    beyond[:3] = [[1.4, 0.2, -0.1], [-0.3, -1.7, 0.5], [0.0, 0.9, 2.2]]
+    return {
+        "inside": rng.uniform(-1, 1, size=(500, 3)),
+        "beyond": beyond,
+        "one_point": rng.uniform(-1, 1, size=(1, 3)),
+        "n2048": rng.uniform(-1, 1, size=(2048, 3)),
+    }
+
+
+@pytest.mark.parametrize("kind", [MULTIQUADRIC, INVERSE_MULTIQUADRIC])
+@pytest.mark.parametrize("name", ["inside", "beyond", "one_point", "n2048"])
+def test_rbf_bits_equal_broadcast_distance_formula(kind, name):
+    points = _rbf_clouds()[name]
+    # centers on the lattice rbf_corrupt builds: the cloud's box joined with [-1, 1]^3
+    lattice = make_ffd_lattice(Aabb.of_points(points).union(UNIT), resolution=5)
+    assert (lattice.bounds.hi.max() > 1.0) == (name == "beyond")
+    centers = lattice.rest_positions.reshape(-1, 3)
+    disp = 0.05 * random_unit_vectors(len(centers), np.random.default_rng(29))
+    kernel = RbfKernel(kind, float(np.mean(lattice.spacing)))
+
+    solved = solve_rbf(centers, disp, kernel)
+    phi = kernel(_broadcast_distances(centers, centers))
+    lu, piv = lu_factor(phi)
+    assert np.array_equal(solved.weights, lu_solve((lu, piv), disp))
+
+    out = apply_rbf(PointCloud(points), solved)
+    delta = kernel(_broadcast_distances(points, centers)) @ solved.weights
+    assert np.array_equal(out.points, points + delta)

@@ -549,6 +549,7 @@ _MALFORMED_CHECKPOINTS = {
     "nan_weight_and_inf_var": _tensor_value_set(("point1.w", math.nan),
                                                 ("head.bn.var", math.inf)),
     "minus_inf_bias": _tensor_value_set(("out.b", -math.inf)),
+    "negative_var": _tensor_value_set(("point0.bn.var", -5.0)),
 }
 
 

@@ -106,12 +106,12 @@ def test_generate_layout_and_manifest(generated):
         assert set(sample["corrupted"]) == set(FAST_KINDS)
         for kind in FAST_KINDS:
             assert set(sample["corrupted"][kind]) == {"1", "3"}
-            entry = sample["corrupted"][kind]["3"]
-            assert (out / entry["path"]).is_file()
-            sidecar = json.loads((out / entry["sidecar"]).read_text())
-            assert sidecar["kind"] == kind
-            assert sidecar["severity"] == 3
-            assert sidecar["table_digest"] == manifest.table_digest
+            for sev, entry in sample["corrupted"][kind].items():
+                assert (out / entry["path"]).is_file()
+                sidecar = json.loads((out / entry["sidecar"]).read_text())
+                assert sidecar["kind"] == kind
+                assert sidecar["severity"] == int(sev)
+                assert sidecar["table_digest"] == manifest.table_digest
 
     assert verify_manifest(manifest, out) == []
 
@@ -173,6 +173,27 @@ def test_generate_worker_threads_capped_at_usable_cpus(
         assert capped == [{"event": "workers_capped", "requested": requested, "used": used}]
     else:
         assert capped == []
+
+
+def test_generate_digests_the_table_once(mesh_dataset, tmp_path, monkeypatch):
+    from pccorrupt import SeverityTable
+
+    calls = []
+    digest = SeverityTable.digest
+
+    def counting_digest(self):
+        calls.append(1)
+        return digest(self)
+
+    monkeypatch.setattr(SeverityTable, "digest", counting_digest)
+    manifest = run_generate(
+        RunConfig(input_dir=mesh_dataset, output_dir=tmp_path,
+                  kinds=("gaussian", "rotation", "ffd", "rbf"), severities=(1, 2),
+                  point_budget=64, workers=2)
+    )
+    assert len(calls) == 1
+    assert manifest.failures == []
+    assert manifest.table_digest == digest(SeverityTable.default())
 
 
 def test_generate_counts_respect_contracts(generated):
