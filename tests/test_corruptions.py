@@ -285,8 +285,9 @@ def test_dispatch_matches_documented_stream_recipe():
 
 
 def test_golden_default_table_and_every_cell():
-    """Pin the default table digest and the bytes of all 75 (kind, severity)
-    outputs plus their provenance, so refactors cannot drift silently."""
+    """Pin the default table digest, the PLY bytes of all 75 (kind, severity)
+    outputs and, in a separate hash, their provenance, so refactors cannot
+    drift silently and a provenance change cannot hide a point change."""
     import hashlib
     import json
 
@@ -297,7 +298,7 @@ def test_golden_default_table_and_every_cell():
     )
     mesh = uv_sphere()
     cloud = normalize_unit_sphere(sample_surface(mesh, 512, 5))
-    h = hashlib.sha256()
+    ply, provenance = hashlib.sha256(), hashlib.sha256()
     for kind in CorruptionKind:
         for s in range(1, 6):
             info = {}
@@ -307,6 +308,9 @@ def test_golden_default_table_and_every_cell():
                 sample_key=11,
                 info=info,
             )
-            h.update(write_ply(out))
-            h.update(json.dumps(info, sort_keys=True).encode())
-    assert h.hexdigest() == "a7abdfc4de13629bb0514fc2093125b7d918cb0a0d82261d25c0a5c909cb439c"
+            ply.update(write_ply(out))
+            provenance.update(json.dumps(info, sort_keys=True).encode())
+    assert ply.hexdigest() == "2356732466734ae5538f5a245678cf766718ce1412c34194b583ab5b63477f5f"
+    assert provenance.hexdigest() == (
+        "cca606559e275100747f7315c34ece6c31cfe00a2023c2394cca42df2a2a6ab7"
+    )
