@@ -28,8 +28,8 @@ from typing import NamedTuple
 from . import _rng, metrics, network, pipeline
 from ._version import __version__
 from .augmentation import MIXERS
-from .geometry import normalize_mesh, normalize_unit_sphere, sample_surface
-from .io_formats import MESH_SUFFIXES, load_cloud, load_mesh, save_cloud
+from .geometry import normalize_unit_sphere
+from .io_formats import MESH_SUFFIXES, load_cloud, save_cloud
 from .corruptions import apply_corruption
 from .occlusion import DegenerateViewError
 from .pipeline import MIN_POINT_BUDGET, DataError, RunConfig
@@ -179,9 +179,9 @@ def _check_severity(value: int) -> int:
     return value
 
 
-def _load_table(path) -> SeverityTable | None:
+def _load_table(path) -> SeverityTable:
     if path is None:
-        return None
+        return SeverityTable.default()
     return SeverityTable.from_json(Path(path).read_text())
 
 
@@ -230,22 +230,20 @@ def cmd_apply(args) -> int:
     is_mesh = in_path.suffix.lower() in MESH_SUFFIXES
     if kind in pipeline.MESH_KINDS and not is_mesh:
         raise DataError(f"{kind.value} needs a mesh input, got {in_path.suffix}")
-    info: dict = {}
-    sample_key = _rng.hash_sample_id(in_path.stem)
-    if kind in pipeline.MESH_KINDS:
-        data = normalize_mesh(load_mesh(in_path))
-    elif is_mesh:
-        mesh = normalize_mesh(load_mesh(in_path))
-        data = normalize_unit_sphere(
-            sample_surface(mesh, opts["points"], _rng.mix_keys(seed, 0x73616D70, sample_key))
-        )
+    sample_id = in_path.stem
+    sample_key = _rng.hash_sample_id(sample_id)
+    if is_mesh:
+        mesh, cloud = pipeline.prepare_sample(in_path, opts["points"], seed, sample_key)
+        data = mesh if kind in pipeline.MESH_KINDS else cloud
     else:
         cloud = load_cloud(in_path)
         data = cloud if args.no_normalize else normalize_unit_sphere(cloud)
-    corrupted = apply_corruption(data, spec, table, sample_key=sample_key, info=info)
+    corrupted = apply_corruption(data, spec, table, sample_key=sample_key)
     save_cloud(corrupted, args.output, ascii_format=args.ascii)
     if args.sidecar:
-        Path(args.sidecar).write_text(json.dumps(info, indent=2, sort_keys=True))
+        Path(args.sidecar).write_text(
+            pipeline.sidecar_json(sample_id, spec, table, table.digest())
+        )
     log_event(event="applied", kind=kind.value, severity=severity,
               n_points=corrupted.count)
     print(f"{kind.value} s={severity}: {corrupted.count} points -> {args.output}")

@@ -4,7 +4,10 @@ Each operator is a plain function taking explicit parameters plus a
 numpy Generator, so tests can drive them directly.  apply_corruption()
 routes a (kind, severity) pair through the severity table and derives
 the random stream from (seed, kind ordinal, severity, sample key), which
-makes every sample's corruption independent of processing order.
+makes every sample's corruption independent of processing order.  No
+operator reports its draws: those keys and the table's parameters replay
+any output exactly, and they are what a provenance sidecar records
+(pipeline.sidecar_json).
 """
 
 from __future__ import annotations
@@ -171,33 +174,19 @@ def rotation_matrix_xyz(angles_rad: np.ndarray) -> np.ndarray:
 
 
 def random_rotation(
-    cloud: PointCloud,
-    max_angle_deg: float,
-    rng: np.random.Generator,
-    info: dict | None = None,
+    cloud: PointCloud, max_angle_deg: float, rng: np.random.Generator
 ) -> PointCloud:
     """Rotate by independent U(-max, max) degree angles about x, then y, then z."""
     angles = np.radians(rng.uniform(-max_angle_deg, max_angle_deg, size=3))
-    rot = rotation_matrix_xyz(angles)
-    if info is not None:
-        info["angles_deg"] = np.degrees(angles).tolist()
-        info["rotation_matrix"] = rot.tolist()
-    return PointCloud(cloud.points @ rot.T)
+    return PointCloud(cloud.points @ rotation_matrix_xyz(angles).T)
 
 
-def random_shear(
-    cloud: PointCloud,
-    max_coeff: float,
-    rng: np.random.Generator,
-    info: dict | None = None,
-) -> PointCloud:
+def random_shear(cloud: PointCloud, max_coeff: float, rng: np.random.Generator) -> PointCloud:
     """Shear x and y by the z coordinate: x += a*z, y += b*z, z untouched."""
     a, b = rng.uniform(-max_coeff, max_coeff, size=2)
     points = cloud.points.copy()
     points[:, 0] += a * points[:, 2]
     points[:, 1] += b * points[:, 2]
-    if info is not None:
-        info["shear_coeffs"] = [float(a), float(b)]
     return PointCloud(points)
 
 
@@ -206,18 +195,10 @@ def _deformation_lattice(cloud: PointCloud):
     return make_ffd_lattice(bounds, resolution=5)
 
 
-def ffd_corrupt(
-    cloud: PointCloud,
-    distance: float,
-    rng: np.random.Generator,
-    info: dict | None = None,
-) -> PointCloud:
+def ffd_corrupt(cloud: PointCloud, distance: float, rng: np.random.Generator) -> PointCloud:
     """Free-form deformation: 5x5x5 control lattice, each control point
     shifted by `distance` along its own random unit direction."""
-    lattice = perturb_lattice(_deformation_lattice(cloud), distance, rng)
-    if info is not None:
-        info["lattice_displacements"] = lattice.displacements.tolist()
-    return apply_ffd(cloud, lattice)
+    return apply_ffd(cloud, perturb_lattice(_deformation_lattice(cloud), distance, rng))
 
 
 def rbf_corrupt(
@@ -225,75 +206,51 @@ def rbf_corrupt(
     distance: float,
     rng: np.random.Generator,
     variant: str = MULTIQUADRIC,
-    info: dict | None = None,
 ) -> PointCloud:
     """Radial-basis deformation anchored at the 5x5x5 lattice rest positions."""
     lattice = _deformation_lattice(cloud)
     centers = lattice.rest_positions.reshape(-1, 3)
     displacements = distance * random_unit_vectors(len(centers), rng)
     kernel = RbfKernel(variant, float(np.mean(lattice.spacing)))
-    deformation = solve_rbf(centers, displacements, kernel)
-    if info is not None:
-        info["displacements"] = displacements.tolist()
-        info["kernel"] = {"variant": variant, "r": kernel.r}
-    return apply_rbf(cloud, deformation)
+    return apply_rbf(cloud, solve_rbf(centers, displacements, kernel))
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
-def _view(params: dict, rng: np.random.Generator, info: dict | None):
-    pose = view_pose(params["view_index"], rng)
-    if info is not None:
-        info["pose"] = {
-            "azimuth_deg": pose.azimuth_deg,
-            "elevation_deg": pose.elevation_deg,
-            "distance": pose.distance,
-        }
-    return pose
-
-
-# kind -> op(data, params, rng, info).  The lambdas look the operators up by
-# name on every call, so a module attribute replaced at run time (by a
-# tracer, say) sees every call.
+# kind -> op(data, params, rng).  The lambdas look the operators up by name
+# on every call, so a module attribute replaced at run time (by a tracer,
+# say) sees every call.
 _OPS = {
-    CorruptionKind.OCCLUSION: lambda mesh, p, rng, info: occlusion_cloud(
-        mesh, _view(p, rng, info)
+    CorruptionKind.OCCLUSION: lambda mesh, p, rng: occlusion_cloud(
+        mesh, view_pose(p["view_index"], rng)
     ),
-    CorruptionKind.LIDAR: lambda mesh, p, rng, info: lidar_cloud(
-        mesh, _view(p, rng, info), rng
+    CorruptionKind.LIDAR: lambda mesh, p, rng: lidar_cloud(
+        mesh, view_pose(p["view_index"], rng), rng
     ),
-    CorruptionKind.LOCAL_DENSITY_INC: lambda c, p, rng, info: local_density_increase(
+    CorruptionKind.LOCAL_DENSITY_INC: lambda c, p, rng: local_density_increase(
         c, p["n_clusters"], p["cluster_size"], rng
     ),
-    CorruptionKind.LOCAL_DENSITY_DEC: lambda c, p, rng, info: local_density_decrease(
+    CorruptionKind.LOCAL_DENSITY_DEC: lambda c, p, rng: local_density_decrease(
         c, p["n_clusters"], p["cluster_size"], rng
     ),
-    CorruptionKind.CUTOUT: lambda c, p, rng, info: cutout(c, p["n_clusters"], p["k"], rng),
-    CorruptionKind.UNIFORM: lambda c, p, rng, info: uniform_noise(c, p["scale"], rng),
-    CorruptionKind.GAUSSIAN: lambda c, p, rng, info: gaussian_noise(c, p["sigma"], rng),
-    CorruptionKind.IMPULSE: lambda c, p, rng, info: impulse_noise(
+    CorruptionKind.CUTOUT: lambda c, p, rng: cutout(c, p["n_clusters"], p["k"], rng),
+    CorruptionKind.UNIFORM: lambda c, p, rng: uniform_noise(c, p["scale"], rng),
+    CorruptionKind.GAUSSIAN: lambda c, p, rng: gaussian_noise(c, p["sigma"], rng),
+    CorruptionKind.IMPULSE: lambda c, p, rng: impulse_noise(
         c, (c.count // p["count_div"]) * p["count_mul"], p["magnitude"], rng
     ),
-    CorruptionKind.UPSAMPLING: lambda c, p, rng, info: upsampling_noise(
+    CorruptionKind.UPSAMPLING: lambda c, p, rng: upsampling_noise(
         c, (c.count * p["count_mul"]) // p["count_div"], p["bound"], rng
     ),
-    CorruptionKind.BACKGROUND: lambda c, p, rng, info: background_noise(c, p["count"], rng),
-    CorruptionKind.ROTATION: lambda c, p, rng, info: random_rotation(
-        c, p["max_angle_deg"], rng, info=info
-    ),
-    CorruptionKind.SHEAR: lambda c, p, rng, info: random_shear(
-        c, p["max_coeff"], rng, info=info
-    ),
-    CorruptionKind.FFD: lambda c, p, rng, info: ffd_corrupt(
-        c, p["distance"], rng, info=info
-    ),
-    CorruptionKind.RBF: lambda c, p, rng, info: rbf_corrupt(
-        c, p["distance"], rng, MULTIQUADRIC, info=info
-    ),
-    CorruptionKind.INV_RBF: lambda c, p, rng, info: rbf_corrupt(
-        c, p["distance"], rng, INVERSE_MULTIQUADRIC, info=info
+    CorruptionKind.BACKGROUND: lambda c, p, rng: background_noise(c, p["count"], rng),
+    CorruptionKind.ROTATION: lambda c, p, rng: random_rotation(c, p["max_angle_deg"], rng),
+    CorruptionKind.SHEAR: lambda c, p, rng: random_shear(c, p["max_coeff"], rng),
+    CorruptionKind.FFD: lambda c, p, rng: ffd_corrupt(c, p["distance"], rng),
+    CorruptionKind.RBF: lambda c, p, rng: rbf_corrupt(c, p["distance"], rng, MULTIQUADRIC),
+    CorruptionKind.INV_RBF: lambda c, p, rng: rbf_corrupt(
+        c, p["distance"], rng, INVERSE_MULTIQUADRIC
     ),
 }
 
@@ -303,23 +260,20 @@ def apply_corruption(
     spec: CorruptionSpec,
     table: SeverityTable | None = None,
     sample_key: int = 0,
-    info: dict | None = None,
 ) -> PointCloud:
     """Corrupt one sample according to spec, deterministically.
 
     View-based kinds (occlusion, lidar) need a TriangleMesh; every other
     kind needs a PointCloud.  `sample_key` decorrelates samples processed
-    under the same seed -- pass a stable per-sample hash.
+    under the same seed -- pass a stable per-sample hash.  The output is a
+    function of the input, the table's parameters for (kind, severity) and
+    the stream keys alone, so those replay it exactly.
     """
     table = table if table is not None else SeverityTable.default()
     kind, severity = spec.kind, spec.severity
     params = table.params(kind, severity)
     rng = _rng.stream(spec.seed, kind.ordinal, severity, sample_key)
-    if info is not None:
-        info["kind"] = kind.value
-        info["severity"] = severity
-        info["params"] = dict(params)
     expected = TriangleMesh if kind.needs_mesh else PointCloud
     if not isinstance(data, expected):
         raise TypeError(f"{kind.value} corruption needs a {expected.__name__} input")
-    return _OPS[kind](data, params, rng, info)
+    return _OPS[kind](data, params, rng)

@@ -7,6 +7,11 @@ manifest tying everything together with content digests.  Nothing in the
 outputs depends on wall-clock time or worker scheduling: every task derives
 its randomness from (seed, kind, severity, sample id), so a rerun is
 byte-identical no matter how many workers ran it.
+
+prepare_sample is the one way a source file becomes the clean cloud (and,
+for a mesh, the normalized mesh) that gen and apply corrupt.  sidecar_json
+is the one provenance record, for gen and apply alike: sample id, seed,
+kind, severity, params and table digest, which replay the cell exactly.
 """
 
 from __future__ import annotations
@@ -208,7 +213,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 
 def verify_manifest(manifest: DatasetManifest, root: str | Path) -> list[str]:
-    """Existence + digest check for every file the manifest names."""
+    """Existence + digest check for every file the manifest names, and a
+    check that each sidecar is a JSON object whose identifying fields agree
+    with the manifest."""
     root = Path(root)
     problems = []
 
@@ -223,33 +230,70 @@ def verify_manifest(manifest: DatasetManifest, root: str | Path) -> list[str]:
         check(sample["clean"], f"{sample['sample_id']} clean")
         for kind, by_sev in sample["corrupted"].items():
             for sev, entry in by_sev.items():
-                check(entry, f"{sample['sample_id']} {kind} s={sev}")
+                what = f"{sample['sample_id']} {kind} s={sev}"
+                check(entry, what)
                 sidecar = root / entry["sidecar"]
                 if not sidecar.is_file():
-                    problems.append(
-                        f"{sample['sample_id']} {kind} s={sev}: missing sidecar"
-                    )
+                    problems.append(f"{what}: missing sidecar")
+                    continue
+                try:
+                    record = json.loads(sidecar.read_bytes())
+                except ValueError:
+                    record = None
+                if not isinstance(record, dict):
+                    problems.append(f"{what}: sidecar {entry['sidecar']} is not a JSON object")
+                    continue
+                expected = {"sample_id": sample["sample_id"], "seed": manifest.seed,
+                            "kind": kind, "severity": int(sev),
+                            "table_digest": manifest.table_digest}
+                stale = sorted(k for k, v in expected.items() if record.get(k) != v)
+                if stale:
+                    problems.append(f"{what}: sidecar {entry['sidecar']} disagrees on {stale}")
     return problems
 
 
-def _prepare_sample(root: Path, rel: Path, is_mesh: bool, config: RunConfig):
-    """Load, normalize and (for meshes) sample the clean cloud."""
-    sid = _sample_id(rel)
-    sample_hash = _rng.hash_sample_id(sid)
+def prepare_sample(path: Path, point_budget: int, seed: int, sample_hash: int):
+    """(normalized mesh or None, clean cloud) for the mesh or cloud file at `path`.
+
+    A mesh is normalized and `point_budget` points are sampled from its
+    surface; a cloud with more points than that keeps a random
+    `point_budget` of them.  The cloud is then normalized to the unit
+    sphere.  Both draws are keyed by (seed, stage, sample_hash).
+    """
     mesh = None
-    if is_mesh:
-        mesh = normalize_mesh(load_mesh(root / rel))
-        cloud = sample_surface(
-            mesh, config.point_budget, _rng.mix_keys(config.seed, 0x73616D70, sample_hash)
-        )
+    if path.suffix.lower() in MESH_SUFFIXES:
+        mesh = normalize_mesh(load_mesh(path))
+        cloud = sample_surface(mesh, point_budget, _rng.mix_keys(seed, 0x73616D70, sample_hash))
     else:
-        cloud = load_cloud(root / rel)
-        if cloud.count > config.point_budget:
-            rng = _rng.stream(config.seed, 0x73756273, sample_hash)
-            keep = np.sort(rng.choice(cloud.count, config.point_budget, replace=False))
+        cloud = load_cloud(path)
+        if cloud.count > point_budget:
+            rng = _rng.stream(seed, 0x73756273, sample_hash)
+            keep = np.sort(rng.choice(cloud.count, point_budget, replace=False))
             cloud = PointCloud(cloud.points[keep])
-    cloud = normalize_unit_sphere(cloud)
-    return sid, sample_hash, mesh, cloud
+    return mesh, normalize_unit_sphere(cloud)
+
+
+def sidecar_json(sample_id: str, spec: CorruptionSpec, table: SeverityTable,
+                 table_digest: str) -> str:
+    """The provenance sidecar of one corrupted cloud, as JSON text.
+
+    Its six fields replay the cell: `apply_corruption` on the sample as
+    `prepare_sample` gives it, with `CorruptionSpec(kind, severity, seed)`,
+    the table whose digest is `table_digest` and
+    `sample_key=_rng.hash_sample_id(sample_id)`, gives the same cloud.
+    `params` repeats the table's record for the cell for readers without
+    the table.  `table_digest` is `table.digest()`, which a caller
+    writing many sidecars computes once.
+    """
+    record = {
+        "sample_id": sample_id,
+        "seed": spec.seed,
+        "kind": spec.kind.value,
+        "severity": spec.severity,
+        "params": table.params(spec.kind, spec.severity),
+        "table_digest": table_digest,
+    }
+    return json.dumps(record, indent=2, sort_keys=True)
 
 
 def _corrupt_task(out_root, sid, sample_hash, mesh, cloud, kind, severity, config, table,
@@ -259,19 +303,12 @@ def _corrupt_task(out_root, sid, sample_hash, mesh, cloud, kind, severity, confi
     `table_digest` is `table.digest()`, computed once per run by the caller.
     """
     spec = CorruptionSpec(CorruptionKind.from_name(kind), severity, seed=config.seed)
-    info: dict = {}
     source = mesh if spec.kind in MESH_KINDS else cloud
-    corrupted = apply_corruption(source, spec, table, sample_key=sample_hash, info=info)
+    corrupted = apply_corruption(source, spec, table, sample_key=sample_hash)
     rel_ply = Path(kind) / f"s{severity}" / f"{sid}.ply"
     rel_sidecar = rel_ply.with_suffix(".json")
     sha256 = _write_cloud(out_root / rel_ply, corrupted)
-    sidecar = {
-        "sample_id": sid,
-        "seed": config.seed,
-        "table_digest": table_digest,
-        **info,
-    }
-    (out_root / rel_sidecar).write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    (out_root / rel_sidecar).write_text(sidecar_json(sid, spec, table, table_digest))
     return {
         "path": rel_ply.as_posix(),
         "sidecar": rel_sidecar.as_posix(),
@@ -303,9 +340,13 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
 
     prepared = []
     failures = []
-    for rel, is_mesh in found:
+    for rel, _ in found:
         try:
-            prepared.append((rel, *_prepare_sample(in_root, rel, is_mesh, config)))
+            sid = _sample_id(rel)
+            sample_hash = _rng.hash_sample_id(sid)
+            mesh, cloud = prepare_sample(in_root / rel, config.point_budget, config.seed,
+                                         sample_hash)
+            prepared.append((rel, sid, sample_hash, mesh, cloud))
         except Exception as exc:  # noqa: BLE001 - per-sample isolation
             failures.append({"sample": rel.as_posix(), "stage": "load", "error": str(exc)})
             log({"event": "sample_failed", "sample": rel.as_posix(), "error": str(exc),

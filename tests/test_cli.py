@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pccorrupt import load_cloud, save_cloud
+from pccorrupt import SeverityTable, load_cloud, save_cloud, write_off
 from pccorrupt.cli import main
 
-from synthdata import random_cloud, write_shape_dataset
+from synthdata import box_mesh, random_cloud, write_shape_dataset
 
 
 @pytest.fixture(scope="module")
@@ -205,9 +205,33 @@ def test_apply_cloud_kind_with_sidecar(tmp_path, capsys):
     assert code == 0
     assert load_cloud(dst).count == 128 - 50
     assert "cutout s=1" in captured.out
-    info = json.loads(sidecar.read_text())
-    assert info["kind"] == "cutout"
-    assert info["params"] == {"n_clusters": 1, "k": 50}
+    assert json.loads(sidecar.read_text()) == {
+        "sample_id": "in",
+        "seed": 0,
+        "kind": "cutout",
+        "severity": 1,
+        "params": {"n_clusters": 1, "k": 50},
+        "table_digest": SeverityTable.default().digest(),
+    }
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "occlusion"])
+def test_gen_and_apply_agree_on_a_top_level_mesh(tmp_path, capsys, kind):
+    # one mesh preparation and one sidecar record serve both commands
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "chair.off").write_text(write_off(box_mesh()))
+    assert main(["gen", str(src), str(tmp_path / "gen"), "--kinds", kind,
+                 "--severities", "2", "--seed", "5", "--points", "300"]) == 0
+    assert main(["apply", str(src / "chair.off"), str(tmp_path / "a.ply"), "--kind", kind,
+                 "--severity", "2", "--seed", "5", "--points", "300",
+                 "--sidecar", str(tmp_path / "a.json")]) == 0
+    capsys.readouterr()
+    cell = tmp_path / "gen" / kind / "s2" / "chair"
+    assert (tmp_path / "a.ply").read_bytes() == cell.with_suffix(".ply").read_bytes()
+    applied = json.loads((tmp_path / "a.json").read_text())
+    assert applied == json.loads(cell.with_suffix(".json").read_text())
+    assert applied["sample_id"] == "chair"
 
 
 def test_apply_mesh_input_cloud_kind(workspace, tmp_path, capsys):

@@ -165,23 +165,22 @@ def test_rotation_matrix_composition_order():
 
 def test_rotation_preserves_pairwise_distances():
     cloud = random_cloud(80, seed=18)
-    info = {}
-    out = random_rotation(cloud, 15.0, _rng_for(19), info=info)
+    out = random_rotation(cloud, 15.0, _rng_for(19))
     d_in = np.linalg.norm(cloud.points[:, None] - cloud.points[None, :], axis=2)
     d_out = np.linalg.norm(out.points[:, None] - out.points[None, :], axis=2)
     assert np.abs(d_in - d_out).max() < 1e-9
-    rot = np.array(info["rotation_matrix"])
+    angles_deg = _rng_for(19).uniform(-15.0, 15.0, size=3)  # the op's own draw
+    rot = rotation_matrix_xyz(np.radians(angles_deg))
     assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-12)
     assert np.allclose(out.points, cloud.points @ rot.T)
-    assert all(abs(a) <= 15.0 for a in info["angles_deg"])
+    assert all(abs(a) <= 15.0 for a in angles_deg)
 
 
 def test_shear_keeps_z_and_is_recoverable():
     cloud = random_cloud(100, seed=20)
-    info = {}
-    out = random_shear(cloud, 0.25, _rng_for(21), info=info)
+    out = random_shear(cloud, 0.25, _rng_for(21))
     assert np.array_equal(out.points[:, 2], cloud.points[:, 2])
-    a, b = info["shear_coeffs"]
+    a, b = _rng_for(21).uniform(-0.25, 0.25, size=2)  # the op's own draw
     assert abs(a) <= 0.25 and abs(b) <= 0.25
     assert np.allclose(out.points[:, 0], cloud.points[:, 0] + a * cloud.points[:, 2])
     assert np.allclose(out.points[:, 1], cloud.points[:, 1] + b * cloud.points[:, 2])
@@ -258,15 +257,15 @@ def test_dispatch_respects_table_override():
     assert out.count == 103
 
 
-def test_dispatch_info_dict():
+def test_dispatch_rotation_matches_stream_recipe():
     cloud = random_cloud(64, seed=26)
-    info = {}
     spec = CorruptionSpec(CorruptionKind.ROTATION, 2, seed=1)
-    apply_corruption(cloud, spec, sample_key=2, info=info)
-    assert info["kind"] == "rotation"
-    assert info["severity"] == 2
-    assert info["params"]["max_angle_deg"] == pytest.approx(6.0)
-    assert "rotation_matrix" in info
+    out = apply_corruption(cloud, spec, sample_key=2)
+    params = SeverityTable.default().params(spec.kind, spec.severity)
+    assert params["max_angle_deg"] == pytest.approx(6.0)
+    rng = _rng.stream(1, CorruptionKind.ROTATION.ordinal, 2, 2)
+    angles = np.radians(rng.uniform(-6.0, 6.0, size=3))
+    assert np.allclose(out.points, cloud.points @ rotation_matrix_xyz(angles).T)
 
 
 def test_dispatch_matches_documented_stream_recipe():
@@ -287,30 +286,28 @@ def test_dispatch_matches_documented_stream_recipe():
 def test_golden_default_table_and_every_cell():
     """Pin the default table digest, the PLY bytes of all 75 (kind, severity)
     outputs and, in a separate hash, their provenance, so refactors cannot
-    drift silently and a provenance change cannot hide a point change."""
+    drift silently and a provenance change cannot hide a point change.
+
+    The provenance half hashes each cell's sidecar text under a fixed sample
+    id; the PLY half keeps the sample key 11 it was pinned with."""
     import hashlib
-    import json
 
     from pccorrupt import MESH_KINDS, normalize_unit_sphere, sample_surface, write_ply
+    from pccorrupt.pipeline import sidecar_json
 
-    assert SeverityTable.default().digest() == (
-        "sha256:89fa7d88dbc060068be663efa88edc2548e37aed99e142fc4ef4e6b033cdb6cc"
-    )
+    table = SeverityTable.default()
+    digest = table.digest()
+    assert digest == "sha256:89fa7d88dbc060068be663efa88edc2548e37aed99e142fc4ef4e6b033cdb6cc"
     mesh = uv_sphere()
     cloud = normalize_unit_sphere(sample_surface(mesh, 512, 5))
     ply, provenance = hashlib.sha256(), hashlib.sha256()
     for kind in CorruptionKind:
         for s in range(1, 6):
-            info = {}
-            out = apply_corruption(
-                mesh if kind in MESH_KINDS else cloud,
-                CorruptionSpec(kind, s, seed=7),
-                sample_key=11,
-                info=info,
-            )
+            spec = CorruptionSpec(kind, s, seed=7)
+            out = apply_corruption(mesh if kind in MESH_KINDS else cloud, spec, sample_key=11)
             ply.update(write_ply(out))
-            provenance.update(json.dumps(info, sort_keys=True).encode())
+            provenance.update(sidecar_json("uv_sphere", spec, table, digest).encode())
     assert ply.hexdigest() == "2356732466734ae5538f5a245678cf766718ce1412c34194b583ab5b63477f5f"
     assert provenance.hexdigest() == (
-        "cca606559e275100747f7315c34ece6c31cfe00a2023c2394cca42df2a2a6ab7"
+        "d30a2934654e2ed3ff3ae70395769891f86369240ba23bb593577bbc1dea613a"
     )

@@ -116,6 +116,39 @@ def test_generate_layout_and_manifest(generated):
     assert verify_manifest(manifest, out) == []
 
 
+def test_every_cell_replays_from_manifest_and_sidecar(mesh_dataset, tmp_path):
+    """The six sidecar fields, with the manifest's source, seed and point
+    budget, rebuild every cell of all 15 kinds byte for byte."""
+    import hashlib
+
+    from pccorrupt import CorruptionKind, CorruptionSpec, SeverityTable, apply_corruption
+    from pccorrupt import _rng
+    from pccorrupt.io_formats import write_ply
+    from pccorrupt.pipeline import prepare_sample
+
+    manifest = run_generate(RunConfig(mesh_dataset, tmp_path, point_budget=256, seed=13,
+                                      workers=2))
+    table = SeverityTable.default()
+    replayed = set()
+    for sample in manifest.samples:
+        for entry in (e for by_sev in sample["corrupted"].values() for e in by_sev.values()):
+            sidecar = json.loads((tmp_path / entry["sidecar"]).read_text())
+            assert set(sidecar) == {"sample_id", "seed", "kind", "severity", "params",
+                                    "table_digest"}
+            assert sidecar["table_digest"] == table.digest()
+            sample_key = _rng.hash_sample_id(sidecar["sample_id"])
+            mesh, cloud = prepare_sample(mesh_dataset / sample["source"],
+                                         manifest.point_budget, manifest.seed, sample_key)
+            spec = CorruptionSpec(CorruptionKind.from_name(sidecar["kind"]),
+                                  sidecar["severity"], seed=sidecar["seed"])
+            assert sidecar["params"] == table.params(spec.kind, spec.severity)
+            out = apply_corruption(mesh if spec.kind.needs_mesh else cloud, spec, table,
+                                   sample_key=sample_key)
+            assert "sha256:" + hashlib.sha256(write_ply(out)).hexdigest() == entry["sha256"]
+            replayed.add(spec.kind)
+    assert replayed == set(CorruptionKind)
+
+
 def test_generate_manifest_has_no_timestamps(generated):
     out, _ = generated
     text = (out / "manifest.json").read_text()
@@ -270,6 +303,28 @@ def test_verify_manifest_detects_tampering(generated, tmp_path):
     gone.unlink()
     problems = verify_manifest(manifest, copy)
     assert any("missing file" in p for p in problems)
+
+
+@pytest.mark.parametrize("content, problem", [
+    (b'{"sample_id": "someone_else", "seed": 11, "kind": "cutout", "severity": 1}',
+     "disagrees on ['sample_id', 'table_digest']"),
+    (b"{not json", "is not a JSON object"),
+    (b"\xff\xfe", "is not a JSON object"),
+    (b"[1, 2]", "is not a JSON object"),
+])
+def test_verify_manifest_checks_sidecars(generated, tmp_path, content, problem):
+    import shutil
+
+    out, _ = generated
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    manifest = load_manifest(copy / "manifest.json")
+    sample = manifest.samples[0]
+    (copy / sample["corrupted"]["cutout"]["1"]["sidecar"]).write_bytes(content)
+    problems = verify_manifest(manifest, copy)
+    assert len(problems) == 1
+    assert problems[0].startswith(f"{sample['sample_id']} cutout s=1: sidecar ")
+    assert problems[0].endswith(problem)
 
 
 def test_manifest_version_guard():
