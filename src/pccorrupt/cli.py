@@ -22,6 +22,7 @@ import inspect
 import json
 import os
 import sys
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -307,6 +308,7 @@ def cmd_eval(args) -> int:
     state, index, manifest, root = _model_and_manifest(args)
     records = []
     for kind, severity, batch in pipeline.iter_cells(manifest, root):
+        start_s = time.perf_counter()
         preds = []
         for start in range(0, len(batch), args.adapt_batch):
             chunk = batch[start : start + args.adapt_batch]
@@ -320,8 +322,10 @@ def cmd_eval(args) -> int:
                 metrics.PredictionRecord(sid, kind, severity, index[cls], int(pred))
             )
             wrong += int(index[cls] != pred)
+        elapsed_s = time.perf_counter() - start_s
         log_event(event="cell_evaluated", corruption=kind, severity=severity,
-                  n=len(batch), error_rate=wrong / len(batch))
+                  n=len(batch), error_rate=wrong / len(batch), ms=elapsed_s * 1e3,
+                  clouds_per_s=len(batch) / elapsed_s)
     metrics.write_predictions(records, args.out)
     clean = [r for r in records if r.corruption == "clean"]
     corrupted = [r for r in records if r.corruption != "clean"]
@@ -346,6 +350,7 @@ def cmd_attack(args) -> int:
         if cls not in index:
             raise DataError(f"sample {sid} has class {cls!r} unknown to the model")
         label = index[cls]
+        start_s = time.perf_counter()
         cloud = load_cloud(root / sample["clean"]["path"])
         rng = _rng.stream(seed, 0x706764, _rng.hash_sample_id(sid))
         adv = network.pgd_attack(state, cloud, label, pgd, rng)
@@ -356,7 +361,7 @@ def cmd_attack(args) -> int:
         n_clean_ok += int(pred_clean == label)
         n_adv_ok += int(pred_adv == label)
         log_event(event="attacked", sample=sid, clean_pred=pred_clean,
-                  adv_pred=pred_adv, label=label)
+                  adv_pred=pred_adv, label=label, ms=(time.perf_counter() - start_s) * 1e3)
     print(
         f"attacked {n_total} samples: clean_acc={n_clean_ok / n_total:.3f} "
         f"adv_acc={n_adv_ok / n_total:.3f} -> {out_root}"

@@ -12,22 +12,46 @@ all of them, TENT the batch-norm scale/shift and the attack none.  A
 weight gradient costs as many FLOPs as its forward matmul, so the others
 are not computed.
 
-Both test-time adaptations also return the batch's logits under the
-adapted state, bit-equal to an eval-mode pass over that batch.  When the
-stored statistics are exactly the last batch-statistics pass's (always
-for TENT, and for BN adaptation at blend 1), that pass's logits are
-returned: an eval pass would subtract the same mean and divide by the
-same variance in the same order, so it would repeat it bit for bit.
-Otherwise one eval pass computes them.
+Every mode evaluates one expression per layer, in place on the matmul
+output z = w h^T, laid out (features x points) so that each feature's
+values lie contiguous: subtract the mean (the batch's in train and adapt
+mode, the stored one in eval), take the biased batch variance from the
+centred values (batch modes only), multiply by gamma * inv_std, add beta,
+apply ReLU.  Eval and adapt share that expression, so an eval pass whose
+stored statistics are exactly the last batch-statistics pass's (always for
+TENT, and for BN adaptation at blend 1) repeats that pass bit for bit.
+Both test-time adaptations therefore return that pass's logits as the
+batch's eval-mode logits under the adapted state; otherwise one eval pass
+computes them.
 
-The activation cache holds, per layer, its `input`, the normalized `x_hat`
-and `inv_std`, plus the packed points `x`, each pooled feature's winning
-row `argmax_rows` and the out map's input `out_input`.  No ReLU mask is
-kept: a layer's ReLU output is the next layer's cached input (the head's
-is `out_input`), and the pre-pool layer's mask is applied to the pooled
-gradient before it is routed back to the winning points.  Batch norm and
-ReLU work in place, in the operation order of the plain expressions, so
-the bits are those of the plain expressions.
+The pre-pool layer pools first: it max-pools its centred matmul output per
+cloud, then scales, shifts and applies ReLU to the pooled rows only.
+Those three steps are nondecreasing in each feature once the features with
+gamma < 0 are negated (their weight rows and stored mean; negation is
+exact), so the pooled values are bit for bit those of pooling the full
+output, and only each (cloud, feature)'s winning point carries gradient.
+
+The activation cache holds the packed points `x`; per layer its `input`
+(points x fan_in, a view of the layer below's output), `mean` and
+`inv_std`; each pooled feature's winning row `argmax_rows`; the out map's
+input `out_input`; and `batch_stats` and `new_stats`.  No normalized
+activations and no ReLU masks are kept: a layer's ReLU output is the next
+layer's cached input (the head's is `out_input`), and the pre-pool layer's
+mask is its pooled output's.  Per point, nothing wider than a per-point
+layer's fan-in is cached.
+
+The backward pass is in GEMM form, in the same layout.  With du the
+gradient at a layer's pre-ReLU output and hc its input centred on the
+batch mean (the input itself in eval mode), d gamma is inv_std times the
+row sums of (du hc) o w (less d beta * mean in eval mode); the batch
+statistics' coupling reaches the input through the fan_in x fan_in matrix
+w^T diag(scale * inv_std * d gamma / n) w; and the weight gradient needs
+hc hc^T only when it is wanted.  Below the pool du is kept on the winning
+points only, so an eval-mode backward (the attack's) never touches the
+other points; batch statistics spread it to every point.  Batch statistics
+come from the centred outputs, not from the input's covariance: diag(w Cov
+w^T) loses about 1e-11 relative on the low-variance features of small
+batches, which the finite-difference gradient check notices.
 
 Everything is float64.  Batch statistics use the biased variance (divide
 by N), both for normalization and for the running-average update.
@@ -89,6 +113,8 @@ class NetworkState:
     ) -> "NetworkState":
         if n_classes < 2:
             raise ValueError("need at least 2 classes")
+        if not point_dims:
+            raise ValueError("need at least one per-point layer before the pool")
         rng = _rng.stream(seed, 0x6E6574)  # distinct stream for init draws
         names = [f"point{i}" for i in range(len(point_dims))] + ["head"]
         layers = []
@@ -167,31 +193,20 @@ def pack_batch(clouds) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(arrays, axis=0), offsets
 
 
-def _max_pool(h, offsets):
-    """Per-cloud feature maxima and their rows; the first index wins ties."""
-    n_batch, feat_dim = len(offsets) - 1, h.shape[1]
-    pooled = np.empty((n_batch, feat_dim))
+def _max_pool(z, offsets):
+    """Per-cloud maxima of each feature row of `z` (features x points), as
+    (features x clouds), and their point rows (clouds x features); the
+    first point wins ties."""
+    n_batch, feat_dim = len(offsets) - 1, len(z)
+    pooled = np.empty((feat_dim, n_batch))
     argmax_rows = np.empty((n_batch, feat_dim), dtype=np.int64)
+    feats = np.arange(feat_dim)
     for s in range(n_batch):
-        seg = h[offsets[s] : offsets[s + 1]]
-        local = seg.argmax(axis=0)
+        seg = z[:, offsets[s] : offsets[s + 1]]
+        local = seg.argmax(axis=1)
         argmax_rows[s] = offsets[s] + local
-        pooled[s] = seg[local, np.arange(feat_dim)]
+        pooled[:, s] = seg[feats, local]
     return pooled, argmax_rows
-
-
-def _bn_relu_forward(z, layer: Layer, batch_stats: bool):
-    """Batch norm then ReLU; `z` is a fresh buffer and becomes `x_hat`."""
-    mean = z.mean(axis=0) if batch_stats else layer.mean
-    x_hat = np.subtract(z, mean, out=z)
-    # the biased variance, summed from the centered values as np.var does
-    var = np.square(x_hat).sum(axis=0) / len(z) if batch_stats else layer.var
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    x_hat *= inv_std
-    y = np.multiply(layer.gamma, x_hat)
-    y += layer.beta
-    np.maximum(y, 0.0, out=y)  # gives +0.0 for -0.0; np.maximum(0.0, y) would not
-    return y, x_hat, mean, var, inv_std
 
 
 def forward(state: NetworkState, clouds, mode: str = "eval"):
@@ -213,54 +228,47 @@ def forward(state: NetworkState, clouds, mode: str = "eval"):
         "x": x,
         "layers": [],
         "batch_stats": {},
+        "new_stats": {},
     }
 
     h = x
-    head = state.layers[-1]
+    pre_pool = state.layers[-2]
     for layer in state.layers:
-        if layer is head:
-            h, cache["argmax_rows"] = _max_pool(h, offsets)
-        y, x_hat, mean, var, inv_std = _bn_relu_forward(h @ layer.w.T, layer, batch_stats)
-        cache["layers"].append({"input": h, "x_hat": x_hat, "inv_std": inv_std})
+        w, gamma, stored_mean = layer.w, layer.gamma, layer.mean
+        flip = layer is pre_pool and (gamma < 0).any()
+        if flip:
+            # negating the features with gamma < 0 makes scale, shift and
+            # ReLU nondecreasing in each, so pooling first is exact
+            sign = np.where(gamma < 0, -1.0, 1.0)
+            w, gamma, stored_mean = w * sign[:, None], gamma * sign, stored_mean * sign
+        # z is (features x points), so that each feature's values lie
+        # contiguous for its mean, its variance and the pool
+        z = w @ h.T
+        n = z.shape[1]
+        # sum / n is np.mean's arithmetic without its per-call overhead
+        mean = z.sum(axis=1) / n if batch_stats else stored_mean
+        z -= mean[:, None]
+        var = np.einsum("ij,ij->i", z, z) / n if batch_stats else layer.var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        if layer is pre_pool:
+            z, cache["argmax_rows"] = _max_pool(z, offsets)
+        z *= (gamma * inv_std)[:, None]
+        z += layer.beta[:, None]
+        np.maximum(z, 0.0, out=z)  # gives +0.0 for -0.0; np.maximum(0.0, z) would not
+        if flip:
+            mean = mean * sign
+        cache["layers"].append({"input": h, "mean": mean, "inv_std": inv_std})
         if batch_stats:
-            cache["batch_stats"][f"{layer.name}.bn.mean"] = mean
-            cache["batch_stats"][f"{layer.name}.bn.var"] = var
-        h = y
+            for part, value in (("mean", mean), ("var", var)):
+                name = f"{layer.name}.bn.{part}"
+                cache["batch_stats"][name] = value
+                running = getattr(layer, part)
+                cache["new_stats"][name] = (1 - BN_MOMENTUM) * running + BN_MOMENTUM * value
+        h = z.T
 
-    running = state.running_stats() if batch_stats else {}
-    cache["new_stats"] = {
-        name: (1 - BN_MOMENTUM) * running[name] + BN_MOMENTUM * value
-        for name, value in cache["batch_stats"].items()
-    }
     cache["out_input"] = h
     logits = h @ state.out_weight.T + state.out_bias
     return logits, cache
-
-
-def _bn_backward(dy, layer_cache, layer: Layer, batch_stats: bool,
-                 want_gamma: bool, want_beta: bool):
-    """Gradients through batch norm; `dy` is a fresh buffer and becomes `dz`.
-
-    Batch-statistics dz needs both scale/shift sums; in eval mode a sum
-    that is not wanted is skipped and comes back as None.
-    """
-    x_hat = layer_cache["x_hat"]
-    inv_std = layer_cache["inv_std"]
-    dgamma = (dy * x_hat).sum(axis=0) if batch_stats or want_gamma else None
-    dbeta = dy.sum(axis=0) if batch_stats or want_beta else None
-    dz = dy
-    if batch_stats:
-        n = len(dy)
-        # (gamma * inv_std) * (dy - mean(dy) - x_hat * dgamma / n), in that order
-        dz -= dbeta / n
-        correction = np.multiply(x_hat, dgamma)
-        correction /= n
-        dz -= correction
-        dz *= layer.gamma * inv_std
-    else:
-        dz *= layer.gamma
-        dz *= inv_std
-    return dz, dgamma, dbeta
 
 
 def backward(state: NetworkState, cache: dict, grad_logits: np.ndarray, wanted=None):
@@ -283,31 +291,61 @@ def backward(state: NetworkState, cache: dict, grad_logits: np.ndarray, wanted=N
         grads["out.w"] = grad_logits.T @ cache["out_input"]
     if "out.b" in wanted:
         grads["out.b"] = grad_logits.sum(axis=0)
-    dh = grad_logits @ state.out_weight
+    # gradients are (features x points), as in forward.  `du` is the one at
+    # a layer's pre-ReLU output, held for the points `cols` only: below the
+    # pool only the points that won a pooled feature have any, until a
+    # batch-statistics layer spreads it to every point
+    du, cols = state.out_weight.T @ grad_logits.T, slice(None)
     # a ReLU unit whose output is 0 passes no gradient; each layer's ReLU
     # output is the next layer's cached input (the head's is out_input)
-    np.copyto(dh, 0.0, where=cache["out_input"] <= 0)
+    np.copyto(du, 0.0, where=cache["out_input"].T <= 0)
 
     head, first = state.layers[-1], state.layers[0]
     for layer, layer_cache in zip(reversed(state.layers), reversed(cache["layers"])):
         gamma, beta, w = (f"{layer.name}.{part}" for part in ("bn.gamma", "bn.beta", "w"))
-        dz, grads[gamma], grads[beta] = _bn_backward(
-            dh, layer_cache, layer, batch_stats, gamma in wanted, beta in wanted
-        )
+        h, inv_std = layer_cache["input"].T, layer_cache["inv_std"]
+        # the centred output u is w hc, with hc the input centred on its
+        # batch mean in batch modes; in eval mode u = w h - mean
+        n = h.shape[1]
+        hc = h - h.sum(axis=1, keepdims=True) / n if batch_stats else h
+        scale = layer.gamma * inv_std
+        if batch_stats or gamma in wanted or w in wanted:
+            du_h = du @ hc[:, cols].T
+        if batch_stats or gamma in wanted or beta in wanted:
+            grads[beta] = du.sum(axis=1)
+        if batch_stats or gamma in wanted:
+            du_u = np.einsum("ij,ij->i", du_h, layer.w)
+            if not batch_stats:
+                du_u -= grads[beta] * layer_cache["mean"]
+            grads[gamma] = inv_std * du_u
+        dh = (scale[:, None] * layer.w).T @ du
+        if batch_stats:
+            # the batch mean and variance pass gradient to every point:
+            # dz = scale * du - scale * dbeta / n - u * scale * inv_std * dgamma / n
+            coupling = scale * inv_std * grads[gamma] / n
+            dh_cols, dh = dh, (layer.w.T @ (-coupling[:, None] * layer.w)) @ hc
+            dh -= ((scale * grads[beta] / n) @ layer.w)[:, None]
+            dh[:, cols] += dh_cols
+            cols = slice(None)
         if w in wanted:
-            grads[w] = dz.T @ layer_cache["input"]
-        dh = dz @ layer.w
+            grads[w] = scale[:, None] * du_h
+            if batch_stats:
+                grads[w] -= coupling[:, None] * (layer.w @ (hc @ hc.T))
         if layer is not first:
             # below the head this masks the pooled gradient: each feature's
             # winning point holds the pooled value, and the others get none
-            np.copyto(dh, 0.0, where=layer_cache["input"] <= 0)
+            np.copyto(dh, 0.0, where=h[:, cols] <= 0)
+        du = dh
         if layer is head:
-            # route pooled gradient back to each feature's winning point
-            feat_cols = np.arange(dh.shape[1])
-            dpooled, dh = dh, np.zeros((len(cache["x"]), len(feat_cols)))
-            np.add.at(dh, (cache["argmax_rows"], feat_cols[None, :]), dpooled)
+            # each pooled feature's gradient goes to its winning point
+            rows = cache["argmax_rows"]
+            cols, at = np.unique(rows, return_inverse=True)
+            du = np.zeros((len(dh), len(cols)))
+            du[np.arange(len(dh)), at.reshape(rows.shape)] = dh.T
 
-    return {name: g for name, g in grads.items() if name in wanted}, dh
+    points = np.zeros(cache["x"].shape)
+    points[cols] = du.T
+    return {name: g for name, g in grads.items() if name in wanted}, points
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from pccorrupt import (
 )
 from pccorrupt.deformation import FfdLattice, MULTIQUADRIC, RbfKernel
 from pccorrupt.geometry import Aabb
+from pccorrupt.network import BN_EPS
 from pccorrupt import _rng
 
 from synthdata import (
@@ -413,7 +414,8 @@ def test_acceptance_08_adaptation_contracts(desk_model):
     big_batch = [s.cloud.points for s in test_set[:64]]
     replaced, _ = bn_adapt(state, big_batch, blend=1.0)
     _, cache = forward(replaced, big_batch, mode="eval")
-    x_hat = cache["layers"][0]["x_hat"]
+    first = replaced.layers[0]
+    x_hat = (cache["layers"][0]["input"] @ first.w.T - first.mean) / np.sqrt(first.var + BN_EPS)
     mean_dev = float(np.abs(x_hat.mean(axis=0)).max())
     var_dev = float(np.abs(x_hat.var(axis=0) - 1.0).max())
 

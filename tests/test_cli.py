@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -746,6 +747,41 @@ def test_attack_adversarial_clouds_stay_in_ball(workspace, tmp_path, capsys):
         adv = load_cloud(out / f"{sample['sample_id']}.ply")
         # both files are float32 on disk; compare at float32 resolution
         assert np.abs(adv.points - clean.points).max() <= 0.02 + 1e-6
+
+
+def test_eval_and_attack_log_timings_to_stderr_only(workspace, tmp_path, capsys):
+    _, _, data, model = workspace
+    manifest = str(data / "manifest.json")
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["eval", str(model), manifest, "--out", str(first)]) == 0
+    evaluated = [e for e in _read_json_lines(capsys.readouterr().err)
+                 if e["event"] == "cell_evaluated"]
+    assert main(["attack", str(model), manifest, "--out", str(tmp_path / "adv"),
+                 "--steps", "1"]) == 0
+    attacked = [e for e in _read_json_lines(capsys.readouterr().err)
+                if e["event"] == "attacked"]
+    assert len(evaluated) == 5 and len(attacked) == 4
+    timings = [e[f] for e in evaluated for f in ("ms", "clouds_per_s")]
+    timings += [e["ms"] for e in attacked]
+    assert all(type(t) is float and 0.0 <= t < math.inf for t in timings), timings
+    # the predictions file carries no timing: a second run writes the same bytes
+    assert main(["eval", str(model), manifest, "--out", str(second)]) == 0
+    capsys.readouterr()
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_eval_byte_flipped_checkpoint_is_data_error(workspace, tmp_path, capsys):
+    _, _, data, model = workspace
+    bad = tmp_path / "flipped.tpn"
+    raw = bytearray(model.read_bytes())
+    raw[9] ^= 0x80  # the metadata's first character is no longer valid UTF-8
+    bad.write_bytes(bytes(raw))
+    code = main(["eval", str(bad), str(data / "manifest.json"),
+                 "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "corrupt checkpoint metadata" in err
+    assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["gen", "apply", "train", "eval", "attack", "bench", "export"])

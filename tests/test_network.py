@@ -4,9 +4,13 @@ test-time adaptation."""
 import json
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pccorrupt import (
     AdamState,
@@ -53,6 +57,13 @@ def test_forward_shapes():
     assert np.isfinite(logits).all()
     assert cache["mode"] == "eval"
     assert len(cache["layers"]) == 4  # point0-point2, then head
+
+
+def test_create_needs_two_classes_and_a_per_point_layer():
+    with pytest.raises(ValueError, match="2 classes"):
+        NetworkState.create(1)
+    with pytest.raises(ValueError, match="per-point layer"):
+        NetworkState.create(3, point_dims=())
 
 
 def test_forward_rejects_bad_mode():
@@ -205,11 +216,9 @@ def _numeric_grad(f, tensor, h=1e-5):
     return g
 
 
-@pytest.mark.parametrize("mode", ["train", "eval"])
-def test_gradcheck_all_parameters(mode):
-    state = _tiny_state(seed=2)
-    clouds = _clouds([5, 4], seed=9)
-    labels = np.array([0, 2])
+def _worst_gradcheck_error(state, clouds, labels, mode, check_points=False):
+    """Worst relative error of backward's parameter gradients (and, if asked,
+    input-point gradients) against central differences."""
 
     def run_loss():
         logits, _ = forward(state, clouds, mode=mode)
@@ -218,17 +227,90 @@ def test_gradcheck_all_parameters(mode):
 
     logits, cache = forward(state, clouds, mode=mode)
     _, dlogits = loss_smoothed_ce(logits, labels, 0.2)
-    grads, _ = backward(state, cache, dlogits)
+    grads, dpoints = backward(state, cache, dlogits)
+    checks = [(tensor, grads[name]) for name, tensor in state.parameters().items()]
+    if check_points:
+        offsets = np.cumsum([0] + [len(c) for c in clouds])
+        checks += [(c, dpoints[a:b]) for c, a, b in zip(clouds, offsets[:-1], offsets[1:])]
 
     worst = 0.0
-    for name, tensor in state.parameters().items():
+    for tensor, analytic in checks:
         fd = _numeric_grad(run_loss, tensor)
-        err = np.abs(fd - grads[name])
+        err = np.abs(fd - analytic)
         # the 1e-5 floor sits above central-difference roundoff (~1e-10 on an
         # O(1) loss); some betas have exactly-zero gradients in train mode
-        rel = err / np.maximum(np.abs(fd) + np.abs(grads[name]), 1e-5)
+        rel = err / np.maximum(np.abs(fd) + np.abs(analytic), 1e-5)
         worst = max(worst, float(rel.max()))
+    return worst
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_gradcheck_all_parameters(mode):
+    state = _tiny_state(seed=2)
+    worst = _worst_gradcheck_error(state, _clouds([5, 4], seed=9), np.array([0, 2]), mode)
     assert worst < 1e-4, f"worst rel err {worst:.3e} in {mode} mode"
+
+
+def _negative_pre_pool_gamma_state(seed=21):
+    """A perturbed tiny state whose pre-pool layer has gammas of both signs."""
+    state = _perturbed_state(seed)
+    state.layers[-2].gamma[::2] *= -1.0
+    state.touch()
+    return state
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_gradcheck_negative_pre_pool_gamma(mode):
+    # a feature with gamma < 0 pools at its smallest centred value, so its
+    # gradient must reach that point and no other
+    state = _negative_pre_pool_gamma_state()
+    worst = _worst_gradcheck_error(state, _clouds([6, 5, 7], seed=22), np.array([0, 2, 1]),
+                                   mode, check_points=True)
+    assert worst < 1e-4, f"worst rel err {worst:.3e} in {mode} mode"
+
+
+@pytest.mark.parametrize("mode", ["eval", "train", "adapt"])
+@pytest.mark.parametrize("negative_gamma", [False, True])
+def test_head_input_is_pooled_full_pre_pool_output(mode, negative_gamma):
+    # the pre-pool layer pools before its scale, shift and ReLU; that must
+    # equal pooling its full per-point output, computed the same way
+    state = _negative_pre_pool_gamma_state() if negative_gamma else _perturbed_state()
+    clouds = _clouds([7, 9, 5], seed=23)
+    _, cache = forward(state, clouds, mode=mode)
+    layer, layer_cache = state.layers[-2], cache["layers"][-2]
+    y = layer.w @ layer_cache["input"].T  # (features x points), as forward computes it
+    y -= layer_cache["mean"][:, None]
+    y *= (layer.gamma * layer_cache["inv_std"])[:, None]
+    y += layer.beta[:, None]
+    np.maximum(y, 0.0, out=y)
+    offsets = np.cumsum([0] + [len(c) for c in clouds])
+    pooled = np.stack([y[:, a:b].max(axis=1) for a, b in zip(offsets[:-1], offsets[1:])])
+    assert pooled.tobytes() == cache["layers"][-1]["input"].tobytes()
+
+
+def _arrays(tree):
+    if isinstance(tree, np.ndarray):
+        yield tree
+    elif isinstance(tree, dict):
+        for value in tree.values():
+            yield from _arrays(value)
+    elif isinstance(tree, list):
+        for value in tree:
+            yield from _arrays(value)
+
+
+@pytest.mark.parametrize("mode", ["eval", "train", "adapt"])
+def test_cache_holds_no_per_point_array_wider_than_a_fan_in(mode):
+    # per point the cache keeps each layer's input and nothing wider: no
+    # normalized copy, and no full pre-pool output
+    state = NetworkState.create(3, seed=24)
+    clouds = _clouds([20, 25], seed=25)
+    _, cache = forward(state, clouds, mode=mode)
+    n_points = sum(len(c) for c in clouds)
+    widest = max(layer.w.shape[1] for layer in state.layers[:-1])
+    per_point = [a.shape for a in _arrays({k: v for k, v in cache.items() if k != "state"})
+                 if a.ndim == 2 and len(a) == n_points]
+    assert per_point and max(width for _, width in per_point) <= widest, per_point
 
 
 def test_gradcheck_input_points():
@@ -563,6 +645,49 @@ def test_checkpoint_rejects_malformed_header_and_metadata(tmp_path, case):
         load_checkpoint(bad)
 
 
+def _checkpoint_bytes():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "good.tpn"
+        save_checkpoint(_perturbed_state(), path, class_names=["a", "b", "c"])
+        return path.read_bytes()
+
+
+_GOOD_CHECKPOINT = _checkpoint_bytes()
+_META_END = 8 + struct.unpack("<I", _GOOD_CHECKPOINT[4:8])[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, len(_GOOD_CHECKPOINT) - 1).map(lambda n: ("cut", n)),
+        st.lists(st.tuples(st.integers(0, len(_GOOD_CHECKPOINT) - 1), st.integers(1, 255)),
+                 min_size=1, max_size=4).map(lambda flips: ("flip", flips)),
+        # one printable character in the JSON metadata mostly keeps it
+        # parseable, so the checks on its keys, types and values are reached
+        st.tuples(st.integers(8, _META_END - 1), st.integers(0x20, 0x7E))
+        .map(lambda edit: ("set", edit)),
+    )
+)
+def test_checkpoint_fuzzed_bytes_load_or_raise_value_error(mutation):
+    how, arg = mutation
+    data = bytearray(_GOOD_CHECKPOINT)
+    if how == "cut":
+        del data[arg:]
+    elif how == "flip":
+        for at, mask in arg:
+            data[at] ^= mask
+    else:
+        data[arg[0]] = arg[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.tpn"
+        path.write_bytes(bytes(data))
+        try:
+            state, _ = load_checkpoint(path)
+        except ValueError:
+            return
+    assert isinstance(state, NetworkState)
+
+
 # -- the attack ------------------------------------------------------------
 
 
@@ -626,7 +751,8 @@ def test_bn_adapt_standardizes_first_layer(small_model):
     clouds = _clouds([64, 64, 64], seed=33)
     adapted, _ = bn_adapt(state, clouds, blend=1.0)
     _, cache = forward(adapted, clouds, mode="eval")
-    x_hat = cache["layers"][0]["x_hat"]
+    first = adapted.layers[0]
+    x_hat = (cache["layers"][0]["input"] @ first.w.T - first.mean) / np.sqrt(first.var + BN_EPS)
     assert np.abs(x_hat.mean(axis=0)).max() < 1e-6
     assert np.abs(x_hat.var(axis=0) - 1.0).max() < 1e-3
 
@@ -780,4 +906,4 @@ def test_golden_forward_backward_checkpoint_and_adaptation(tmp_path):
     feed(bn_adapt(loaded, clouds, blend=0.5)[0].running_stats())
     adv = pgd_attack(loaded, PointCloud(clouds[2]), 1, PgdConfig(), np.random.default_rng(42))
     feed({"pgd": adv.points})
-    assert h.hexdigest() == "41ffbbc71da6862ccf1fb34ba4e798e41a5529f1ae88278ff6ab8ffd12fef6e2"
+    assert h.hexdigest() == "ee988133c381a253256d270dd0e24f77945cb005510fc77fd8b141787807080e"
