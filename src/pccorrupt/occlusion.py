@@ -137,7 +137,7 @@ class Bvh:
 
         ray_order, tri_ids, lo, hi = self._candidates(origin, directions)
         lens = hi - lo
-        cuts = np.unique(np.searchsorted(np.cumsum(lens), np.arange(_CHUNK, lens.sum(), _CHUNK)))
+        cuts = np.searchsorted(np.cumsum(lens), np.arange(_CHUNK, lens.sum(), _CHUNK))
         found = []
         for tris, start, length in zip(*(np.split(a, cuts) for a in (tri_ids, lo, lens))):
             before = np.cumsum(length) - length
@@ -179,7 +179,8 @@ class Bvh:
         # from every triangle in front (their cone is convex); it goes last
         # in ray_order and meets only the triangles not in front.
         depth, dr, du = (directions @ frame).T
-        ahead = np.flatnonzero(depth > _MIN_COS / 2 * np.linalg.norm(directions, axis=1))
+        is_ahead = depth > _MIN_COS / 2 * np.linalg.norm(directions, axis=1)
+        ahead = np.flatnonzero(is_ahead)
         m = len(ahead)
         rx, ry = dr[ahead] / depth[ahead], du[ahead] / depth[ahead]
         grid = max(1, math.isqrt(m // _RAYS_PER_BIN))
@@ -189,7 +190,7 @@ class Bvh:
         cols = np.minimum(np.floor((rx - x0) / wx), grid - 1)
         bins = (np.minimum(np.floor((ry - y0) / wy), grid - 1) * grid + cols).astype(np.int64)
         sort = np.argsort(bins, kind="stable")
-        ray_order = np.concatenate([ahead[sort], np.setdiff1d(np.arange(n), ahead)])
+        ray_order = np.concatenate([ahead[sort], np.flatnonzero(~is_ahead)])
         bin_start = np.searchsorted(bins[sort], np.arange(grid * grid + 1))
 
         # triangles in front, projected; per-triangle arrays are (3, triangles).
