@@ -29,7 +29,6 @@ from typing import NamedTuple
 from . import _rng, metrics, network, pipeline
 from ._version import __version__
 from .augmentation import MIXERS
-from .geometry import normalize_unit_sphere
 from .io_formats import MESH_SUFFIXES, load_cloud, save_cloud
 from .corruptions import apply_corruption
 from .occlusion import DegenerateViewError
@@ -233,12 +232,11 @@ def cmd_apply(args) -> int:
         raise DataError(f"{kind.value} needs a mesh input, got {in_path.suffix}")
     sample_id = in_path.stem
     sample_key = _rng.hash_sample_id(sample_id)
-    if is_mesh:
+    if is_mesh or not args.no_normalize:
         mesh, cloud = pipeline.prepare_sample(in_path, opts["points"], seed, sample_key)
         data = mesh if kind in pipeline.MESH_KINDS else cloud
     else:
-        cloud = load_cloud(in_path)
-        data = cloud if args.no_normalize else normalize_unit_sphere(cloud)
+        data = pipeline.subsample(load_cloud(in_path), opts["points"], seed, sample_key)
     corrupted = apply_corruption(data, spec, table, sample_key=sample_key)
     save_cloud(corrupted, args.output, ascii_format=args.ascii)
     if args.sidecar:

@@ -96,6 +96,13 @@ class Layer:
     var: np.ndarray
 
 
+def _layer_dims(point_dims, head_dim):
+    """(name, width, fan_in) of each layer: point0 ... pointN-1, then head."""
+    names = [f"point{i}" for i in range(len(point_dims))] + ["head"]
+    widths = (*point_dims, head_dim)
+    return list(zip(names, widths, (3, *widths[:-1])))
+
+
 @dataclass
 class NetworkState:
     layers: list[Layer]  # point0 ... pointN-1, then head; the max pool precedes head
@@ -116,14 +123,11 @@ class NetworkState:
         if not point_dims:
             raise ValueError("need at least one per-point layer before the pool")
         rng = _rng.stream(seed, 0x6E6574)  # distinct stream for init draws
-        names = [f"point{i}" for i in range(len(point_dims))] + ["head"]
         layers = []
-        fan_in = 3
-        for name, width in zip(names, (*point_dims, head_dim)):
+        for name, width, fan_in in _layer_dims(point_dims, head_dim):
             w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(width, fan_in))
             layers.append(Layer(name, w, np.ones(width), np.zeros(width),
                                 np.zeros(width), np.ones(width)))
-            fan_in = width
         out_w = rng.normal(0.0, np.sqrt(2.0 / head_dim), size=(n_classes, head_dim))
         return cls(layers=layers, out_weight=out_w, out_bias=np.zeros(n_classes))
 
@@ -750,10 +754,16 @@ def load_checkpoint(path):
     if not all(isinstance(e, dict) and isinstance(e.get("name"), str) and "shape" in e
                for e in entries):
         raise ValueError("each checkpoint tensor entry needs a name and a shape")
-    state = NetworkState.create(
-        meta["n_classes"], point_dims=tuple(meta["point_dims"]), head_dim=meta["head_dim"]
+    # every layer is w (width x fan_in) plus four BN vectors; then out.w and out.b
+    n_classes, point_dims, head_dim = meta["n_classes"], meta["point_dims"], meta["head_dim"]
+    values = n_classes * (head_dim + 1) + sum(
+        width * (fan_in + 4) for _, width, fan_in in _layer_dims(point_dims, head_dim)
     )
     offset = 8 + meta_len
+    if 8 * values != len(data) - offset:
+        raise ValueError(f"checkpoint metadata declares {8 * values} tensor bytes, "
+                         f"the file holds {len(data) - offset}")
+    state = NetworkState.create(n_classes, point_dims=tuple(point_dims), head_dim=head_dim)
     declared = {e["name"]: e["shape"] for e in entries}
     for name, tensor in state.tensors().items():
         shape, expected = declared.get(name), list(tensor.shape)
@@ -761,15 +771,11 @@ def load_checkpoint(path):
             raise ValueError(f"checkpoint tensor {name!r} has shape {shape}, not {expected}")
         size = tensor.size * 8
         raw = data[offset : offset + size]
-        if len(raw) != size:
-            raise ValueError("checkpoint truncated")
         tensor[...] = np.frombuffer(raw, dtype="<f8").reshape(tensor.shape)
         if not np.isfinite(tensor).all():
             raise ValueError(f"checkpoint tensor {name!r} holds non-finite values")
         if name.endswith(".bn.var") and (tensor < 0).any():
             raise ValueError(f"checkpoint tensor {name!r} holds negative variances")
         offset += size
-    if offset != len(data):
-        raise ValueError("trailing bytes after checkpoint tensors")
     state.touch()
     return state, meta

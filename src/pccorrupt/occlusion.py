@@ -31,6 +31,7 @@ _RAYS_PER_BIN = 1  # mean rays per image-plane bin; sets the grid size
 _MIN_COS = 1e-3  # a triangle is "in front" if every corner has cos(angle to axis) > this
 _PAD = 1e-9  # image-plane margin per unit of a triangle's worst |w| / depth
 _CHUNK = 1 << 15  # (triangle, ray) pairs tested per step
+_PROBE_GRID = 32  # side of occlusion_cloud's first ray grid
 
 
 class DegenerateViewError(RuntimeError):
@@ -324,23 +325,38 @@ def lidar_scan(
 def occlusion_cloud(mesh: TriangleMesh, pose: ViewPose) -> PointCloud:
     """Single-view occlusion cloud with the ray budget auto-scaled.
 
-    Starts at 96^2 rays and binary-searches the grid size until the hit
-    count lands in OCCLUSION_HITS or 6 casts elapse.
+    Searches the side of the square pinhole grid for a hit count in
+    OCCLUSION_HITS.  The first cast is a _PROBE_GRID^2 probe.  Hit counts
+    scale with the grid's area, so after a cast with `hits` out of range the
+    next side is `round(grid * sqrt(mid / hits))`, `mid` being the middle of
+    OCCLUSION_HITS, clamped to a bracket that starts at [8, 512] and shrinks
+    past every cast.  A cast that hits nothing predicts the largest side
+    left.  The search stops at a hit count in range, an empty bracket or the
+    sixth cast, and returns that last cast's cloud; DegenerateViewError is
+    raised only if that last cast hit nothing.
     """
     bvh = Bvh(mesh)
     lo_grid, hi_grid = 8, 512
-    grid = 96
+    mid = sum(OCCLUSION_HITS) / 2
+    grid = _PROBE_GRID
     for _ in range(6):
-        cloud = raycast_visible(mesh, pose, grid * grid, bvh=bvh)
-        if OCCLUSION_HITS[0] <= cloud.count <= OCCLUSION_HITS[1]:
+        try:
+            cloud = raycast_visible(mesh, pose, grid * grid, bvh=bvh)
+            hits, miss = cloud.count, None
+        except DegenerateViewError as exc:
+            hits, miss = 0, exc
+        if OCCLUSION_HITS[0] <= hits <= OCCLUSION_HITS[1]:
             break
-        if cloud.count < OCCLUSION_HITS[0]:
+        if hits < OCCLUSION_HITS[0]:
             lo_grid = grid + 1
         else:
             hi_grid = grid - 1
         if lo_grid > hi_grid:
             break
-        grid = (lo_grid + hi_grid) // 2
+        guess = round(grid * math.sqrt(mid / hits)) if hits else hi_grid
+        grid = min(max(guess, lo_grid), hi_grid)
+    if miss is not None:
+        raise miss
     return cloud
 
 

@@ -9,7 +9,8 @@ its randomness from (seed, kind, severity, sample id), so a rerun is
 byte-identical no matter how many workers ran it.
 
 prepare_sample is the one way a source file becomes the clean cloud (and,
-for a mesh, the normalized mesh) that gen and apply corrupt.  sidecar_json
+for a mesh, the normalized mesh) that gen and apply corrupt; apply
+--no-normalize takes a cloud through its subsample step alone.  sidecar_json
 is the one provenance record, for gen and apply alike: sample id, seed,
 kind, severity, params and table digest, which replay the cell exactly.
 """
@@ -265,12 +266,18 @@ def prepare_sample(path: Path, point_budget: int, seed: int, sample_hash: int):
         mesh = normalize_mesh(load_mesh(path))
         cloud = sample_surface(mesh, point_budget, _rng.mix_keys(seed, 0x73616D70, sample_hash))
     else:
-        cloud = load_cloud(path)
-        if cloud.count > point_budget:
-            rng = _rng.stream(seed, 0x73756273, sample_hash)
-            keep = np.sort(rng.choice(cloud.count, point_budget, replace=False))
-            cloud = PointCloud(cloud.points[keep])
+        cloud = subsample(load_cloud(path), point_budget, seed, sample_hash)
     return mesh, normalize_unit_sphere(cloud)
+
+
+def subsample(cloud: PointCloud, point_budget: int, seed: int, sample_hash: int) -> PointCloud:
+    """A random `point_budget` of the cloud's points, kept in file order, if
+    it has more; the draw is keyed by (seed, stage, sample_hash)."""
+    if cloud.count <= point_budget:
+        return cloud
+    rng = _rng.stream(seed, 0x73756273, sample_hash)
+    keep = np.sort(rng.choice(cloud.count, point_budget, replace=False))
+    return PointCloud(cloud.points[keep])
 
 
 def sidecar_json(sample_id: str, spec: CorruptionSpec, table: SeverityTable,

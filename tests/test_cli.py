@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -233,6 +234,26 @@ def test_gen_and_apply_agree_on_a_top_level_mesh(tmp_path, capsys, kind):
     applied = json.loads((tmp_path / "a.json").read_text())
     assert applied == json.loads(cell.with_suffix(".json").read_text())
     assert applied["sample_id"] == "chair"
+
+
+def test_gen_and_apply_agree_on_a_top_level_cloud(tmp_path, capsys):
+    # apply subsamples a cloud above --points with gen's draw
+    src = tmp_path / "src"
+    src.mkdir()
+    save_cloud(random_cloud(2048, seed=4), src / "scan.ply")
+    common = ["--seed", "5", "--points", "1024"]
+    assert main(["gen", str(src), str(tmp_path / "gen"), "--kinds", "gaussian",
+                 "--severities", "3", *common]) == 0
+    apply = ["apply", str(src / "scan.ply"), "--kind", "gaussian", "--severity", "3", *common]
+    assert main([*apply, str(tmp_path / "a.ply"), "--sidecar", str(tmp_path / "a.json")]) == 0
+    assert main([*apply, str(tmp_path / "raw.ply"), "--no-normalize"]) == 0
+    capsys.readouterr()
+    cell = tmp_path / "gen" / "gaussian" / "s3" / "scan"
+    assert (tmp_path / "a.ply").read_bytes() == cell.with_suffix(".ply").read_bytes()
+    assert (tmp_path / "a.json").read_text() == cell.with_suffix(".json").read_text()
+    raw = load_cloud(tmp_path / "raw.ply")
+    assert raw.count == 1024
+    assert not np.allclose(raw.points, load_cloud(tmp_path / "a.ply").points)
 
 
 def test_apply_mesh_input_cloud_kind(workspace, tmp_path, capsys):
@@ -597,6 +618,22 @@ def test_eval_truncated_checkpoint_is_data_error(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and "header" in err
+
+
+def test_eval_checkpoint_declaring_huge_layers_is_data_error(workspace, tmp_path, capsys):
+    _, _, data, model = workspace
+    blob = model.read_bytes()
+    (n,) = struct.unpack("<I", blob[4:8])
+    meta = json.loads(blob[8 : 8 + n])
+    meta["point_dims"] = [2**40]
+    text = json.dumps(meta).encode()
+    huge = tmp_path / "huge.tpn"
+    huge.write_bytes(blob[:4] + struct.pack("<I", len(text)) + text + blob[8 + n :])
+    code = main(["eval", str(huge), str(data / "manifest.json"),
+                 "--out", str(tmp_path / "p.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "tensor bytes" in err
 
 
 def test_eval_non_finite_checkpoint_is_data_error(workspace, tmp_path, capsys):

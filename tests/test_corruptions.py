@@ -307,7 +307,7 @@ def test_golden_default_table_and_every_cell():
             out = apply_corruption(mesh if kind in MESH_KINDS else cloud, spec, sample_key=11)
             ply.update(write_ply(out))
             provenance.update(sidecar_json("uv_sphere", spec, table, digest).encode())
-    assert ply.hexdigest() == "2356732466734ae5538f5a245678cf766718ce1412c34194b583ab5b63477f5f"
+    assert ply.hexdigest() == "44ac5df0b360a3c0df784439c8bd2b34cacfd25fdeca00e282d18ac9e0fb6e44"
     assert provenance.hexdigest() == (
         "d30a2934654e2ed3ff3ae70395769891f86369240ba23bb593577bbc1dea613a"
     )

@@ -620,6 +620,11 @@ _MALFORMED_CHECKPOINTS = {
     "head_dim_zero": _meta_edited(lambda m: m.update(head_dim=0)),
     "point_dims_str": _meta_edited(lambda m: m.update(point_dims="468")),
     "point_dims_mixed": _meta_edited(lambda m: m.update(point_dims=[4, "6", 8])),
+    # refused from the byte count, before any tensor of that size is allocated
+    "point_dims_huge": _meta_edited(lambda m: m.update(point_dims=[2**40])),
+    "n_classes_huge": _meta_edited(lambda m: m.update(n_classes=2**40)),
+    "tensors_short": lambda data: data[:-8],
+    "tensors_trailing": lambda data: data + bytes(8),
     "tensors_object": _meta_edited(lambda m: m.update(tensors={"point0.w": [4, 3]})),
     "entry_no_name": _meta_edited(lambda m: m["tensors"][0].pop("name")),
     "entry_no_shape": _meta_edited(lambda m: m["tensors"][0].pop("shape")),

@@ -13,15 +13,19 @@ from pccorrupt import (
     ViewPose,
     lidar_cloud,
     lidar_scan,
+    occlusion,
     occlusion_cloud,
     raycast_visible,
     view_pose,
 )
 from pccorrupt.occlusion import (
+    OCCLUSION_HITS,
     RAY_T_MIN,
+    _PROBE_GRID,
     _lidar_directions,
     _pinhole_directions,
 )
+from pccorrupt.severity import SEVERITIES
 
 from synthdata import box_mesh, prism_mesh, pyramid_mesh, uv_sphere
 
@@ -251,6 +255,40 @@ def test_occlusion_cloud_hits_target_range():
     assert 768 <= cloud.count <= 1280
 
 
+def _count_casts(monkeypatch):
+    """Ray counts of every cast occlusion_cloud makes from here on."""
+    casts = []
+    cast = occlusion.raycast_visible
+
+    def counted(mesh, pose, n_rays, bvh=None):
+        casts.append(n_rays)
+        return cast(mesh, pose, n_rays, bvh=bvh)
+
+    monkeypatch.setattr(occlusion, "raycast_visible", counted)
+    return casts
+
+
+@pytest.mark.parametrize("mesh", [uv_sphere(), prism_mesh(150)], ids=["sphere", "prism_150"])
+def test_occlusion_cloud_lands_in_range_by_its_second_cast(monkeypatch, mesh):
+    casts = _count_casts(monkeypatch)
+    for severity in SEVERITIES:
+        casts.clear()
+        cloud = occlusion_cloud(mesh, view_pose(severity, np.random.default_rng(severity)))
+        assert OCCLUSION_HITS[0] <= cloud.count <= OCCLUSION_HITS[1]
+        assert casts[0] == _PROBE_GRID**2 and len(casts) <= 2
+
+
+def test_occlusion_cloud_finds_a_silhouette_the_probe_misses(monkeypatch):
+    small = uv_sphere(radius=0.01)
+    pose = ViewPose(0.0, 45.0)
+    with pytest.raises(DegenerateViewError):
+        raycast_visible(small, pose, _PROBE_GRID**2)
+    casts = _count_casts(monkeypatch)
+    cloud = occlusion_cloud(small, pose)
+    assert cloud.count > 0 and len(casts) <= 6
+    assert np.linalg.norm(cloud.points, axis=1).max() < 0.01 + 1e-9
+
+
 def test_occlusion_cloud_sees_only_near_side():
     mesh = uv_sphere()
     pose = ViewPose(0.0, 30.0)
@@ -268,6 +306,8 @@ def test_raycast_degenerate_view_errors():
     )
     with pytest.raises(DegenerateViewError):
         raycast_visible(tiny, ViewPose(0.0, 45.0), 64)
+    with pytest.raises(DegenerateViewError):
+        occlusion_cloud(tiny, ViewPose(0.0, 45.0))
 
 
 # -- LiDAR -----------------------------------------------------------------

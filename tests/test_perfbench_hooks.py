@@ -32,6 +32,9 @@ def test_instrument_wraps_and_restores_every_entry_point():
     occlusion = spans.occlusion
     assert (occlusion.Bvh, "nearest_hits") in wrapped
     assert (occlusion.Bvh, "__init__") in wrapped
+    # occlusion.casts_per_call counts the casts below each occlusion_cloud span
+    assert (occlusion, "raycast_visible") in wrapped
+    assert (spans.corruptions, "occlusion_cloud") in wrapped
     assert (spans.pipeline, "run_generate") in wrapped
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
