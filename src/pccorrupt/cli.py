@@ -29,7 +29,7 @@ from typing import NamedTuple
 from . import _rng, metrics, network, pipeline
 from ._version import __version__
 from .augmentation import MIXERS
-from .io_formats import MESH_SUFFIXES, load_cloud, save_cloud
+from .io_formats import MESH_SUFFIXES, load_cloud, save_cloud, write_file
 from .corruptions import apply_corruption
 from .occlusion import DegenerateViewError
 from .pipeline import MIN_POINT_BUDGET, DataError, RunConfig
@@ -240,9 +240,8 @@ def cmd_apply(args) -> int:
     corrupted = apply_corruption(data, spec, table, sample_key=sample_key)
     save_cloud(corrupted, args.output, ascii_format=args.ascii)
     if args.sidecar:
-        Path(args.sidecar).write_text(
-            pipeline.sidecar_json(sample_id, spec, table, table.digest())
-        )
+        write_file(args.sidecar,
+                   pipeline.sidecar_json(sample_id, spec, table, table.digest()).encode())
     log_event(event="applied", kind=kind.value, severity=severity,
               n_points=corrupted.count)
     print(f"{kind.value} s={severity}: {corrupted.count} points -> {args.output}")

@@ -3,11 +3,14 @@
 The PLY schema is fixed: one "vertex" element with float32 properties
 x, y, z.  The raw format is a header-less stream of little-endian float32
 triples; the point count is inferred from the file size.
+
+write_file is the one way pccorrupt writes a file: clouds, sidecars,
+manifests, reports, predictions and checkpoints all go through it.
 """
 
 from __future__ import annotations
 
-import io
+import os
 from pathlib import Path
 
 import numpy as np
@@ -162,5 +165,24 @@ def save_cloud(cloud: PointCloud, path, ascii_format: bool = False) -> None:
         payload = write_raw(cloud)
     else:
         raise ValueError(f"unrecognized cloud extension {path.suffix!r}")
-    with io.open(path, "wb") as fh:
-        fh.write(payload)
+    write_file(path, payload)
+
+
+def write_file(path, data: bytes) -> None:
+    """Make the file at `path` hold exactly `data`, overwriting it in place.
+
+    An existing file is written from its first byte and then cut to
+    `len(data)`; it is never truncated to zero first, which on some
+    filesystems frees its blocks only for the write to allocate them
+    again.  A write interrupted midway leaves a file holding part new and
+    part old bytes, which a manifest digest check flags.  A directory at
+    `path` raises IsADirectoryError.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)

@@ -11,12 +11,14 @@ excluded from every mean -- they are never imputed as zero.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .io_formats import write_file
 from .severity import SEVERITIES, CorruptionKind
 
 CLEAN = "clean"
@@ -109,11 +111,12 @@ def ingest_predictions(source) -> list[PredictionRecord]:
 
 
 def write_predictions(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow([r.sample_id, r.corruption, r.severity, r.true_label, r.pred_label])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(CSV_HEADER)
+    for r in records:
+        writer.writerow([r.sample_id, r.corruption, r.severity, r.true_label, r.pred_label])
+    write_file(path, text.getvalue().encode())
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ import numpy as np
 from . import _rng
 from .augmentation import LabeledCloud, MixSpec, apply_mix
 from .geometry import PointCloud
+from .io_formats import write_file
 
 # small eps keeps the normalized batch variance within ~eps/sigma^2 of 1
 # even for low-variance features; float64 tolerates the wide dynamic range
@@ -716,12 +717,8 @@ def save_checkpoint(
         "tensors": [{"name": n, "shape": list(t.shape)} for n, t in entries],
     }
     blob = json.dumps(meta, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for _, t in entries:
-            fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+    tensors = [np.ascontiguousarray(t, dtype="<f8").tobytes() for _, t in entries]
+    write_file(path, b"".join([CHECKPOINT_MAGIC, struct.pack("<I", len(blob)), blob, *tensors]))
 
 
 def load_checkpoint(path):

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +41,7 @@ from .io_formats import (
     MESH_SUFFIXES,
     load_cloud,
     load_mesh,
+    write_file,
     write_ply,
 )
 from .corruptions import apply_corruption
@@ -96,10 +98,13 @@ def _sha256(data: bytes) -> str:
 
 def _write_cloud(path: Path, cloud: PointCloud) -> str:
     """Write `cloud` as binary PLY; returns the digest of the bytes written."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     data = write_ply(cloud)
-    path.write_bytes(data)
+    write_file(path, data)
     return _sha256(data)
+
+
+def _cell_dir(kind: str, severity: int) -> Path:
+    return Path(kind) / f"s{severity}"
 
 
 def _sample_id(rel: Path) -> str:
@@ -312,10 +317,10 @@ def _corrupt_task(out_root, sid, sample_hash, mesh, cloud, kind, severity, confi
     spec = CorruptionSpec(CorruptionKind.from_name(kind), severity, seed=config.seed)
     source = mesh if spec.kind in MESH_KINDS else cloud
     corrupted = apply_corruption(source, spec, table, sample_key=sample_hash)
-    rel_ply = Path(kind) / f"s{severity}" / f"{sid}.ply"
+    rel_ply = _cell_dir(kind, severity) / f"{sid}.ply"
     rel_sidecar = rel_ply.with_suffix(".json")
     sha256 = _write_cloud(out_root / rel_ply, corrupted)
-    (out_root / rel_sidecar).write_text(sidecar_json(sid, spec, table, table_digest))
+    write_file(out_root / rel_sidecar, sidecar_json(sid, spec, table, table_digest).encode())
     return {
         "path": rel_ply.as_posix(),
         "sidecar": rel_sidecar.as_posix(),
@@ -329,7 +334,10 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
 
     `log` is an optional callable receiving event dicts.  Per-task failures
     are recorded in the manifest's `failures` list and do not stop the run.
+    Every output directory exists before the first file is written; a rerun
+    into the same directory overwrites each file in place.
     """
+    start_s = time.perf_counter()
     log = log or (lambda event: None)
     table = config.table if config.table is not None else SeverityTable.default()
     table_digest = table.digest()
@@ -360,7 +368,9 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
                  "error_type": type(exc).__name__})
     if not prepared and failures:
         raise DataError("every input sample failed to load")
-    out_root.mkdir(parents=True, exist_ok=True)
+    cell_dirs = [_cell_dir(kind, sev) for kind in config.kinds for sev in config.severities]
+    for rel_dir in (Path("clean"), *cell_dirs):
+        (out_root / rel_dir).mkdir(parents=True, exist_ok=True)
 
     samples: dict[str, dict] = {}
     for rel, sid, sample_hash, mesh, cloud in prepared:
@@ -420,11 +430,14 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
         samples=[samples[sid] for sid in sorted(samples)],
         failures=sorted(failures, key=lambda f: json.dumps(f, sort_keys=True)),
     )
-    (out_root / MANIFEST_NAME).write_text(manifest.to_json())
+    write_file(out_root / MANIFEST_NAME, manifest.to_json().encode())
+    elapsed_s = time.perf_counter() - start_s
     log({
         "event": "manifest_written",
         "samples": len(manifest.samples),
         "failures": len(manifest.failures),
+        "ms": elapsed_s * 1e3,
+        "cells_per_s": len(tasks) / elapsed_s,
     })
     return manifest
 
@@ -468,7 +481,7 @@ def run_benchmark(
     report = metrics.aggregate(records)
     text = metrics.render_report(report, fmt)
     if report_path is not None:
-        Path(report_path).write_text(text)
+        write_file(report_path, text.encode())
     coverage = {
         "missing_cells": [list(c) for c in missing],
         "present_cells": sorted([list(c) for c in have]),

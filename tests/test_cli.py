@@ -59,8 +59,16 @@ def test_gen_summary_and_logs(workspace, capsys, tmp_path):
     assert code == 0
     assert "4 samples" in captured.out
     events = _read_json_lines(captured.err)
-    assert any(e["event"] == "manifest_written" for e in events)
-    assert (out / "manifest.json").is_file()
+    written = [e for e in events if e["event"] == "manifest_written"]
+    assert len(written) == 1
+    timings = [written[0]["ms"], written[0]["cells_per_s"]]
+    assert all(type(t) is float and 0.0 < t < math.inf for t in timings), timings
+    # the timings stay in the log: a rerun writes the same manifest bytes
+    first = (out / "manifest.json").read_bytes()
+    assert main(["gen", str(src), str(out), "--kinds", "shear",
+                 "--severities", "2", "--points", "64"]) == 0
+    capsys.readouterr()
+    assert (out / "manifest.json").read_bytes() == first
 
 
 def test_gen_missing_input_is_data_error(tmp_path, capsys):
@@ -85,6 +93,27 @@ def test_gen_rejected_input_leaves_no_output_directory(tmp_path, capsys, case):
     assert code == 2
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["clean", "cell"])
+def test_gen_output_path_that_is_a_directory(workspace, tmp_path, capsys, target):
+    # a clean cloud that cannot be written stops gen; a corrupted cell is one failure
+    _, src, _, _ = workspace
+    out = tmp_path / "out"
+    rel = sorted(src.rglob("*.off"))[0].relative_to(src)
+    sid = "_".join(rel.with_suffix("").parts)
+    blocked = out / ("clean" if target == "clean" else "gaussian/s2") / f"{sid}.ply"
+    blocked.mkdir(parents=True)
+    code = main(["gen", str(src), str(out), "--kinds", "gaussian", "--severities", "2",
+                 "--points", "64"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if target == "clean":
+        assert code == 2 and not (out / "manifest.json").exists()
+        return
+    assert code == 3
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert [(f["sample"], f["kind"], f["severity"]) for f in failures] == [(sid, "gaussian", 2)]
 
 
 def test_gen_bad_kind_is_usage_error(workspace, tmp_path, capsys):
@@ -215,6 +244,35 @@ def test_apply_cloud_kind_with_sidecar(tmp_path, capsys):
         "params": {"n_clusters": 1, "k": 50},
         "table_digest": SeverityTable.default().digest(),
     }
+
+
+def test_apply_over_longer_files_matches_a_fresh_write(tmp_path, capsys):
+    src = tmp_path / "in.ply"
+    save_cloud(random_cloud(128, seed=2), src)
+
+    def apply(name):
+        assert main(["apply", str(src), str(tmp_path / f"{name}.ply"), "--kind", "gaussian",
+                     "--sidecar", str(tmp_path / f"{name}.json")]) == 0
+
+    apply("fresh")
+    for suffix in (".ply", ".json"):
+        fresh = (tmp_path / f"fresh{suffix}").read_bytes()
+        (tmp_path / f"reused{suffix}").write_bytes(fresh + b"\0stale tail" * 64)
+    apply("reused")
+    capsys.readouterr()
+    for suffix in (".ply", ".json"):
+        reused = (tmp_path / f"reused{suffix}").read_bytes()
+        assert reused == (tmp_path / f"fresh{suffix}").read_bytes()
+
+
+def test_apply_output_that_is_a_directory_is_data_error(tmp_path, capsys):
+    src = tmp_path / "in.ply"
+    save_cloud(random_cloud(128, seed=2), src)
+    (tmp_path / "out.ply").mkdir()
+    code = main(["apply", str(src), str(tmp_path / "out.ply"), "--kind", "gaussian"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "IsADirectoryError" in err
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "occlusion"])

@@ -1,4 +1,8 @@
-"""Cloud serialization: PLY (ascii + binary) and raw float32 triples."""
+"""Cloud serialization: PLY (ascii + binary) and raw float32 triples, and
+the one file writer every module goes through."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from pccorrupt import (
     write_ply,
     write_raw,
 )
+from pccorrupt import io_formats
+from pccorrupt.io_formats import write_file
 
 
 def _cloud(n=17, seed=0):
@@ -189,3 +195,85 @@ def test_save_cloud_ascii_flag(tmp_path):
     save_cloud(cloud, path, ascii_format=True)
     assert b"format ascii" in path.read_bytes()
     assert np.array_equal(load_cloud(path).points, cloud.points)
+
+
+@pytest.mark.parametrize("old", [None, b"", b"ab", b"x" * 4096],
+                         ids=["missing", "empty", "shorter", "longer"])
+def test_write_file_leaves_exactly_the_new_bytes(tmp_path, old):
+    path = tmp_path / "f.bin"
+    if old is not None:
+        path.write_bytes(old)
+    write_file(path, b"0123456789")
+    assert path.read_bytes() == b"0123456789"
+    write_file(path, b"")
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("name,ascii_format",
+                         [("c.ply", False), ("c.ply", True), ("c.bin", False)])
+def test_save_cloud_over_a_longer_file_matches_a_fresh_write(tmp_path, name, ascii_format):
+    cloud = _cloud(n=5)
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    save_cloud(cloud, fresh / name, ascii_format=ascii_format)
+    (reused / name).write_bytes((fresh / name).read_bytes() + b"\0stale tail" * 100)
+    save_cloud(cloud, reused / name, ascii_format=ascii_format)
+    assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_write_file_on_a_directory_raises_os_error(tmp_path):
+    with pytest.raises(IsADirectoryError):
+        write_file(tmp_path, b"x")
+
+
+_WRITE_MODE_CHARS = set("wax+")
+
+
+def _file_writes(tree: ast.AST) -> list[int]:
+    """Line numbers of calls that write a file: write_bytes/write_text, os.open,
+    and open/io.open/Path.open given a mode with w, a, x or +."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_bytes", "write_text"):
+            lines.append(node.lineno)
+        elif name == "open":
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+                lines.append(node.lineno)  # flags, not a mode string
+                continue
+            modes = [*node.args, *(k.value for k in node.keywords if k.arg == "mode")]
+            if any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                   and _WRITE_MODE_CHARS & set(m.value) for m in modes):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_write_scan_finds_every_write_form():
+    source = """
+p.write_bytes(b"")
+Path(q).write_text("x")
+open(path, "w", newline="")
+open(path, mode="ab")
+io.open(path, "r+b")
+p.open("x")
+os.open(path, flags)
+open(path, "r", newline="")
+open(path)
+p.read_bytes()
+"""
+    assert _file_writes(ast.parse(source)) == [2, 3, 4, 5, 6, 7, 8]
+
+
+def test_only_io_formats_writes_files():
+    package = Path(io_formats.__file__).parent
+    offenders = {
+        path.name: lines
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "io_formats.py"
+        and (lines := _file_writes(ast.parse(path.read_text(), str(path))))
+    }
+    assert offenders == {}, "write files through io_formats.write_file"

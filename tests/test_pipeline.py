@@ -175,6 +175,26 @@ def test_generate_reproducible_across_worker_counts(mesh_dataset, tmp_path):
     assert trees[0] == trees[1]
 
 
+def test_generate_over_longer_files_matches_a_fresh_run(mesh_dataset, tmp_path):
+    # every output a rerun rewrites in place must be cut to its new length
+    import shutil
+
+    def generate(out):
+        run_generate(RunConfig(input_dir=mesh_dataset, output_dir=out,
+                               kinds=("gaussian", "cutout"), severities=(1, 3),
+                               point_budget=96, seed=4, workers=2))
+
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    generate(fresh)
+    shutil.copytree(fresh, reused)
+    for path in reused.rglob("*"):
+        if path.is_file():
+            path.write_bytes(path.read_bytes() + b"\0stale tail" * 64)
+    generate(reused)
+    assert _tree_bytes(reused) == _tree_bytes(fresh)
+    assert verify_manifest(load_manifest(reused / "manifest.json"), reused) == []
+
+
 @pytest.mark.parametrize("requested,cpus,used", [(8, 2, 2), (3, 4, 3), (1, 4, 1)])
 def test_generate_worker_threads_capped_at_usable_cpus(
     mesh_dataset, tmp_path, monkeypatch, requested, cpus, used
