@@ -2,7 +2,8 @@
 
 All mixes take two equally sized labeled clouds and return exactly n points
 with a soft label that sums to one.  The mixing weight is MixSpec.lam,
-0.5 by default.
+0.5 by default.  Mixup matches exactly within median-split blocks of at
+most EXACT_ASSIGN_LIMIT points.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy.spatial.distance import cdist
 from . import _rng
 from .geometry import PointCloud, nearest_indices
 
-EXACT_ASSIGN_LIMIT = 256
+EXACT_ASSIGN_LIMIT = 128
 
 
 def one_hot(class_index: int, n_classes: int) -> np.ndarray:
@@ -106,9 +107,8 @@ def cutmix_r(
     """Union of floor(lam*n) random points of a and the remainder from b."""
     _check_pair(a, b)
     rng = _resolve_rng(spec, rng)
-    lam = spec.lam
     n = a.cloud.count
-    n_a = int(lam * n)
+    n_a = int(spec.lam * n)
     idx_a = rng.choice(n, size=n_a, replace=False)
     idx_b = rng.choice(n, size=n - n_a, replace=False)
     points = np.concatenate([a.cloud.points[idx_a], b.cloud.points[idx_b]], axis=0)
@@ -124,9 +124,8 @@ def cutmix_k(
     distance to that same anchor, skipping the first floor(lam*n) ranks."""
     _check_pair(a, b)
     rng = _resolve_rng(spec, rng)
-    lam = spec.lam
     n = a.cloud.count
-    n_a = int(lam * n)
+    n_a = int(spec.lam * n)
     anchor = a.cloud.points[int(rng.integers(0, n))]
     part_a = nearest_indices(a.cloud.points, anchor, n_a)
     rank_b = nearest_indices(b.cloud.points, anchor, n)
@@ -144,13 +143,14 @@ def assignment_cost(a: PointCloud, b: PointCloud, perm: Permutation) -> float:
 
 
 def emd_assign(a: PointCloud, b: PointCloud) -> Permutation:
-    """Minimum squared-distance one-to-one matching from a's points to b's.
+    """One-to-one matching from a's points to b's of low total squared distance.
 
-    Exact (Hungarian) up to EXACT_ASSIGN_LIMIT points; beyond that a greedy
-    nearest-available assignment followed by one 2-swap improvement sweep is
-    used.  Identical clouds always map to the identity permutation.  Clouds
-    whose squared distances overflow float64 in the matchers' sums raise
-    ValueError.
+    Exact (Hungarian) up to EXACT_ASSIGN_LIMIT points.  A larger pair is cut
+    at the median of the axis of largest variance of both clouds, n // 2
+    points of each to the lower half, until every block fits the limit; each
+    block is matched exactly and the result never costs more than the
+    identity.  Identical clouds map to the identity; squared distances that
+    overflow float64 in the matcher's sums raise ValueError.
     """
     if a.count != b.count:
         raise ValueError(f"cloud sizes differ: {a.count} vs {b.count}")
@@ -159,41 +159,25 @@ def emd_assign(a: PointCloud, b: PointCloud) -> Permutation:
         return Permutation(np.arange(n))
     # bit-equal to ((a[:, None] - b[None]) ** 2).sum(axis=2), which a test checks
     cost = cdist(a.points, b.points, "sqeuclidean")
-    # both matchers add up to 4n costs; one max pass (0.35 ms at n = 1024)
-    # keeps those sums finite
+    # the block solves and the identity guard add up to 4n costs; keep them finite
     if not cost.max() <= np.finfo(np.float64).max / (4 * n):
         raise ValueError("squared distances between the clouds overflow float64")
-    if n <= EXACT_ASSIGN_LIMIT:
-        _rows, cols = linear_sum_assignment(cost)
-        return Permutation(cols)
-
-    # greedy nearest-available; a +inf penalty keeps argmin off taken columns
     perm = np.empty(n, dtype=np.int64)
-    penalty = np.zeros(n)
-    row = np.empty(n)
-    for i in range(n):
-        np.add(cost[i], penalty, out=row)
-        j = int(row.argmin())
-        perm[i] = j
-        penalty[j] = np.inf
-    # then one pass of pairwise swap improvements; cost_t's rows are cost's
-    # columns, so both candidate vectors are read from contiguous rows
-    cost_t = cost.T.copy()
-    own = cost[np.arange(n), perm]
-    for i in range(n - 1):
-        # delta[k] = (cost[i, perm[j]] + cost[j, perm[i]]) - (own[i] + own[j])
-        # with j = i + 1 + k; the matcher golden test pins this operation order
-        delta = cost[i].take(perm[i + 1:])
-        delta += cost_t[perm[i], i + 1:]
-        delta -= own[i] + own[i + 1:]
-        k = int(delta.argmin())
-        if delta[k] < 0:
-            j = i + 1 + k
-            perm[i], perm[j] = perm[j], perm[i]
-            own[i] = cost[i, perm[i]]
-            own[j] = cost[j, perm[j]]
-    # the heuristic must never lose to the trivial assignment
-    if own.sum() > cost.trace():
+    blocks = [(np.arange(n), np.arange(n))]
+    while blocks:
+        rows, cols = blocks.pop()
+        if len(rows) <= EXACT_ASSIGN_LIMIT:
+            _, block = linear_sum_assignment(cost[np.ix_(rows, cols)])
+            perm[rows] = cols[block]
+            continue
+        pa, pb = a.points[rows], b.points[cols]
+        axis = int(np.concatenate([pa, pb]).var(axis=0).argmax())
+        rows = rows[np.argsort(pa[:, axis], kind="stable")]
+        cols = cols[np.argsort(pb[:, axis], kind="stable")]
+        half = len(rows) // 2
+        blocks += [(rows[:half], cols[:half]), (rows[half:], cols[half:])]
+    # blocks can cut across identity pairs; never lose to the trivial matching
+    if cost[np.arange(n), perm].sum() > cost.trace():
         perm = np.arange(n)
     return Permutation(perm)
 
@@ -223,9 +207,8 @@ def rsmix(
     """
     _check_pair(a, b)
     rng = _resolve_rng(spec, rng)
-    lam = spec.lam
     n = a.cloud.count
-    n_region = int(lam * n)
+    n_region = int(spec.lam * n)
     if n_region == 0:
         return LabeledCloud(a.cloud, a.label)
     anchor_a = a.cloud.points[int(rng.integers(0, n))]

@@ -279,7 +279,14 @@ def _model_and_manifest(args):
     if not class_names:
         raise DataError("model checkpoint carries no class names")
     index = {name: i for i, name in enumerate(class_names)}
-    return state, index, pipeline.load_manifest(args.manifest), Path(args.manifest).parent
+    manifest = pipeline.load_manifest(args.manifest)
+    if not manifest.samples:
+        raise DataError("manifest lists no samples")
+    for sample in manifest.samples:
+        if sample["class_name"] not in index:
+            raise DataError(f"sample {sample['sample_id']} has class "
+                            f"{sample['class_name']!r} unknown to the model")
+    return state, index, manifest, Path(args.manifest).parent
 
 
 def _predict_chunk(base, clouds, args, kind, severity):
@@ -313,8 +320,6 @@ def cmd_eval(args) -> int:
             preds.extend(_predict_chunk(state, clouds, args, kind, severity).tolist())
         wrong = 0
         for (sid, cls, _), pred in zip(batch, preds):
-            if cls not in index:
-                raise DataError(f"sample {sid} has class {cls!r} unknown to the model")
             records.append(
                 metrics.PredictionRecord(sid, kind, severity, index[cls], int(pred))
             )
@@ -343,10 +348,7 @@ def cmd_attack(args) -> int:
     seed = _env_seed(0) if args.seed is None else args.seed
     n_total = n_clean_ok = n_adv_ok = 0
     for sample in manifest.samples:
-        sid, cls = sample["sample_id"], sample["class_name"]
-        if cls not in index:
-            raise DataError(f"sample {sid} has class {cls!r} unknown to the model")
-        label = index[cls]
+        sid, label = sample["sample_id"], index[sample["class_name"]]
         start_s = time.perf_counter()
         cloud = load_cloud(root / sample["clean"]["path"])
         rng = _rng.stream(seed, 0x706764, _rng.hash_sample_id(sid))

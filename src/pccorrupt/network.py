@@ -724,8 +724,8 @@ def save_checkpoint(
 def load_checkpoint(path):
     """Read a checkpoint; returns (state, metadata).
 
-    Malformed files, tensors holding NaN or infinity, and negative BN
-    variances raise ValueError.
+    Malformed files (class_names included), tensors holding NaN or infinity,
+    and negative BN variances raise ValueError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -747,6 +747,10 @@ def load_checkpoint(path):
     dims = (meta["n_classes"], meta["head_dim"], *meta["point_dims"])
     if not all(type(d) is int and d >= 1 for d in dims):
         raise ValueError("checkpoint n_classes, head_dim and point_dims must be ints >= 1")
+    names = meta.get("class_names")
+    if names is not None and not (type(names) is list and all(type(c) is str for c in names)
+                                  and len(set(names)) == len(names) == meta["n_classes"]):
+        raise ValueError("checkpoint class_names must be null or n_classes distinct strings")
     entries = meta["tensors"]
     if not all(isinstance(e, dict) and isinstance(e.get("name"), str) and "shape" in e
                for e in entries):

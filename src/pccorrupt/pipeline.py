@@ -107,8 +107,16 @@ def _cell_dir(kind: str, severity: int) -> Path:
     return Path(kind) / f"s{severity}"
 
 
+def _check_sample_id(sid: str, where: str) -> None:
+    # attack writes <out>/<sample_id>.ply, which must stay inside <out>
+    if sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+        raise DataError(f"{where}: sample_id {sid!r} is not a plain file name")
+
+
 def _sample_id(rel: Path) -> str:
-    return "_".join(rel.with_suffix("").parts)
+    sid = "_".join(rel.with_suffix("").parts)
+    _check_sample_id(sid, rel.as_posix())
+    return sid
 
 
 def _class_name(rel: Path) -> str:
@@ -195,6 +203,7 @@ def _check_sample(i: int, sample) -> None:
     where = f"manifest samples[{i}]"
     if not _has_strings(sample, ("sample_id", "class_name")):
         raise DataError(f"{where} needs a string sample_id and class_name")
+    _check_sample_id(sample["sample_id"], where)
     if not _has_strings(sample.get("clean"), ("path", "sha256")):
         raise DataError(f"{where}: clean needs a string path and sha256")
     corrupted = sample.get("corrupted")

@@ -158,14 +158,33 @@ def test_emd_matches_exhaustive_search(n):
 
 
 def test_emd_large_path_is_valid_and_not_worse_than_identity():
-    n = EXACT_ASSIGN_LIMIT + 20  # forces the approximate branch
     rng = np.random.default_rng(33)
-    a = PointCloud(rng.uniform(-1, 1, size=(n, 3)))
-    b = PointCloud(rng.uniform(-1, 1, size=(n, 3)))
-    perm = emd_assign(a, b)
-    assert sorted(perm.indices.tolist()) == list(range(n))
-    identity = Permutation(np.arange(n))
-    assert assignment_cost(a, b, perm) <= assignment_cost(a, b, identity) + 1e-12
+    for n in (EXACT_ASSIGN_LIMIT + 20, 1024):  # both split into blocks
+        a = PointCloud(rng.uniform(-1, 1, size=(n, 3)))
+        b = PointCloud(rng.uniform(-1, 1, size=(n, 3)))
+        perm = emd_assign(a, b)
+        assert sorted(perm.indices.tolist()) == list(range(n))
+        identity = Permutation(np.arange(n))
+        assert assignment_cost(a, b, perm) <= assignment_cost(a, b, identity) + 1e-12
+
+
+def test_emd_blocks_find_the_optimum_of_separated_clusters():
+    # eight clusters far apart along x: every median split falls between
+    # clusters, so each block holds one cluster of both clouds and the
+    # blocked matching is the optimum of the whole pair
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(34)
+    size = EXACT_ASSIGN_LIMIT
+    centres = np.repeat(np.arange(8) * 100.0, size)[:, None] * [1.0, 0.0, 0.0]
+    a = rng.normal(size=(8 * size, 3)) + centres
+    b = rng.normal(size=(8 * size, 3)) + centres
+    order_a, order_b = rng.permutation(8 * size), rng.permutation(8 * size)
+    a, b = a[order_a], b[order_b]
+    perm = emd_assign(PointCloud(a), PointCloud(b))
+    _rows, best = linear_sum_assignment(cdist(a, b, "sqeuclidean"))
+    assert np.array_equal(perm.indices, best)
 
 
 def test_permutation_validation():
@@ -255,7 +274,7 @@ def test_emd_cost_matrix_bits_equal_direct_subtraction():
 
 def test_golden_emd_assign_and_mixup():
     """Pin the matching and the lam=0.3 mixup points bit for bit on both
-    branches (n = 6 and 256 exact, 257 and 1,024 greedy): random pairs, pairs
+    paths (n = 6 and 128 exact, 129 and 1,024 blocked): random pairs, pairs
     with duplicated points so that costs tie, equal clouds and an offset copy."""
     import hashlib
 
@@ -275,7 +294,7 @@ def test_golden_emd_assign_and_mixup():
                 MixSpec(lam=0.3),
             )
             h.update(np.ascontiguousarray(out.cloud.points).tobytes())
-    assert h.hexdigest() == "874d79202bfd8610eabc0230bf25985367fe4f14e6b0b30344cffacb60ff7b20"
+    assert h.hexdigest() == "5055f2fbb4a20b2493654634e1782b9560eb8f0f66db8d2176b85206bd550545"
 
 
 # -- rsmix -----------------------------------------------------------------

@@ -728,6 +728,61 @@ def test_negative_variance_checkpoint_is_data_error(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "attack"])
+@pytest.mark.parametrize("names", [lambda names: [[1], *names[1:]], lambda names: "abc"],
+                         ids=["list_entry", "string"])
+def test_checkpoint_bad_class_names_is_data_error(workspace, tmp_path, capsys, command, names):
+    from pccorrupt import load_checkpoint, save_checkpoint
+
+    _, _, data, model = workspace
+    state, meta = load_checkpoint(model)
+    bad = tmp_path / "bad.tpn"
+    save_checkpoint(state, bad, class_names=names(meta["class_names"]))
+    out = tmp_path / "out"
+    code = main([command, str(bad), str(data / "manifest.json"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "class_names" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["eval", "--adapt", "none"], ["eval", "--adapt", "bn"],
+                                  ["attack"]])
+@pytest.mark.parametrize("edit, message", [
+    (lambda samples: [], "manifest lists no samples"),
+    (lambda samples: [*samples[:-1], {**samples[-1], "class_name": "nope"}],
+     "has class 'nope' unknown to the model"),
+], ids=["no_samples", "unknown_class"])
+def test_manifest_the_model_cannot_serve_is_data_error(workspace, tmp_path, capsys, argv,
+                                                      edit, message):
+    # refused before any cloud is read or any output is written
+    _, _, data, model = workspace
+    manifest = json.loads((data / "manifest.json").read_text())
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps({**manifest, "samples": edit(manifest["samples"])}))
+    out = tmp_path / "out"
+    code = main([argv[0], str(model), str(bad), "--out", str(out), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and message in err
+    assert not out.exists()
+
+
+def test_attack_sample_id_outside_out_is_data_error(workspace, tmp_path, capsys):
+    _, _, data, model = workspace
+    manifest = json.loads((data / "manifest.json").read_text())
+    for sample in manifest["samples"]:
+        sample["clean"]["path"] = str(data / sample["clean"]["path"])
+    manifest["samples"][0]["sample_id"] = "../../escaped"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    code = main(["attack", str(model), str(tmp_path / "manifest.json"),
+                 "--out", str(tmp_path / "a" / "b" / "adv"), "--steps", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "samples[0]" in err
+    assert not list(tmp_path.rglob("escaped.ply"))
+
+
 @pytest.mark.parametrize("adapt", [["bn", "--blend", "0.5"], ["tent"]])
 def test_eval_adapted_predictions_equal_adapt_then_predict(workspace, tmp_path, capsys, adapt):
     from pccorrupt import (PredictionRecord, bn_adapt, iter_cells, load_checkpoint,

@@ -650,6 +650,18 @@ def test_checkpoint_rejects_malformed_header_and_metadata(tmp_path, case):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("names", [[[1], "b", "c"], "abc", ["a", "b"], ["a", "b", "c", "d"],
+                                   ["a", "a", "b"], ["a", 2, "c"], {"a": 0}, []])
+def test_checkpoint_class_names_must_be_null_or_distinct_strings(tmp_path, names):
+    path = tmp_path / "model.tpn"
+    for good in (None, ["a", "b", "c"]):
+        save_checkpoint(_tiny_state(), path, class_names=good)
+        assert load_checkpoint(path)[1]["class_names"] == good
+    save_checkpoint(_tiny_state(), path, class_names=names)
+    with pytest.raises(ValueError, match="class_names"):
+        load_checkpoint(path)
+
+
 def _checkpoint_bytes():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "good.tpn"

@@ -380,6 +380,7 @@ _BAD_SAMPLES = [
     _with_sample(corrupted={"gaussian": {"9": _ENTRY}}),
     _with_sample(corrupted={"gaussian": {"1": {**_ENTRY, "sidecar": 3}}}),
     _with_sample(corrupted={"gaussian": {"1": "gaussian/s1/a.ply"}}),
+    *(_with_sample(sample_id=sid) for sid in ("", ".", "..", "../../escaped", "a/b", "a\\b")),
 ]
 
 
@@ -402,6 +403,20 @@ def test_manifest_malformed_is_data_error(payload):
 def test_manifest_sample_error_names_the_entry(payload):
     with pytest.raises(DataError, match=r"samples\[1\]"):
         DatasetManifest.from_json(json.dumps(payload))
+
+
+def test_gen_refuses_a_sample_id_that_is_not_a_file_name(tmp_path):
+    # "...ply" and "a\\b.ply" would give the ids ".." and "a\\b", which the
+    # manifest loader refuses; gen records them as failed samples instead
+    src = tmp_path / "src"
+    src.mkdir()
+    for name in ("...ply", "a\\b.ply", "good.ply"):
+        save_cloud(random_cloud(300, 1), src / name)
+    manifest = run_generate(RunConfig(src, tmp_path / "out", kinds=("gaussian",),
+                                      severities=(1,), point_budget=256))
+    assert manifest.sample_ids() == ["good"]
+    assert sorted(f["sample"] for f in manifest.failures) == ["...ply", "a\\b.ply"]
+    assert load_manifest(tmp_path / "out" / "manifest.json").sample_ids() == ["good"]
 
 
 # -- dataset access --------------------------------------------------------
