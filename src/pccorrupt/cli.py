@@ -256,9 +256,8 @@ def cmd_train(args) -> int:
     samples, class_names = pipeline.load_labeled_clean(manifest, root)
     state = network.NetworkState.create(len(class_names), seed=tconf.seed)
     log_event(event="train_start", samples=len(samples), classes=len(class_names))
-    trained, history = network.train(state, samples, tconf)
-    for row in history:
-        log_event(event="epoch", **row)
+    trained, history = network.train(state, samples, tconf,
+                                     on_epoch=lambda row: log_event(event="epoch", **row))
     digest = "sha256:" + hashlib.sha256(
         json.dumps(tconf.__dict__, sort_keys=True).encode()
     ).hexdigest()
@@ -280,8 +279,6 @@ def _model_and_manifest(args):
         raise DataError("model checkpoint carries no class names")
     index = {name: i for i, name in enumerate(class_names)}
     manifest = pipeline.load_manifest(args.manifest)
-    if not manifest.samples:
-        raise DataError("manifest lists no samples")
     for sample in manifest.samples:
         if sample["class_name"] not in index:
             raise DataError(f"sample {sample['sample_id']} has class "
@@ -343,14 +340,14 @@ def cmd_eval(args) -> int:
 def cmd_attack(args) -> int:
     state, index, manifest, root = _model_and_manifest(args)
     pgd = network.PgdConfig(epsilon=args.epsilon, alpha=args.alpha, steps=args.steps)
+    seed = _env_seed(0) if args.seed is None else args.seed
+    _, _, clean = next(pipeline.iter_cells(manifest, root))
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
-    seed = _env_seed(0) if args.seed is None else args.seed
     n_total = n_clean_ok = n_adv_ok = 0
-    for sample in manifest.samples:
-        sid, label = sample["sample_id"], index[sample["class_name"]]
+    for sid, cls, cloud in clean:
+        label = index[cls]
         start_s = time.perf_counter()
-        cloud = load_cloud(root / sample["clean"]["path"])
         rng = _rng.stream(seed, 0x706764, _rng.hash_sample_id(sid))
         adv = network.pgd_attack(state, cloud, label, pgd, rng)
         save_cloud(adv, out_root / f"{sid}.ply")

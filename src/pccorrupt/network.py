@@ -62,6 +62,7 @@ from __future__ import annotations
 import copy
 import json
 import struct
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -493,11 +494,14 @@ def train(
     train_set: list[LabeledCloud],
     config: TrainConfig,
     val_set: list[LabeledCloud] | None = None,
+    on_epoch=None,
 ):
     """Adam training with the plateau learning-rate rule and best-val snapshot.
 
     Returns (best_state, history); history holds one dict per epoch with
-    train_loss, val_loss, val_acc and the lr in force.
+    train_loss, val_loss, val_acc and the lr in force.  `on_epoch`, if
+    given, receives each epoch's row as it ends, with `s`, the epoch's
+    seconds, added.
     """
     if len(train_set) < config.batch_size:
         raise ValueError("dataset smaller than one batch")
@@ -519,6 +523,7 @@ def train(
     history = []
 
     for epoch in range(config.epochs):
+        start_s = time.perf_counter()
         order = rng.permutation(len(train_set))
         epoch_loss, n_seen = 0.0, 0
         for start in range(0, len(order), config.batch_size):
@@ -565,6 +570,8 @@ def train(
                 "lr": lr_now,
             }
         )
+        if on_epoch is not None:
+            on_epoch({**history[-1], "s": time.perf_counter() - start_s})
     return best_state, history
 
 

@@ -13,6 +13,10 @@ for a mesh, the normalized mesh) that gen and apply corrupt; apply
 --no-normalize takes a cloud through its subsample step alone.  sidecar_json
 is the one provenance record, for gen and apply alike: sample id, seed,
 kind, severity, params and table digest, which replay the cell exactly.
+
+DatasetManifest.cells() is the one reader of a sample's `clean` /
+`corrupted[kind][severity]` layout; verify, bench, train, eval and attack
+all take the manifest's clouds from it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _rng
+from . import _rng, metrics
 from ._version import __version__
 from .geometry import (
     PointCloud,
@@ -44,6 +48,7 @@ from .io_formats import (
     write_file,
     write_ply,
 )
+from .augmentation import LabeledCloud
 from .corruptions import apply_corruption
 from .severity import SEVERITIES, CorruptionKind, CorruptionSpec, MESH_KINDS, SeverityTable
 
@@ -187,6 +192,15 @@ class DatasetManifest:
             tool_version=raw.get("tool_version", "unknown"),
         )
 
+    def cells(self):
+        """(kind, severity, sample, entry) for every cloud the manifest names:
+        each sample's clean cloud as ("clean", 0), then its corrupted cells."""
+        for sample in self.samples:
+            yield "clean", 0, sample, sample["clean"]
+            for kind, by_sev in sample["corrupted"].items():
+                for sev, entry in by_sev.items():
+                    yield kind, int(sev), sample, entry
+
     def sample_ids(self) -> list[str]:
         return [s["sample_id"] for s in self.samples]
 
@@ -228,43 +242,53 @@ def load_manifest(path: str | Path) -> DatasetManifest:
 
 
 def verify_manifest(manifest: DatasetManifest, root: str | Path) -> list[str]:
-    """Existence + digest check for every file the manifest names, and a
-    check that each sidecar is a JSON object whose identifying fields agree
-    with the manifest."""
+    """Existence + digest check for every file the manifest names, a check
+    that each sidecar is a JSON object whose identifying fields agree with
+    the manifest, and one `unlisted file` problem per `unlisted_files` path."""
     root = Path(root)
     problems = []
-
-    def check(entry: dict, what: str):
+    for kind, sev, sample, entry in manifest.cells():
+        sid = sample["sample_id"]
+        what = f"{sid} clean" if kind == "clean" else f"{sid} {kind} s={sev}"
         path = root / entry["path"]
-        if not path.is_file():
+        if not os.path.isfile(path):
             problems.append(f"{what}: missing file {entry['path']}")
         elif _sha256(path.read_bytes()) != entry["sha256"]:
             problems.append(f"{what}: digest mismatch for {entry['path']}")
-
-    for sample in manifest.samples:
-        check(sample["clean"], f"{sample['sample_id']} clean")
-        for kind, by_sev in sample["corrupted"].items():
-            for sev, entry in by_sev.items():
-                what = f"{sample['sample_id']} {kind} s={sev}"
-                check(entry, what)
-                sidecar = root / entry["sidecar"]
-                if not sidecar.is_file():
-                    problems.append(f"{what}: missing sidecar")
-                    continue
-                try:
-                    record = json.loads(sidecar.read_bytes())
-                except ValueError:
-                    record = None
-                if not isinstance(record, dict):
-                    problems.append(f"{what}: sidecar {entry['sidecar']} is not a JSON object")
-                    continue
-                expected = {"sample_id": sample["sample_id"], "seed": manifest.seed,
-                            "kind": kind, "severity": int(sev),
-                            "table_digest": manifest.table_digest}
-                stale = sorted(k for k, v in expected.items() if record.get(k) != v)
-                if stale:
-                    problems.append(f"{what}: sidecar {entry['sidecar']} disagrees on {stale}")
+        if kind == "clean":
+            continue
+        sidecar = root / entry["sidecar"]
+        if not os.path.isfile(sidecar):
+            problems.append(f"{what}: missing sidecar")
+            continue
+        try:
+            record = json.loads(sidecar.read_bytes())
+        except ValueError:
+            record = None
+        if not isinstance(record, dict):
+            problems.append(f"{what}: sidecar {entry['sidecar']} is not a JSON object")
+            continue
+        expected = {"sample_id": sid, "seed": manifest.seed, "kind": kind, "severity": sev,
+                    "table_digest": manifest.table_digest}
+        stale = sorted(k for k, v in expected.items() if record.get(k) != v)
+        if stale:
+            problems.append(f"{what}: sidecar {entry['sidecar']} disagrees on {stale}")
+    problems += [f"unlisted file {rel}" for rel in unlisted_files(manifest, root)]
     return problems
+
+
+def unlisted_files(manifest: DatasetManifest, root: str | Path) -> list[str]:
+    """Sorted root-relative paths of the files under `clean/` or a
+    `<kind>/s<N>/` directory of `root` that no manifest entry names as its
+    path or sidecar, such as the cells of an earlier run's other kinds."""
+    root = Path(root)
+    named = {entry.get(key) for *_, entry in manifest.cells() for key in ("path", "sidecar")}
+    found = set()
+    for rel_dir in (Path("clean"), *(_cell_dir(k, s) for k in _KIND_NAMES for s in SEVERITIES)):
+        for top, _, files in os.walk(root / rel_dir):
+            rel_top = Path(top).relative_to(root).as_posix()  # not a Path per file: 4x slower
+            found.update(f"{rel_top}/{name}" for name in files)
+    return sorted(found - named)
 
 
 def prepare_sample(path: Path, point_budget: int, seed: int, sample_hash: int):
@@ -362,15 +386,17 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
             "directory contains point-cloud files"
         )
 
-    prepared = []
+    prepared = {}  # sample id -> (rel, sample_hash, mesh, cloud)
     failures = []
     for rel, _ in found:
         try:
             sid = _sample_id(rel)
+            if sid in prepared:
+                raise DataError(f"sample id {sid!r} is taken by {prepared[sid][0].as_posix()}")
             sample_hash = _rng.hash_sample_id(sid)
             mesh, cloud = prepare_sample(in_root / rel, config.point_budget, config.seed,
                                          sample_hash)
-            prepared.append((rel, sid, sample_hash, mesh, cloud))
+            prepared[sid] = (rel, sample_hash, mesh, cloud)
         except Exception as exc:  # noqa: BLE001 - per-sample isolation
             failures.append({"sample": rel.as_posix(), "stage": "load", "error": str(exc)})
             log({"event": "sample_failed", "sample": rel.as_posix(), "error": str(exc),
@@ -382,7 +408,7 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
         (out_root / rel_dir).mkdir(parents=True, exist_ok=True)
 
     samples: dict[str, dict] = {}
-    for rel, sid, sample_hash, mesh, cloud in prepared:
+    for sid, (rel, sample_hash, mesh, cloud) in prepared.items():
         rel_clean = Path("clean") / f"{sid}.ply"
         sha256 = _write_cloud(out_root / rel_clean, cloud)
         samples[sid] = {
@@ -400,7 +426,7 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
 
     tasks = [
         (sid, sample_hash, mesh, cloud, kind, severity)
-        for _, sid, sample_hash, mesh, cloud in prepared
+        for sid, (_, sample_hash, mesh, cloud) in prepared.items()
         for kind in config.kinds
         for severity in config.severities
     ]
@@ -440,6 +466,9 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
         failures=sorted(failures, key=lambda f: json.dumps(f, sort_keys=True)),
     )
     write_file(out_root / MANIFEST_NAME, manifest.to_json().encode())
+    n_unlisted = len(unlisted_files(manifest, out_root))
+    if n_unlisted:
+        log({"event": "unlisted_files", "count": n_unlisted})
     elapsed_s = time.perf_counter() - start_s
     log({
         "event": "manifest_written",
@@ -456,14 +485,7 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
 
 
 def expected_cells(manifest: DatasetManifest) -> set[tuple[str, int]]:
-    cells = set()
-    for sample in manifest.samples:
-        if sample["clean"]:
-            cells.add(("clean", 0))
-        for kind, by_sev in sample["corrupted"].items():
-            for sev in by_sev:
-                cells.add((kind, int(sev)))
-    return cells
+    return {(kind, sev) for kind, sev, _, _ in manifest.cells()}
 
 
 def run_benchmark(
@@ -471,11 +493,9 @@ def run_benchmark(
 ):
     """Cross-check predictions against a manifest and build the report.
 
-    Returns (report, coverage) where coverage lists the (kind, severity)
-    cells the manifest provides but the predictions never mention.
+    Returns (report, coverage) where coverage["missing_cells"] lists the
+    (kind, severity) cells the manifest provides but the predictions never mention.
     """
-    from . import metrics
-
     records = metrics.ingest_predictions(predictions_path)
     manifest = load_manifest(manifest_path)
     known_ids = set(manifest.sample_ids())
@@ -491,59 +511,32 @@ def run_benchmark(
     text = metrics.render_report(report, fmt)
     if report_path is not None:
         write_file(report_path, text.encode())
-    coverage = {
-        "missing_cells": [list(c) for c in missing],
-        "present_cells": sorted([list(c) for c in have]),
-    }
-    return report, coverage
+    return report, {"missing_cells": [list(c) for c in missing]}
 
 
 # ---------------------------------------------------------------------------
 # dataset access for train / eval / attack
 
 
-def load_labeled_clean(manifest: DatasetManifest, root, class_names=None):
-    """Clean clouds as (LabeledCloud list, class name list)."""
-    from .augmentation import LabeledCloud
-
-    root = Path(root)
-    names = list(class_names) if class_names else manifest.class_names()
+def load_labeled_clean(manifest: DatasetManifest, root):
+    """Clean clouds as (LabeledCloud list, sorted class name list)."""
+    names = manifest.class_names()
     index = {name: i for i, name in enumerate(names)}
-    out = []
-    for sample in manifest.samples:
-        cls = sample["class_name"]
-        if cls not in index:
-            raise DataError(f"sample {sample['sample_id']} has unknown class {cls!r}")
-        cloud = load_cloud(root / sample["clean"]["path"])
-        out.append(LabeledCloud.from_class(cloud, index[cls], len(names)))
-    return out, names
+    _, _, clean = next(iter_cells(manifest, root))
+    return [LabeledCloud.from_class(cloud, index[cls], len(names))
+            for _, cls, cloud in clean], names
 
 
 def iter_cells(manifest: DatasetManifest, root):
-    """Yield (corruption, severity, [(sample_id, class_name, cloud), ...])
-    for the clean cell and every corrupted cell in the manifest."""
+    """Yield (corruption, severity, [(sample_id, class_name, cloud), ...]) for
+    the clean cell, then each corrupted cell in sorted order, loading a cell's
+    clouds when it is yielded.  A manifest with no samples is a DataError."""
+    if not manifest.samples:
+        raise DataError("manifest lists no samples")
     root = Path(root)
-    clean = [
-        (s["sample_id"], s["class_name"], load_cloud(root / s["clean"]["path"]))
-        for s in manifest.samples
-    ]
-    yield "clean", 0, clean
-    kinds = sorted({k for s in manifest.samples for k in s["corrupted"]})
-    for kind in kinds:
-        severities = sorted(
-            {
-                int(sev)
-                for s in manifest.samples
-                for sev in s["corrupted"].get(kind, {})
-            }
-        )
-        for sev in severities:
-            batch = []
-            for s in manifest.samples:
-                entry = s["corrupted"].get(kind, {}).get(str(sev))
-                if entry is not None:
-                    batch.append(
-                        (s["sample_id"], s["class_name"], load_cloud(root / entry["path"]))
-                    )
-            if batch:
-                yield kind, sev, batch
+    cells: dict[tuple[str, int], list] = {}
+    for kind, sev, sample, entry in manifest.cells():
+        cells.setdefault((kind, sev), []).append(
+            (sample["sample_id"], sample["class_name"], root / entry["path"]))
+    for kind, sev in sorted(cells, key=lambda cell: (cell != ("clean", 0), cell)):
+        yield kind, sev, [(sid, cls, load_cloud(path)) for sid, cls, path in cells[kind, sev]]

@@ -179,6 +179,25 @@ def test_gen_failure_events_name_cell_and_exception_type(tmp_path, capsys):
     ]
 
 
+def test_gen_refuses_a_second_input_with_a_taken_sample_id(tmp_path, capsys):
+    # "a/b.ply" and a top-level "a_b.ply" both give the sample id "a_b"
+    src = tmp_path / "src"
+    (src / "a").mkdir(parents=True)
+    save_cloud(random_cloud(300, 1), src / "a" / "b.ply")
+    save_cloud(random_cloud(300, 2), src / "a_b.ply")
+    out = tmp_path / "out"
+    code = main(["gen", str(src), str(out), "--kinds", "gaussian", "--severities", "1",
+                 "--points", "256"])
+    events = _read_json_lines(capsys.readouterr().err)
+    assert code == 3
+    error = "sample id 'a_b' is taken by a/b.ply"
+    assert [(e["sample"], e["error"]) for e in events if e["event"] == "sample_failed"] == [
+        ("a_b.ply", error)]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [(s["sample_id"], s["source"]) for s in manifest["samples"]] == [("a_b", "a/b.ply")]
+    assert manifest["failures"] == [{"sample": "a_b.ply", "stage": "load", "error": error}]
+
+
 def test_gen_seed_env_and_flag_precedence(workspace, tmp_path, capsys, monkeypatch):
     _, src, _, _ = workspace
     args = ["--kinds", "shear", "--severities", "1", "--points", "64"]
@@ -476,6 +495,8 @@ def test_train_writes_checkpoint_and_logs(workspace, capsys):
     epochs = [e for e in events if e["event"] == "epoch"]
     assert len(epochs) == 1
     assert {"train_loss", "val_loss", "val_acc", "lr"} <= set(epochs[0])
+    seconds = float(epochs[0]["s"])
+    assert math.isfinite(seconds) and seconds > 0.0
     assert "val_acc=" in captured.out
 
     from pccorrupt import load_checkpoint
@@ -765,6 +786,21 @@ def test_manifest_the_model_cannot_serve_is_data_error(workspace, tmp_path, caps
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "attack"])
+def test_manifest_with_no_samples_is_data_error(workspace, tmp_path, capsys, command):
+    _, _, data, model = workspace
+    manifest = json.loads((data / "manifest.json").read_text())
+    empty = tmp_path / "manifest.json"
+    empty.write_text(json.dumps({**manifest, "samples": []}))
+    out = tmp_path / "out"
+    inputs = [str(empty)] if command == "train" else [str(model), str(empty)]
+    code = main([command, *inputs, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "manifest lists no samples" in err
     assert not out.exists()
 
 

@@ -277,3 +277,35 @@ def test_only_io_formats_writes_files():
         and (lines := _file_writes(ast.parse(path.read_text(), str(path))))
     }
     assert offenders == {}, "write files through io_formats.write_file"
+
+
+_LAYOUT_KEYS = {"clean", "corrupted"}
+
+
+def _layout_subscripts(tree: ast.AST) -> list[int]:
+    """Line numbers of subscripts by the constant "clean" or "corrupted"."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and node.slice.value in _LAYOUT_KEYS]
+
+
+def test_layout_scan_finds_subscripts():
+    source = """
+sample["clean"]["path"]
+s["corrupted"].items()
+x = {"clean": 1}
+report.clean
+row["cleaned"]
+"""
+    assert _layout_subscripts(ast.parse(source)) == [2, 3]
+
+
+def test_only_pipeline_reads_the_manifest_layout():
+    package = Path(io_formats.__file__).parent
+    offenders = {
+        path.name: lines
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "pipeline.py"
+        and (lines := _layout_subscripts(ast.parse(path.read_text(), str(path))))
+    }
+    assert offenders == {}, "walk a manifest through DatasetManifest.cells()"

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pccorrupt import (
     DataError,
@@ -304,6 +306,16 @@ def test_expected_cells(generated):
     assert ("cutout", 2) not in cells
 
 
+def test_cells_yields_each_sample_clean_then_corrupted(generated):
+    _, manifest = generated
+    cells = list(manifest.cells())
+    assert len(cells) == len(manifest.samples) * (1 + len(FAST_KINDS) * 2)
+    for sample in manifest.samples:
+        own = [(kind, sev) for kind, sev, owner, _ in cells if owner is sample]
+        assert own[0] == ("clean", 0)
+        assert sorted(own[1:]) == sorted((k, s) for k in FAST_KINDS for s in (1, 3))
+
+
 # -- manifest verification -------------------------------------------------
 
 
@@ -345,6 +357,30 @@ def test_verify_manifest_checks_sidecars(generated, tmp_path, content, problem):
     assert len(problems) == 1
     assert problems[0].startswith(f"{sample['sample_id']} cutout s=1: sidecar ")
     assert problems[0].endswith(problem)
+
+
+def test_rerun_with_fewer_kinds_reports_unlisted_files(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    for i in range(3):
+        save_cloud(random_cloud(300, i), src / f"c{i}.ply")
+    out = tmp_path / "out"
+    events = []
+
+    def generate(kinds):
+        return run_generate(RunConfig(src, out, kinds=kinds, severities=(1,),
+                                      point_budget=256), log=events.append)
+
+    assert verify_manifest(generate(("gaussian", "cutout")), out) == []
+    (out / "notes.txt").write_text("outside clean/ and the cell directories")
+    (out / "clean" / "extra.ply").write_bytes(b"user file")
+    manifest = generate(("gaussian",))
+    unlisted = ["clean/extra.ply",
+                *(f"cutout/s1/c{i}.{ext}" for i in range(3) for ext in ("json", "ply"))]
+    assert verify_manifest(manifest, out) == [f"unlisted file {p}" for p in unlisted]
+    assert [e for e in events if e["event"] == "unlisted_files"] == [
+        {"event": "unlisted_files", "count": len(unlisted)}]
+    assert all((out / p).is_file() for p in unlisted)  # reported, not deleted
 
 
 def test_manifest_version_guard():
@@ -403,6 +439,57 @@ def test_manifest_malformed_is_data_error(payload):
 def test_manifest_sample_error_names_the_entry(payload):
     with pytest.raises(DataError, match=r"samples\[1\]"):
         DatasetManifest.from_json(json.dumps(payload))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+# paths into a sample, each naming one field to replace, rename or drop
+_SAMPLE_FIELDS = [
+    ("sample_id",), ("class_name",), ("clean",), ("clean", "path"), ("clean", "sha256"),
+    ("corrupted",), ("corrupted", "gaussian"), ("corrupted", "gaussian", "1"),
+    *(("corrupted", "gaussian", "1", key) for key in ("path", "sidecar", "sha256")),
+]
+
+
+@st.composite
+def _mutated_manifests(draw):
+    """The good manifest with two good samples, one field of one of them changed."""
+    samples = json.loads(json.dumps([_GOOD_SAMPLE, _GOOD_SAMPLE]))
+    *parents, key = draw(st.sampled_from(_SAMPLE_FIELDS))
+    owner = samples[draw(st.integers(0, 1))]
+    for name in parents:
+        owner = owner[name]
+    value = owner.pop(key)
+    action = draw(st.sampled_from(["replace", "rename", "drop"]))
+    if action == "replace":  # a string is the right type for most fields
+        owner[key] = draw(st.text() | _JSON)
+    elif action == "rename":
+        owner[draw(st.sampled_from(["0", "5", "fog", "clean", "Gaussian"]) | st.text())] = value
+    return {**_GOOD_MANIFEST, "samples": samples}
+
+
+@pytest.fixture(scope="module")
+def empty_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("empty")
+
+
+@settings(max_examples=500, deadline=None)
+@example(payload={**_GOOD_MANIFEST, "samples": [  # a name too long for the file system
+    {**_GOOD_SAMPLE, "clean": {"path": "a" * 300, "sha256": "sha256:0"}}]})
+@given(payload=_JSON | _mutated_manifests()
+       | st.builds(lambda samples: {**_GOOD_MANIFEST, "samples": samples}, _JSON))
+def test_manifest_fuzz_loads_or_is_data_error(empty_dir, payload):
+    try:
+        manifest = DatasetManifest.from_json(json.dumps(payload))
+    except DataError:
+        return
+    cells = list(manifest.cells())
+    assert expected_cells(manifest) == {(kind, sev) for kind, sev, _, _ in cells}
+    problems = verify_manifest(manifest, empty_dir)
+    assert len(problems) == len(cells) + len(cells) - len(manifest.samples)
 
 
 def test_gen_refuses_a_sample_id_that_is_not_a_file_name(tmp_path):
