@@ -29,7 +29,7 @@ from typing import NamedTuple
 from . import _rng, metrics, network, pipeline
 from ._version import __version__
 from .augmentation import MIXERS
-from .io_formats import MESH_SUFFIXES, load_cloud, save_cloud, write_file
+from .io_formats import MESH_SUFFIXES, load_cloud, parse_json, save_cloud, write_file
 from .corruptions import apply_corruption
 from .occlusion import DegenerateViewError
 from .pipeline import MIN_POINT_BUDGET, DataError, RunConfig
@@ -107,7 +107,7 @@ def _options(flags: dict, path, options: dict, aliases: dict = {}) -> dict:
     """
     config = {}
     if path is not None:
-        config = json.loads(Path(path).read_text())
+        config = parse_json(Path(path).read_bytes(), f"config file {path}")
         if not isinstance(config, dict):
             raise DataError(f"config file {path} must hold a JSON object")
         accepted = sorted([*options, *aliases])
@@ -182,7 +182,7 @@ def _check_severity(value: int) -> int:
 def _load_table(path) -> SeverityTable:
     if path is None:
         return SeverityTable.default()
-    return SeverityTable.from_json(Path(path).read_text())
+    return SeverityTable.from_json(Path(path).read_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +366,17 @@ def cmd_attack(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    report, coverage = pipeline.run_benchmark(
+    report, missing = pipeline.run_benchmark(
         args.predictions, args.manifest, args.out, fmt=args.format
     )
-    for cell in coverage["missing_cells"]:
+    for cell in missing:
         log_event(event="missing_cell", corruption=cell[0], severity=cell[1])
     def pct(x):
         return "n/a" if x is None else f"{100 * x:.1f}%"
     print(
         f"ER_clean={pct(report.er_clean)}  ER_cor={pct(report.er_cor)}  "
         f"mER_cor={pct(report.mer_cor)}"
-        + (f"  ({len(coverage['missing_cells'])} cells missing)"
-           if coverage["missing_cells"] else "")
+        + (f"  ({len(missing)} cells missing)" if missing else "")
     )
     return 0
 

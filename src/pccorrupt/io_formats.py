@@ -6,10 +6,12 @@ triples; the point count is inferred from the file size.
 
 write_file is the one way pccorrupt writes a file: clouds, sidecars,
 manifests, reports, predictions and checkpoints all go through it.
+parse_json is the one way it parses JSON it reads.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -186,3 +188,15 @@ def write_file(path, data: bytes) -> None:
         os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
+
+
+def parse_json(data: str | bytes, what: str):
+    """The JSON value `data` holds; bytes are decoded as UTF-8.
+
+    Text that is not JSON, bytes that are not UTF-8 and nesting too deep
+    for the parser raise ValueError naming `what`.
+    """
+    try:
+        return json.loads(data.decode() if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None

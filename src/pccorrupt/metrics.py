@@ -1,8 +1,10 @@
-"""Benchmark bookkeeping: prediction records, error rates, reports.
+"""Benchmark bookkeeping: prediction records (a CSV read from a path),
+error rates, reports.
 
-All aggregation happens on integer counts; rates are computed once at the
-end in double precision.  That makes partial aggregation + merge give the
-same bits as one sequential pass, regardless of how records are split.
+Each (corruption, severity) cell keeps one tally, the number of records
+with each (true, pred) label pair.  Every count, rate and confusion matrix
+derives from it, rates once at the end in double precision, so partial
+aggregation + merge give the same bits as one sequential pass.
 
 Absent (corruption, severity) cells are tracked in a presence mask and
 excluded from every mean -- they are never imputed as zero.
@@ -58,22 +60,18 @@ class PredictionRecord:
         return self.true_label != self.pred_label
 
 
-def ingest_predictions(source) -> list[PredictionRecord]:
-    """Read and validate a prediction CSV.
+def ingest_predictions(path) -> list[PredictionRecord]:
+    """Read and validate the prediction CSV at `path`.
 
-    `source` may be a path, a CSV string, or any iterable of lines.  The
-    header must match sample_id,corruption,severity,true_label,pred_label
-    exactly; duplicated (sample_id, corruption, severity) keys are errors.
+    The file must be UTF-8 text.  The header must match
+    sample_id,corruption,severity,true_label,pred_label exactly;
+    duplicated (sample_id, corruption, severity) keys are errors.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    elif isinstance(source, str) and "\n" in source:
-        lines = source.splitlines()
-    elif isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", newline="") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = [str(l) for l in source]
+    with open(path, "rb") as fh:
+        try:
+            lines = fh.read().decode().splitlines()
+        except UnicodeDecodeError as exc:
+            raise PredictionFormatError(f"row 1: not UTF-8 text ({exc})") from None
     reader = csv.reader(lines)
     try:
         rows = list(reader)
@@ -125,38 +123,29 @@ def write_predictions(records, path) -> None:
 
 @dataclass
 class Cell:
-    """Integer tallies for one (corruption, severity) slot."""
+    """One (corruption, severity) slot: the record count of each (true, pred) pair."""
 
-    count: int = 0
-    wrong: int = 0
-    per_class: Counter = field(default_factory=Counter)        # class -> count
-    per_class_wrong: Counter = field(default_factory=Counter)  # class -> wrong
-    confusion: Counter = field(default_factory=Counter)        # (true, pred) -> count
+    confusion: Counter = field(default_factory=Counter)  # (true, pred) -> count
 
-    def add(self, record: PredictionRecord):
-        self.count += 1
-        self.per_class[record.true_label] += 1
-        self.confusion[(record.true_label, record.pred_label)] += 1
-        if record.wrong:
-            self.wrong += 1
-            self.per_class_wrong[record.true_label] += 1
+    @property
+    def count(self) -> int:
+        return self.confusion.total()
 
-    def merged(self, other: "Cell") -> "Cell":
-        return Cell(
-            self.count + other.count,
-            self.wrong + other.wrong,
-            self.per_class + other.per_class,
-            self.per_class_wrong + other.per_class_wrong,
-            self.confusion + other.confusion,
-        )
+    @property
+    def wrong(self) -> int:
+        return sum(n for (true, pred), n in self.confusion.items() if true != pred)
 
     def error_rate(self) -> float:
         return self.wrong / self.count
 
     def class_mean_error_rate(self) -> float:
-        rates = [
-            self.per_class_wrong.get(c, 0) / n for c, n in self.per_class.items() if n > 0
-        ]
+        """Mean of the per-class error rates, summed in the order each true
+        label first appears."""
+        count, wrong = Counter(), Counter()
+        for (true, pred), n in self.confusion.items():
+            count[true] += n
+            wrong[true] += n * (true != pred)
+        rates = [wrong[c] / n for c, n in count.items()]
         return sum(rates) / len(rates)
 
 
@@ -165,15 +154,13 @@ class CountTable:
     """Commutative-associative fold state over prediction records."""
 
     cells: dict = field(default_factory=dict)  # (corruption, severity) -> Cell
-    max_label: int = -1
 
     def add(self, record: PredictionRecord):
         key = (record.corruption, record.severity)
         cell = self.cells.get(key)
         if cell is None:
             cell = self.cells[key] = Cell()
-        cell.add(record)
-        self.max_label = max(self.max_label, record.true_label, record.pred_label)
+        cell.confusion[(record.true_label, record.pred_label)] += 1
 
 
 def count_records(records) -> CountTable:
@@ -184,14 +171,12 @@ def count_records(records) -> CountTable:
 
 
 def merge_tables(a: CountTable, b: CountTable) -> CountTable:
-    merged = CountTable(max_label=max(a.max_label, b.max_label))
-    for key in set(a.cells) | set(b.cells):
-        if key in a.cells and key in b.cells:
-            merged.cells[key] = a.cells[key].merged(b.cells[key])
-        else:
-            src = a.cells.get(key) or b.cells[key]
-            merged.cells[key] = src.merged(Cell())
-    return merged
+    """Cell by cell, the sum of both tables' confusion counts; a and b stay as they are."""
+    empty = Cell()
+    return CountTable({
+        key: Cell(a.cells.get(key, empty).confusion + b.cells.get(key, empty).confusion)
+        for key in set(a.cells) | set(b.cells)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +185,9 @@ def merge_tables(a: CountTable, b: CountTable) -> CountTable:
 
 def error_rate(records) -> float:
     """Share of wrong predictions among all records, whatever their cell."""
-    cell = Cell()
-    for r in records:
-        cell.add(r)
-    if not cell.count:
+    if not records:
         raise ValueError("cannot compute an error rate over zero records")
-    return cell.error_rate()
+    return sum(r.wrong for r in records) / len(records)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +213,14 @@ class MetricsReport:
     report_version: int = REPORT_VERSION
 
 
-def _scope_confusion(cells: dict, keys, n_classes: int):
-    """C x C count matrix, as nested lists, pooled over the given cells."""
-    pooled = Counter()
-    for key in keys:
-        pooled += cells[key].confusion
-    if not pooled:
+def _scope_confusion(cells: list, n_classes: int):
+    """C x C count matrix, as nested lists, pooled over `cells`; None for no cells."""
+    if not cells:
         return None
     matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for (i, j), n in pooled.items():
-        matrix[i, j] += n
+    for cell in cells:
+        for (i, j), n in cell.confusion.items():
+            matrix[i, j] += n
     return matrix.tolist()
 
 
@@ -248,14 +228,11 @@ def report_from_table(table: CountTable, n_classes: int | None = None) -> Metric
     if not table.cells:
         raise ValueError("no records counted")
     if n_classes is None:
-        n_classes = table.max_label + 1
+        n_classes = 1 + max(max(pair) for cell in table.cells.values() for pair in cell.confusion)
 
     cells_out: dict = {}
     for (corruption, severity), cell in sorted(table.cells.items()):
-        cells_out.setdefault(corruption, {})[severity] = {
-            "count": cell.count,
-            "wrong": cell.wrong,
-        }
+        cells_out.setdefault(corruption, {})[severity] = {"count": cell.count, "wrong": cell.wrong}
 
     clean_cell = table.cells.get((CLEAN, 0))
     er_clean = clean_cell.error_rate() if clean_cell else None
@@ -280,15 +257,11 @@ def report_from_table(table: CountTable, n_classes: int | None = None) -> Metric
     else:
         er_cor = mer_cor = sum_er_cor = None
 
-    corrupted_keys = [k for k in table.cells if k[0] != CLEAN]
+    corrupted = [cell for (corruption, _), cell in table.cells.items() if corruption != CLEAN]
     confusion_counts = {
-        "clean": _scope_confusion(table.cells, [(CLEAN, 0)], n_classes)
-        if clean_cell
-        else None,
-        "corrupted": _scope_confusion(table.cells, corrupted_keys, n_classes)
-        if corrupted_keys
-        else None,
-        "all": _scope_confusion(table.cells, list(table.cells), n_classes),
+        "clean": _scope_confusion([clean_cell] if clean_cell else [], n_classes),
+        "corrupted": _scope_confusion(corrupted, n_classes),
+        "all": _scope_confusion(list(table.cells.values()), n_classes),
     }
 
     return MetricsReport(

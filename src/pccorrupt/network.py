@@ -70,7 +70,7 @@ import numpy as np
 from . import _rng
 from .augmentation import LabeledCloud, MixSpec, apply_mix
 from .geometry import PointCloud
-from .io_formats import write_file
+from .io_formats import parse_json, write_file
 
 # small eps keeps the normalized batch variance within ~eps/sigma^2 of 1
 # even for low-variance features; float64 tolerates the wide dynamic range
@@ -741,10 +741,7 @@ def load_checkpoint(path):
     if len(data) < 8:
         raise ValueError("checkpoint truncated inside its 8-byte header")
     (meta_len,) = struct.unpack("<I", data[4:8])
-    try:
-        meta = json.loads(data[8 : 8 + meta_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"corrupt checkpoint metadata: {exc}") from None
+    meta = parse_json(data[8 : 8 + meta_len], "checkpoint metadata")
     if not isinstance(meta, dict):
         raise ValueError("checkpoint metadata is not a JSON object")
     for key, kind in (("n_classes", int), ("head_dim", int), ("point_dims", list),

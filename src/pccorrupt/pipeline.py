@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -45,6 +46,7 @@ from .io_formats import (
     MESH_SUFFIXES,
     load_cloud,
     load_mesh,
+    parse_json,
     write_file,
     write_ply,
 )
@@ -167,8 +169,8 @@ class DatasetManifest:
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "DatasetManifest":
-        raw = json.loads(text)
+    def from_json(cls, data: str | bytes) -> "DatasetManifest":
+        raw = parse_json(data, "manifest")
         if not isinstance(raw, dict):
             raise DataError("a manifest must be a JSON object")
         if raw.get("manifest_version") != MANIFEST_VERSION:
@@ -238,7 +240,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"manifest not found: {path}")
-    return DatasetManifest.from_json(path.read_text())
+    return DatasetManifest.from_json(path.read_bytes())
 
 
 def verify_manifest(manifest: DatasetManifest, root: str | Path) -> list[str]:
@@ -262,7 +264,7 @@ def verify_manifest(manifest: DatasetManifest, root: str | Path) -> list[str]:
             problems.append(f"{what}: missing sidecar")
             continue
         try:
-            record = json.loads(sidecar.read_bytes())
+            record = parse_json(sidecar.read_bytes(), entry["sidecar"])
         except ValueError:
             record = None
         if not isinstance(record, dict):
@@ -433,14 +435,16 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
 
     def run_task(task):
         sid, sample_hash, mesh, cloud, kind, severity = task
+        task_start_s = time.perf_counter()
         try:
             entry = _corrupt_task(
                 out_root, sid, sample_hash, mesh, cloud, kind, severity, config, table,
                 table_digest,
             )
-            return sid, kind, severity, entry, None
+            error = None
         except Exception as exc:  # noqa: BLE001 - per-task isolation
-            return sid, kind, severity, None, exc
+            entry, error = None, exc
+        return sid, kind, severity, entry, error, (time.perf_counter() - task_start_s) * 1e3
 
     workers = min(config.workers, _usable_cpus())
     if workers < config.workers:
@@ -448,7 +452,9 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run_task, tasks))
 
-    for sid, kind, severity, entry, error in results:
+    kind_ms: dict[str, list[float]] = {}
+    for sid, kind, severity, entry, error, ms in results:
+        kind_ms.setdefault(kind, []).append(ms)
         if error is not None:
             failures.append(
                 {"sample": sid, "kind": kind, "severity": severity, "error": str(error)}
@@ -477,6 +483,9 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
         "ms": elapsed_s * 1e3,
         "cells_per_s": len(tasks) / elapsed_s,
     })
+    for kind, ms in kind_ms.items():
+        log({"event": "kind_timing", "kind": kind, "count": len(ms), "ms": sum(ms),
+             "p50_ms": statistics.median(ms), "max_ms": max(ms)})
     return manifest
 
 
@@ -493,8 +502,8 @@ def run_benchmark(
 ):
     """Cross-check predictions against a manifest and build the report.
 
-    Returns (report, coverage) where coverage["missing_cells"] lists the
-    (kind, severity) cells the manifest provides but the predictions never mention.
+    Returns (report, missing): `missing` lists, sorted, the [kind, severity]
+    cells the manifest provides but the predictions never mention.
     """
     records = metrics.ingest_predictions(predictions_path)
     manifest = load_manifest(manifest_path)
@@ -511,7 +520,7 @@ def run_benchmark(
     text = metrics.render_report(report, fmt)
     if report_path is not None:
         write_file(report_path, text.encode())
-    return report, {"missing_cells": [list(c) for c in missing]}
+    return report, [list(c) for c in missing]
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+
+from .io_formats import parse_json
 
 SEVERITIES = (1, 2, 3, 4, 5)
 
@@ -117,7 +119,8 @@ def _misfit(kind: CorruptionKind, name: str, value) -> str | None:
     elif (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
-        or not math.isfinite(value)
+        # compared, not converted: an int past the float range fails instead of overflowing
+        or not -sys.float_info.max <= value <= sys.float_info.max
     ):
         return "a finite number"
     return None
@@ -177,8 +180,8 @@ class SeverityTable:
         return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
     @classmethod
-    def from_json(cls, text: str) -> "SeverityTable":
-        return cls(json.loads(text))
+    def from_json(cls, data: str | bytes) -> "SeverityTable":
+        return cls(parse_json(data, "severity table"))
 
     @classmethod
     def default(cls) -> "SeverityTable":

@@ -53,20 +53,26 @@ def _read_json_lines(text):
 def test_gen_summary_and_logs(workspace, capsys, tmp_path):
     _, src, _, _ = workspace
     out = tmp_path / "d2"
-    code = main(["gen", str(src), str(out), "--kinds", "shear",
-                 "--severities", "2", "--points", "64"])
+    argv = ["gen", str(src), str(out), "--kinds", "shear,gaussian",
+            "--severities", "2,3", "--points", "64"]
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 0
     assert "4 samples" in captured.out
     events = _read_json_lines(captured.err)
-    written = [e for e in events if e["event"] == "manifest_written"]
-    assert len(written) == 1
-    timings = [written[0]["ms"], written[0]["cells_per_s"]]
+    assert events[-3]["event"] == "manifest_written"
+    written = events[-3]
+    timings = [written["ms"], written["cells_per_s"]]
+    # one kind_timing event per kind, after manifest_written: 4 samples x 2 severities
+    by_kind = events[-2:]
+    assert [(e["event"], e["kind"], e["count"]) for e in by_kind] == [
+        ("kind_timing", "shear", 8), ("kind_timing", "gaussian", 8)]
+    timings += [e[f] for e in by_kind for f in ("ms", "p50_ms", "max_ms")]
     assert all(type(t) is float and 0.0 < t < math.inf for t in timings), timings
+    assert all(e["p50_ms"] <= e["max_ms"] <= e["ms"] for e in by_kind)
     # the timings stay in the log: a rerun writes the same manifest bytes
     first = (out / "manifest.json").read_bytes()
-    assert main(["gen", str(src), str(out), "--kinds", "shear",
-                 "--severities", "2", "--points", "64"]) == 0
+    assert main(argv) == 0
     capsys.readouterr()
     assert (out / "manifest.json").read_bytes() == first
 
@@ -966,8 +972,34 @@ def test_eval_byte_flipped_checkpoint_is_data_error(workspace, tmp_path, capsys)
                  "--out", str(tmp_path / "p.csv")])
     err = capsys.readouterr().err
     assert code == 2
-    assert "Traceback" not in err and "corrupt checkpoint metadata" in err
+    assert "Traceback" not in err and "checkpoint metadata is not valid JSON" in err
     assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "gen_config", "gen_table", "apply_table", "eval"])
+def test_deeply_nested_json_is_data_error(workspace, tmp_path, capsys, command):
+    from pccorrupt.network import CHECKPOINT_MAGIC
+
+    _, src, data, _ = workspace
+    nested = b"[" * 100_000 + b"]" * 100_000
+    bad = tmp_path / "nested.json"
+    bad.write_bytes(nested)
+    checkpoint = tmp_path / "nested.tpn"
+    checkpoint.write_bytes(CHECKPOINT_MAGIC + struct.pack("<I", len(nested)) + nested)
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", str(bad), "--out", str(out)],
+        "gen_config": ["gen", str(src), str(out), "--config", str(bad)],
+        "gen_table": ["gen", str(src), str(out), "--table", str(bad)],
+        "apply_table": ["apply", str(next(src.rglob("*.off"))), str(out), "--kind", "shear",
+                        "--table", str(bad)],
+        "eval": ["eval", str(checkpoint), str(data / "manifest.json"), "--out", str(out)],
+    }[command]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "is not valid JSON" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["gen", "apply", "train", "eval", "attack", "bench", "export"])

@@ -309,3 +309,41 @@ def test_only_pipeline_reads_the_manifest_layout():
         and (lines := _layout_subscripts(ast.parse(path.read_text(), str(path))))
     }
     assert offenders == {}, "walk a manifest through DatasetManifest.cells()"
+
+
+def _json_parses(tree: ast.AST) -> list[int]:
+    """Line numbers of calls to json.loads or json.load."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("loads", "load")
+            and getattr(node.func.value, "id", None) == "json"]
+
+
+def test_json_parse_scan_finds_calls():
+    source = """
+json.loads(text)
+x = json.load(fh)
+json.dumps(value)
+pickle.loads(blob)
+parse_json(data, "what")
+"""
+    assert _json_parses(ast.parse(source)) == [2, 3]
+
+
+def test_only_io_formats_parses_json():
+    package = Path(io_formats.__file__).parent
+    offenders = {
+        path.name: lines
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "io_formats.py"
+        and (lines := _json_parses(ast.parse(path.read_text(), str(path))))
+    }
+    assert offenders == {}, "parse JSON through io_formats.parse_json"
+
+
+@pytest.mark.parametrize("data", [
+    b"[" * 100_000 + b"]" * 100_000, "{not json", b"\xff{}", "9" * 5000,
+])
+def test_parse_json_failures_are_value_errors_naming_the_input(data):
+    with pytest.raises(ValueError, match="^the input is not valid JSON: "):
+        io_formats.parse_json(data, "the input")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pccorrupt import (
     CountTable,
@@ -18,6 +20,8 @@ from pccorrupt import (
     report_to_json,
     write_predictions,
 )
+from pccorrupt.cli import main
+from pccorrupt.metrics import CSV_HEADER
 
 KINDS_15 = [
     "occlusion", "lidar", "local_density_inc", "local_density_dec", "cutout",
@@ -69,18 +73,18 @@ def test_record_validation():
     assert not _rec("a", "gaussian", 1, 2, 2).wrong
 
 
-def test_ingest_from_string_path_and_lines(tmp_path):
-    from_string = ingest_predictions(GOOD_CSV)
-    assert len(from_string) == 3
-    assert from_string[1].corruption == "gaussian"
-
+def _csv_file(tmp_path, body: str):
     path = tmp_path / "preds.csv"
-    path.write_text(GOOD_CSV)
-    assert ingest_predictions(path) == from_string
-    assert ingest_predictions(str(path)) == from_string
-    assert ingest_predictions(GOOD_CSV.splitlines()) == from_string
-    with open(path) as fh:
-        assert ingest_predictions(fh) == from_string
+    path.write_text(body)
+    return path
+
+
+def test_ingest_from_path_or_string_path(tmp_path):
+    path = _csv_file(tmp_path, GOOD_CSV)
+    records = ingest_predictions(path)
+    assert len(records) == 3
+    assert records[1].corruption == "gaussian"
+    assert ingest_predictions(str(path)) == records
 
 
 @pytest.mark.parametrize(
@@ -99,24 +103,66 @@ def test_ingest_from_string_path_and_lines(tmp_path):
         ),
     ],
 )
-def test_ingest_rejects_bad_rows(body, row, fragment):
+def test_ingest_rejects_bad_rows(tmp_path, body, row, fragment):
     with pytest.raises(PredictionFormatError) as err:
-        ingest_predictions(body)
+        ingest_predictions(_csv_file(tmp_path, body))
     message = str(err.value)
     assert f"row {row}" in message
     assert fragment in message
 
 
-def test_ingest_oversized_field_names_the_row():
+def test_ingest_oversized_field_names_the_row(tmp_path):
     body = ("sample_id,corruption,severity,true_label,pred_label\n"
             "a,gaussian,1,0,0\n" + "b" * 131_073 + ",gaussian,1,0,0\n")
     with pytest.raises(PredictionFormatError, match="row 3: field larger"):
-        ingest_predictions(body)
+        ingest_predictions(_csv_file(tmp_path, body))
 
 
-def test_ingest_empty_file():
+def test_ingest_empty_file(tmp_path):
     with pytest.raises(PredictionFormatError):
-        ingest_predictions(iter([]))
+        ingest_predictions(_csv_file(tmp_path, ""))
+
+
+_CSV_FIELD = (st.sampled_from(["clean", "gaussian", "fog", "0", "1", "5", "6", "-1", " 2 ", ""])
+              | st.integers().map(str) | st.text(max_size=5))
+_CSV_TEXT = st.lists(st.lists(_CSV_FIELD, max_size=6).map(",".join), max_size=4).map(
+    lambda rows: "\n".join([",".join(CSV_HEADER), *rows]))
+_CSV_BYTES = (st.binary(max_size=64) | _CSV_TEXT.map(str.encode)
+              | st.tuples(_CSV_TEXT, st.binary(min_size=1, max_size=2)).map(
+                  lambda parts: parts[0].encode() + parts[1]))
+
+
+def _is_utf8(data: bytes) -> bool:
+    try:
+        data.decode()
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def test_ingest_fuzz_records_or_format_error(tmp_path, capsys):
+    """Any file gives records or a PredictionFormatError naming a row (row 1
+    for bytes that are not UTF-8), and `bench` on a rejected file exits 2."""
+    path = tmp_path / "preds.csv"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CSV_BYTES)
+    def check(data):
+        path.write_bytes(data)
+        try:
+            records = ingest_predictions(path)
+        except PredictionFormatError as exc:
+            assert str(exc).startswith("row 1: " if not _is_utf8(data) else "row ")
+            code = main(["bench", str(path), str(tmp_path / "m.json"),
+                         "--out", str(tmp_path / "r.json")])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert f"error: {exc}" in err and "Traceback" not in err
+            return
+        assert _is_utf8(data)
+        assert all(isinstance(r, PredictionRecord) for r in records)
+
+    check()
 
 
 def test_write_then_ingest_round_trip(tmp_path):
@@ -193,7 +239,6 @@ def test_merge_tables_matches_joint_count():
         for key, cell in joint.cells.items():
             assert merged.cells[key].count == cell.count
             assert merged.cells[key].wrong == cell.wrong
-            assert merged.cells[key].per_class == cell.per_class
             assert merged.cells[key].confusion == cell.confusion
 
 

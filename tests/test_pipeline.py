@@ -343,6 +343,7 @@ def test_verify_manifest_detects_tampering(generated, tmp_path):
     (b"{not json", "is not a JSON object"),
     (b"\xff\xfe", "is not a JSON object"),
     (b"[1, 2]", "is not a JSON object"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "is not a JSON object", id="deeply-nested"),
 ])
 def test_verify_manifest_checks_sidecars(generated, tmp_path, content, problem):
     import shutil
@@ -553,8 +554,8 @@ def test_run_benchmark_report_and_coverage(generated, tmp_path):
     out, manifest = generated
     preds = _write_outputs(manifest, tmp_path)
     report_path = tmp_path / "report.json"
-    report, coverage = run_benchmark(preds, out / "manifest.json", report_path, "json")
-    assert coverage["missing_cells"] == []
+    report, missing = run_benchmark(preds, out / "manifest.json", report_path, "json")
+    assert missing == []
     assert report.er_clean == 0.0
     assert report.er_cor is not None
     assert report_path.is_file()
@@ -567,8 +568,8 @@ def test_run_benchmark_flags_missing_cells(generated, tmp_path):
     records = [PredictionRecord(s["sample_id"], "clean", 0, 0, 0) for s in manifest.samples]
     path = tmp_path / "partial.csv"
     write_predictions(records, path)
-    report, coverage = run_benchmark(path, out / "manifest.json")
-    assert ["cutout", 1] in coverage["missing_cells"]
+    report, missing = run_benchmark(path, out / "manifest.json")
+    assert ["cutout", 1] in missing
     assert report.er_cor is None
 
 

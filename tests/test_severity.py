@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pccorrupt import (
     CorruptionKind,
@@ -10,6 +12,7 @@ from pccorrupt import (
     MESH_KINDS,
     SeverityTable,
 )
+from pccorrupt.cli import main
 
 
 def test_fifteen_kinds_in_three_families():
@@ -132,6 +135,7 @@ def _cutout(**changes):
         {"impulse": [{"count_div": 0, "count_mul": s, "magnitude": 0.05}
                      for s in range(1, 6)]},              # divisor below 1
         [1, 2, 3],                                        # not an object
+        {"uniform": [{"scale": 10**400}] * 5},            # an int past the float range
     ],
 )
 def test_override_checked_against_registry(override):
@@ -142,6 +146,42 @@ def test_override_checked_against_registry(override):
 def test_override_accepts_int_for_float_parameter():
     table = SeverityTable({"uniform": [{"scale": s} for s in range(1, 6)]})
     assert table.params(CorruptionKind.UNIFORM, 2) == {"scale": 2}
+
+
+_NAMES = sorted({*(k.value for k in CorruptionKind), "fog"})
+_PARAMS = sorted({name for k in CorruptionKind for name in k.params} | {"x"})
+_SCALAR = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**1023)
+           | st.floats() | st.text(max_size=4))
+_RECORD = st.dictionaries(st.sampled_from(_PARAMS), _SCALAR, max_size=3)
+_TABLE = st.dictionaries(st.sampled_from(_NAMES),
+                         st.lists(_RECORD | _SCALAR, min_size=4, max_size=6) | _SCALAR,
+                         max_size=2)
+_JSON = _TABLE | st.recursive(_SCALAR, lambda inner: st.lists(inner, max_size=3)
+                              | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                              max_leaves=6)
+
+
+def test_table_fuzz_loads_or_is_value_error(tmp_path, capsys):
+    """Any JSON value or byte string gives a table or a ValueError, and
+    `apply --table` on a rejected one exits 2 with that error."""
+    path = tmp_path / "t.json"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON.map(lambda value: json.dumps(value).encode()) | st.binary(max_size=16))
+    def check(data):
+        path.write_bytes(data)
+        try:
+            table = SeverityTable.from_json(data)
+        except ValueError as exc:
+            code = main(["apply", str(tmp_path / "in.ply"), str(tmp_path / "out.ply"),
+                         "--kind", "cutout", "--table", str(path)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert f"error: {exc}" in err and "Traceback" not in err
+            return
+        assert isinstance(table, SeverityTable)
+
+    check()
 
 
 def test_json_round_trip_and_digest():
