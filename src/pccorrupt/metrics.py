@@ -227,8 +227,11 @@ def _scope_confusion(cells: list, n_classes: int):
 def report_from_table(table: CountTable, n_classes: int | None = None) -> MetricsReport:
     if not table.cells:
         raise ValueError("no records counted")
+    largest = max(max(pair) for cell in table.cells.values() for pair in cell.confusion)
     if n_classes is None:
-        n_classes = 1 + max(max(pair) for cell in table.cells.values() for pair in cell.confusion)
+        n_classes = 1 + largest
+    elif largest >= n_classes:
+        raise ValueError(f"label {largest} counted, but n_classes is {n_classes}")
 
     cells_out: dict = {}
     for (corruption, severity), cell in sorted(table.cells.items()):

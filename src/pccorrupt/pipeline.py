@@ -21,12 +21,14 @@ all take the manifest's clouds from it.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,6 +99,39 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@contextmanager
+def _openblas_capped(cap: int, log):
+    """Lower every loaded OpenBLAS to at most `cap` threads; restore on exit.
+
+    openblas_set_num_threads_local returns the previous count and is
+    process-wide in the bundled builds, so the caller wraps its whole worker
+    pool from its own thread.  Setting 1 first reads a count without ever
+    raising it.  A `blas_threads` event says when a count was lowered, or
+    that no OpenBLAS was found (another BLAS, or no /proc/self/maps).
+    """
+    maps = Path("/proc/self/maps")
+    lines = maps.read_text().splitlines() if maps.exists() else []
+    setters = {}  # by address: one library can be mapped from more than one path
+    for path in sorted({line.split()[-1] for line in lines if "openblas" in line}):
+        try:
+            fn = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):  # a deleted file, a path with spaces, an old build
+            continue
+        fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+        setters.setdefault(ctypes.cast(fn, ctypes.c_void_p).value, fn)
+    before = [fn(1) for fn in setters.values()]
+    try:
+        for fn, count in zip(setters.values(), before):
+            fn(min(count, cap))
+        if not before or max(before) > cap:
+            log({"event": "blas_threads", "libraries": len(before), "before": before,
+                 "used": cap})
+        yield
+    finally:
+        for fn, count in zip(setters.values(), before):
+            fn(count)
 
 
 def _sha256(data: bytes) -> str:
@@ -446,11 +481,14 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
             entry, error = None, exc
         return sid, kind, severity, entry, error, (time.perf_counter() - task_start_s) * 1e3
 
-    workers = min(config.workers, _usable_cpus())
+    cpus = _usable_cpus()
+    workers = min(config.workers, cpus)
     if workers < config.workers:
         log({"event": "workers_capped", "requested": config.workers, "used": workers})
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run_task, tasks))
+    # Uncapped, each worker's BLAS calls would wake helpers on every core.
+    with _openblas_capped(max(1, cpus // workers), log) if workers > 1 else nullcontext():
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_task, tasks))
 
     kind_ms: dict[str, list[float]] = {}
     for sid, kind, severity, entry, error, ms in results:

@@ -272,6 +272,15 @@ def test_confusion_counts_and_rows():
     assert scopes["corrupted"] == [[0, 0], [1, 0]]
 
 
+@pytest.mark.parametrize("true,pred", [(0, 5), (5, 1), (2, 2)])
+def test_explicit_n_classes_below_a_counted_label_is_a_value_error(true, pred):
+    records = [_rec("a", "clean", 0, true, pred), _rec("b", "gaussian", 1, 0, 1)]
+    largest = max(true, pred)
+    with pytest.raises(ValueError, match=f"label {largest} counted, but n_classes is 2"):
+        aggregate(records, n_classes=2)
+    assert aggregate(records, n_classes=largest + 1).n_classes == largest + 1
+
+
 # -- aggregation -----------------------------------------------------------
 
 

@@ -230,6 +230,112 @@ def test_generate_worker_threads_capped_at_usable_cpus(
         assert capped == []
 
 
+def _openblas_libraries():
+    """Every OpenBLAS this process has loaded, as (getter, setter) pairs."""
+    import ctypes
+
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        getters = [getattr(lib, name) for name in (
+            "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_", "openblas_get_num_threads",
+        ) if hasattr(lib, name)]
+        set_count = lib.openblas_set_num_threads_local
+        getters[0].argtypes, getters[0].restype = [], ctypes.c_int
+        set_count.argtypes, set_count.restype = [ctypes.c_int], ctypes.c_int
+        found.append((getters[0], set_count))
+    assert found, "no OpenBLAS loaded; the gen BLAS cap would be a no-op"
+    return found
+
+
+@pytest.fixture
+def openblas_at_two_threads():
+    """Every loaded OpenBLAS at 2 threads for the test, whatever the environment set."""
+    libs = _openblas_libraries()
+    previous = [set_count(2) for _, set_count in libs]
+    yield lambda: [get_count() for get_count, _ in libs]
+    for (_, set_count), count in zip(libs, previous):
+        set_count(count)
+
+
+class _Abort(BaseException):
+    """Escapes run_generate's per-task isolation, so it unwinds the worker pool."""
+
+
+@pytest.mark.parametrize("tasks", ["succeed", "fail", "abort"])
+def test_generate_caps_openblas_while_the_pool_runs_then_restores_it(
+    mesh_dataset, tmp_path, monkeypatch, openblas_at_two_threads, tasks
+):
+    from pccorrupt import pipeline
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    before = openblas_at_two_threads()
+    inside = []
+    apply = pipeline.apply_corruption
+
+    def observing_apply(*args, **kwargs):
+        # read from the worker thread: the cap is set from the main thread
+        inside.append(openblas_at_two_threads())
+        if tasks == "fail":
+            raise RuntimeError("task failed")
+        if tasks == "abort":
+            raise _Abort
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "apply_corruption", observing_apply)
+    events = []
+    config = RunConfig(input_dir=mesh_dataset, output_dir=tmp_path, kinds=FAST_KINDS,
+                       severities=(1,), point_budget=64, workers=2)
+    if tasks == "abort":
+        with pytest.raises(_Abort):
+            run_generate(config, log=events.append)
+    else:
+        manifest = run_generate(config, log=events.append)
+        assert len(manifest.failures) == (4 * len(FAST_KINDS) if tasks == "fail" else 0)
+        assert len(inside) == 4 * len(FAST_KINDS)
+    assert inside and all(counts == [1] * len(before) for counts in inside)
+    assert openblas_at_two_threads() == before == [2] * len(before)
+    assert [e for e in events if e["event"] == "blas_threads"] == [
+        {"event": "blas_threads", "libraries": len(before), "before": before, "used": 1}
+    ]
+
+
+def test_generate_logs_a_blas_cap_that_found_no_openblas(mesh_dataset, tmp_path, monkeypatch):
+    import ctypes
+
+    from pccorrupt import pipeline
+
+    def no_library(path, *args, **kwargs):
+        raise OSError(f"{path}: not loadable")
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    events = []
+    run_generate(RunConfig(input_dir=mesh_dataset, output_dir=tmp_path, kinds=("gaussian",),
+                           severities=(1,), point_budget=64, workers=2),
+                 log=events.append)
+    assert [e for e in events if e["event"] == "blas_threads"] == [
+        {"event": "blas_threads", "libraries": 0, "before": [], "used": 1}
+    ]
+
+
+def test_generate_with_one_worker_leaves_openblas_alone(mesh_dataset, tmp_path, monkeypatch):
+    from pccorrupt import pipeline
+
+    def untouchable(cap, log):
+        raise AssertionError("one worker must not touch the BLAS thread count")
+
+    monkeypatch.setattr(pipeline, "_openblas_capped", untouchable)
+    events = []
+    run_generate(RunConfig(input_dir=mesh_dataset, output_dir=tmp_path, kinds=("gaussian",),
+                           severities=(1,), point_budget=64, workers=1),
+                 log=events.append)
+    assert not [e for e in events if e["event"] == "blas_threads"]
+
+
 def test_generate_digests_the_table_once(mesh_dataset, tmp_path, monkeypatch):
     from pccorrupt import SeverityTable
 
