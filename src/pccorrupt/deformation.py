@@ -5,10 +5,19 @@ The RBF warp prescribes displacements at scattered centers, solves the
 dense interpolation system for kernel weights, and evaluates the
 interpolant at the cloud points.  Supported kernels are the multiquadric
 sqrt(d^2 + r^2) and its inverse 1/sqrt(d^2 + r^2).
+
+Both RBF steps keep, per thread and per kernel variant, the last result that
+does not depend on the displacements: `solve_rbf` the kernel matrix and its LU
+factors, keyed by the kernel and the centers' shape and bytes; `apply_rbf` the
+point-to-center kernel matrix, keyed by the kernel, the centers and the points'
+bytes.  Every normalized cloud gets the same lattice of centers, and the five
+severities of a sample share its points, so gen mostly hits.  A hit returns
+the same bits as a fresh build.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from math import comb
 
@@ -161,6 +170,15 @@ class RbfDeformation:
     weights: np.ndarray
 
 
+class _ThreadMemo(threading.local):
+    def __init__(self):
+        self.systems = {}  # variant -> (key, phi, lu, piv)
+        self.matrices = {}  # variant -> (key, kernel(cdist(points, centers)))
+
+
+_MEMO = _ThreadMemo()
+
+
 def solve_rbf(centers, displacements, kernel: RbfKernel) -> RbfDeformation:
     """Solve the dense interpolation system Phi w = d per axis.
 
@@ -175,27 +193,32 @@ def solve_rbf(centers, displacements, kernel: RbfKernel) -> RbfDeformation:
     if len(centers) != len(displacements):
         raise ValueError("centers and displacements must have equal length")
 
-    dist = cdist(centers, centers)
-    off_diag = dist + np.diag(np.full(len(centers), np.inf))
-    if len(centers) > 1 and off_diag.min() == 0.0:
-        raise ValueError("centers must be pairwise distinct")
+    # The factor is reused only by the thread that built it: gen runs tasks on
+    # worker threads, and two threads calling lu_solve on one shared (lu, piv)
+    # abort the process under scipy 1.17.1 ("malloc(): corrupted top size"),
+    # likely because its getrs wrapper shifts `piv` in place.
+    key = (kernel, centers.shape, centers.tobytes())
+    system = _MEMO.systems.get(kernel.variant)
+    if system is None or system[0] != key:
+        dist = cdist(centers, centers)
+        off_diag = dist + np.diag(np.full(len(centers), np.inf))
+        if len(centers) > 1 and off_diag.min() == 0.0:
+            raise ValueError("centers must be pairwise distinct")
 
-    phi = kernel(dist)
-    anorm = np.abs(phi).sum(axis=0).max()
-    try:
-        lu, piv = lu_factor(phi)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(f"singular RBF system: {exc}") from None
-    # The factor stays local to this call and is never cached: gen runs tasks
-    # on worker threads, and two threads calling lu_solve on one shared
-    # (lu, piv) abort the process under scipy 1.17.1 ("malloc(): corrupted
-    # top size"), likely because its getrs wrapper shifts `piv` in place.
-    rcond, info = dgecon(lu, anorm, norm="1")
-    if info != 0 or rcond == 0.0 or 1.0 / rcond > CONDITION_LIMIT:
-        cond = np.inf if rcond == 0.0 else 1.0 / rcond
-        raise IllConditionedError(
-            f"RBF system condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
-        )
+        phi = kernel(dist)
+        anorm = np.abs(phi).sum(axis=0).max()
+        try:
+            lu, piv = lu_factor(phi)
+        except np.linalg.LinAlgError as exc:
+            raise IllConditionedError(f"singular RBF system: {exc}") from None
+        rcond, info = dgecon(lu, anorm, norm="1")
+        if info != 0 or rcond == 0.0 or 1.0 / rcond > CONDITION_LIMIT:
+            cond = np.inf if rcond == 0.0 else 1.0 / rcond
+            raise IllConditionedError(
+                f"RBF system condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
+            )
+        system = (key, phi, lu, piv)
+    _, phi, lu, piv = system
     weights = lu_solve((lu, piv), displacements)
 
     residual = np.abs(phi @ weights - displacements).max()
@@ -203,10 +226,18 @@ def solve_rbf(centers, displacements, kernel: RbfKernel) -> RbfDeformation:
         raise IllConditionedError(
             f"RBF interpolation residual {residual:.3e} exceeds 1e-8"
         )
+    # Stored only once every check passed, so a bad system raises on every call.
+    _MEMO.systems[kernel.variant] = system
     return RbfDeformation(kernel, centers, displacements, weights)
 
 
 def apply_rbf(cloud: PointCloud, deformation: RbfDeformation) -> PointCloud:
     """p -> p + sum_a w_a phi(|p - c_a|), per axis."""
-    delta = deformation.kernel(cdist(cloud.points, deformation.centers)) @ deformation.weights
-    return PointCloud(cloud.points + delta)
+    kernel, points = deformation.kernel, cloud.points
+    centers = np.asarray(deformation.centers, dtype=np.float64)
+    key = (kernel, centers.shape, centers.tobytes(), points.shape, points.tobytes())
+    matrix = _MEMO.matrices.get(kernel.variant)
+    if matrix is None or matrix[0] != key:
+        matrix = (key, kernel(cdist(points, centers)))
+        _MEMO.matrices[kernel.variant] = matrix
+    return PointCloud(points + matrix[1] @ deformation.weights)

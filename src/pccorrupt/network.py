@@ -339,8 +339,11 @@ def backward(state: NetworkState, cache: dict, grad_logits: np.ndarray, wanted=N
                 grads[w] -= coupling[:, None] * (layer.w @ (hc @ hc.T))
         if layer is not first:
             # below the head this masks the pooled gradient: each feature's
-            # winning point holds the pooled value, and the others get none
-            np.copyto(dh, 0.0, where=h[:, cols] <= 0)
+            # winning point holds the pooled value, and the others get none.
+            # Adding 0.0 turns the -0.0 of a masked negative into +0.0; dh,
+            # made by products and sums, holds no -0.0 of its own
+            dh *= h[:, cols] > 0
+            dh += 0.0
         du = dh
         if layer is head:
             # each pooled feature's gradient goes to its winning point

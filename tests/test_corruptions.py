@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from pccorrupt import (
+    INVERSE_MULTIQUADRIC,
+    MULTIQUADRIC,
     CorruptionKind,
     CorruptionSpec,
     PointCloud,
@@ -23,6 +25,7 @@ from pccorrupt import (
     upsampling_noise,
 )
 from pccorrupt import _rng
+from pccorrupt.corruptions import rbf_corrupt
 
 from synthdata import random_cloud, uv_sphere
 
@@ -195,6 +198,41 @@ def test_deformations_preserve_count_and_stay_bounded(kind):
     moved = np.linalg.norm(out.points - cloud.points, axis=1)
     assert moved.max() > 1e-4  # severity 5 visibly deforms
     assert moved.max() < 3.0  # but stays in the same ballpark as the shape
+
+
+def test_rbf_corrupt_on_concurrent_threads_matches_serial_bytes():
+    # gen runs cells on worker threads; each keeps its own RBF memo, since
+    # threads sharing one (lu, piv) abort the process
+    import sys
+    import threading
+
+    cloud = random_cloud(256, seed=23)
+    jobs = [(d, v) for d in (0.02, 0.05, 0.08) for v in (MULTIQUADRIC, INVERSE_MULTIQUADRIC)]
+
+    def run():
+        return [rbf_corrupt(cloud, d, _rng_for(i), v).points.tobytes()
+                for i, (d, v) in enumerate(jobs)]
+
+    serial = run()
+    results = [None] * 4  # more threads than a small host has cores
+    start = threading.Barrier(len(results))
+
+    def worker(slot):
+        start.wait(timeout=30)
+        results[slot] = [run() for _ in range(3)]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[serial] * 3] * len(results)
 
 
 # -- dispatcher ------------------------------------------------------------

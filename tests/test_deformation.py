@@ -197,8 +197,9 @@ def test_rbf_zero_displacement_identity():
 
 def test_rbf_duplicate_centers_rejected():
     centers = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    with pytest.raises(ValueError):
-        solve_rbf(centers, np.zeros((3, 3)), RbfKernel(MULTIQUADRIC, 0.5))
+    for _ in range(2):  # a failed system is never memoized
+        with pytest.raises(ValueError):
+            solve_rbf(centers, np.zeros((3, 3)), RbfKernel(MULTIQUADRIC, 0.5))
 
 
 def test_rbf_near_duplicate_centers_flagged_ill_conditioned():
@@ -206,8 +207,9 @@ def test_rbf_near_duplicate_centers_flagged_ill_conditioned():
     rng = np.random.default_rng(19)
     centers = rng.uniform(-1, 1, size=(10, 3))
     centers = np.vstack([centers, centers[0] + 1e-15])
-    with pytest.raises(IllConditionedError):
-        solve_rbf(centers, np.zeros((11, 3)), RbfKernel(MULTIQUADRIC, 0.5))
+    for _ in range(2):  # a failed system is never memoized
+        with pytest.raises(IllConditionedError):
+            solve_rbf(centers, np.zeros((11, 3)), RbfKernel(MULTIQUADRIC, 0.5))
     assert CONDITION_LIMIT == 1e12
 
 
@@ -248,3 +250,57 @@ def test_rbf_bits_equal_broadcast_distance_formula(kind, name):
     out = apply_rbf(PointCloud(points), solved)
     delta = kernel(_broadcast_distances(points, centers)) @ solved.weights
     assert np.array_equal(out.points, points + delta)
+
+
+def _reference_rbf(points, centers, disp, kernel):
+    """solve_rbf then apply_rbf from scratch, with the broadcast distances."""
+    lu_piv = lu_factor(kernel(_broadcast_distances(centers, centers)))
+    weights = lu_solve(lu_piv, disp)
+    return weights, points + kernel(_broadcast_distances(points, centers)) @ weights
+
+
+def test_rbf_memo_hits_equal_fresh_solves_bit_for_bit():
+    # interleaved variants, clouds and displacement draws: each call hits the
+    # per-thread memo or replaces its entry, and must give a fresh build's
+    # bits.  "inside" and "one_point" share the unit-cube centers but not
+    # their points; "beyond" has its own centers
+    clouds = _rbf_clouds()
+    rng = np.random.default_rng(31)
+    calls = [
+        (name, kind, 0.05 * random_unit_vectors(125, rng))
+        for name in ("inside", "one_point", "beyond", "inside")
+        for _ in range(3)
+        for kind in (MULTIQUADRIC, INVERSE_MULTIQUADRIC)
+    ]
+    for name, kind, disp in calls + calls[::-1]:
+        points = clouds[name]
+        lattice = make_ffd_lattice(Aabb.of_points(points).union(UNIT), resolution=5)
+        centers = lattice.rest_positions.reshape(-1, 3)
+        kernel = RbfKernel(kind, float(np.mean(lattice.spacing)))
+        weights, moved = _reference_rbf(points, centers, disp, kernel)
+        solved = solve_rbf(centers, disp, kernel)
+        assert np.array_equal(solved.weights, weights)
+        assert np.array_equal(apply_rbf(PointCloud(points), solved).points, moved)
+
+
+def test_rbf_memo_factors_once_per_system_and_cloud(monkeypatch):
+    from pccorrupt import deformation
+
+    counts = {"lu_factor": 0, "cdist": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(deformation, "lu_factor", counted("lu_factor", lu_factor))
+    monkeypatch.setattr(deformation, "cdist", counted("cdist", deformation.cdist))
+    rng = np.random.default_rng(37)
+    centers = rng.uniform(-1, 1, size=(20, 3))
+    cloud = _cloud(50, seed=38)
+    kernel = RbfKernel(INVERSE_MULTIQUADRIC, 0.7)
+    for _ in range(4):
+        apply_rbf(cloud, solve_rbf(centers, rng.standard_normal((20, 3)), kernel))
+    # one centre-to-centre and one point-to-centre distance matrix in all
+    assert counts == {"lu_factor": 1, "cdist": 2}

@@ -232,7 +232,9 @@ _WRITE_MODE_CHARS = set("wax+")
 
 def _file_writes(tree: ast.AST) -> list[int]:
     """Line numbers of calls that write a file: write_bytes/write_text, os.open,
-    and open/io.open/Path.open given a mode with w, a, x or +."""
+    and open/io.open/Path.open given a mode with w, a, x or +.  The mode is
+    `mode=`, the second positional argument of open/io.open, or the first of
+    <expr>.open; a path is never read as a mode."""
     lines = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -242,10 +244,12 @@ def _file_writes(tree: ast.AST) -> list[int]:
         if name in ("write_bytes", "write_text"):
             lines.append(node.lineno)
         elif name == "open":
-            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+            owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+            if owner == "os":
                 lines.append(node.lineno)  # flags, not a mode string
                 continue
-            modes = [*node.args, *(k.value for k in node.keywords if k.arg == "mode")]
+            at = 1 if isinstance(func, ast.Name) or owner == "io" else 0
+            modes = [*node.args[at:at + 1], *(k.value for k in node.keywords if k.arg == "mode")]
             if any(isinstance(m, ast.Constant) and isinstance(m.value, str)
                    and _WRITE_MODE_CHARS & set(m.value) for m in modes):
                 lines.append(node.lineno)
@@ -264,6 +268,8 @@ os.open(path, flags)
 open(path, "r", newline="")
 open(path)
 p.read_bytes()
+open("/proc/self/maps")
+io.open("/var/data", newline="")
 """
     assert _file_writes(ast.parse(source)) == [2, 3, 4, 5, 6, 7, 8]
 

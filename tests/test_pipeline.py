@@ -169,7 +169,7 @@ def test_generate_reproducible_across_worker_counts(mesh_dataset, tmp_path):
         out = tmp_path / f"w{workers}"
         config = RunConfig(
             input_dir=mesh_dataset, output_dir=out,
-            kinds=("gaussian", "shear"), severities=(2,),
+            kinds=("gaussian", "shear", "rbf", "inv_rbf"), severities=(1, 2, 3),
             point_budget=96, seed=4, workers=workers,
         )
         run_generate(config)
