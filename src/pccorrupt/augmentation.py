@@ -1,9 +1,10 @@
 """Pair mixing augmentations: random/kNN cutmix, assignment mixup, rigid subset mix.
 
 All mixes take two equally sized labeled clouds and return exactly n points
-with a soft label that sums to one.  The mixing weight is MixSpec.lam,
-0.5 by default.  Mixup matches exactly within median-split blocks of at
-most EXACT_ASSIGN_LIMIT points.
+with a soft label that sums to one.  Each takes the mixing weight `lam` of
+the first cloud, in [0, 1], and the generator it draws from.  Mixup
+matches exactly within median-split blocks of at most EXACT_ASSIGN_LIMIT
+points.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from . import _rng
 from .geometry import PointCloud, nearest_indices
 
 EXACT_ASSIGN_LIMIT = 128
@@ -53,18 +53,6 @@ class LabeledCloud:
 
 
 @dataclass(frozen=True)
-class MixSpec:
-    """lam is the weight of the first cloud."""
-
-    lam: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must be in [0, 1], got {self.lam}")
-
-
-@dataclass(frozen=True)
 class Permutation:
     indices: np.ndarray
 
@@ -88,7 +76,9 @@ def mix_labels(y_a: np.ndarray, y_b: np.ndarray, lam: float) -> np.ndarray:
     return lam * y_a + (1.0 - lam) * y_b
 
 
-def _check_pair(a: LabeledCloud, b: LabeledCloud):
+def _check_pair(a: LabeledCloud, b: LabeledCloud, lam: float):
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lam must be in [0, 1], got {lam}")
     if a.cloud.count != b.cloud.count:
         raise ValueError(
             f"cloud sizes differ: {a.cloud.count} vs {b.cloud.count}"
@@ -97,18 +87,13 @@ def _check_pair(a: LabeledCloud, b: LabeledCloud):
         raise ValueError("label dimensions differ")
 
 
-def _resolve_rng(spec: MixSpec, rng: np.random.Generator | None):
-    return rng if rng is not None else _rng.stream(spec.seed)
-
-
 def cutmix_r(
-    a: LabeledCloud, b: LabeledCloud, spec: MixSpec, rng: np.random.Generator | None = None
+    a: LabeledCloud, b: LabeledCloud, lam: float, rng: np.random.Generator
 ) -> LabeledCloud:
     """Union of floor(lam*n) random points of a and the remainder from b."""
-    _check_pair(a, b)
-    rng = _resolve_rng(spec, rng)
+    _check_pair(a, b, lam)
     n = a.cloud.count
-    n_a = int(spec.lam * n)
+    n_a = int(lam * n)
     idx_a = rng.choice(n, size=n_a, replace=False)
     idx_b = rng.choice(n, size=n - n_a, replace=False)
     points = np.concatenate([a.cloud.points[idx_a], b.cloud.points[idx_b]], axis=0)
@@ -117,15 +102,14 @@ def cutmix_r(
 
 
 def cutmix_k(
-    a: LabeledCloud, b: LabeledCloud, spec: MixSpec, rng: np.random.Generator | None = None
+    a: LabeledCloud, b: LabeledCloud, lam: float, rng: np.random.Generator
 ) -> LabeledCloud:
     """kNN-region variant: a contributes the floor(lam*n) nearest points to a
     random anchor of a; b fills the rest with its own points ranked by
     distance to that same anchor, skipping the first floor(lam*n) ranks."""
-    _check_pair(a, b)
-    rng = _resolve_rng(spec, rng)
+    _check_pair(a, b, lam)
     n = a.cloud.count
-    n_a = int(spec.lam * n)
+    n_a = int(lam * n)
     anchor = a.cloud.points[int(rng.integers(0, n))]
     part_a = nearest_indices(a.cloud.points, anchor, n_a)
     rank_b = nearest_indices(b.cloud.points, anchor, n)
@@ -183,12 +167,11 @@ def emd_assign(a: PointCloud, b: PointCloud) -> Permutation:
 
 
 def mixup_emd(
-    a: LabeledCloud, b: LabeledCloud, spec: MixSpec, rng: np.random.Generator | None = None
+    a: LabeledCloud, b: LabeledCloud, lam: float, rng: np.random.Generator
 ) -> LabeledCloud:
     """Pointwise interpolation along the minimum-cost matching of the pair;
     draws nothing from rng."""
-    _check_pair(a, b)
-    lam = spec.lam
+    _check_pair(a, b, lam)
     perm = emd_assign(a.cloud, b.cloud)
     points = lam * a.cloud.points + (1.0 - lam) * b.cloud.points[perm.indices]
     label = mix_labels(a.label, b.label, lam)
@@ -196,7 +179,7 @@ def mixup_emd(
 
 
 def rsmix(
-    a: LabeledCloud, b: LabeledCloud, spec: MixSpec, rng: np.random.Generator | None = None
+    a: LabeledCloud, b: LabeledCloud, lam: float, rng: np.random.Generator
 ) -> LabeledCloud:
     """Carve out a kNN ball of a and insert b's kNN ball, rigidly translated.
 
@@ -205,10 +188,9 @@ def rsmix(
     patch keeps its internal shape.  The label weight of a is the surviving
     fraction (n - floor(lam*n)) / n.
     """
-    _check_pair(a, b)
-    rng = _resolve_rng(spec, rng)
+    _check_pair(a, b, lam)
     n = a.cloud.count
-    n_region = int(spec.lam * n)
+    n_region = int(lam * n)
     if n_region == 0:
         return LabeledCloud(a.cloud, a.label)
     anchor_a = a.cloud.points[int(rng.integers(0, n))]
@@ -235,11 +217,11 @@ def apply_mix(
     name: str,
     a: LabeledCloud,
     b: LabeledCloud,
-    spec: MixSpec,
-    rng: np.random.Generator | None = None,
+    lam: float,
+    rng: np.random.Generator,
 ) -> LabeledCloud:
     if name == "none":
         return a
     if name not in MIXERS:
         raise ValueError(f"unknown mix {name!r}; choose from {sorted(MIXERS)} or 'none'")
-    return MIXERS[name](a, b, spec, rng=rng)
+    return MIXERS[name](a, b, lam, rng)

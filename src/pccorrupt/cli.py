@@ -310,11 +310,14 @@ def cmd_eval(args) -> int:
     records = []
     for kind, severity, batch in pipeline.iter_cells(manifest, root):
         start_s = time.perf_counter()
-        preds = []
+        preds, chunk_classes = [], []
         for start in range(0, len(batch), args.adapt_batch):
             chunk = batch[start : start + args.adapt_batch]
             clouds = [cloud for _, _, cloud in chunk]
             preds.extend(_predict_chunk(state, clouds, args, kind, severity).tolist())
+            if args.adapt != "none" and len(chunk) >= 2:
+                # batch statistics adapt to this chunk's class mix as much as to the corruption
+                chunk_classes.append(len({cls for _, cls, _ in chunk}))
         wrong = 0
         for (sid, cls, _), pred in zip(batch, preds):
             records.append(
@@ -324,7 +327,8 @@ def cmd_eval(args) -> int:
         elapsed_s = time.perf_counter() - start_s
         log_event(event="cell_evaluated", corruption=kind, severity=severity,
                   n=len(batch), error_rate=wrong / len(batch), ms=elapsed_s * 1e3,
-                  clouds_per_s=len(batch) / elapsed_s)
+                  clouds_per_s=len(batch) / elapsed_s,
+                  min_chunk_classes=min(chunk_classes, default=None))
     metrics.write_predictions(records, args.out)
     clean = [r for r in records if r.corruption == "clean"]
     corrupted = [r for r in records if r.corruption != "clean"]

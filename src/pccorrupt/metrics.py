@@ -2,7 +2,7 @@
 error rates, reports.
 
 Each (corruption, severity) cell keeps one tally, the number of records
-with each (true, pred) label pair.  Every count, rate and confusion matrix
+with each (true, pred) label pair.  Every count, rate and confusion count
 derives from it, rates once at the end in double precision, so partial
 aggregation + merge give the same bits as one sequential pass.
 
@@ -18,13 +18,11 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .io_formats import write_file
 from .severity import SEVERITIES, CorruptionKind
 
 CLEAN = "clean"
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 CSV_HEADER = ["sample_id", "corruption", "severity", "true_label", "pred_label"]
 
 _KIND_NAMES = tuple(k.value for k in CorruptionKind)
@@ -209,29 +207,27 @@ class MetricsReport:
     mer_cor: float | None
     sum_er_cor: float | None
     presence: dict              # kind -> sorted list of present severities
-    confusion_counts: dict      # scope name -> C x C nested list of ints
+    confusion_counts: dict      # scope name -> sorted [true, pred, count] triples
     report_version: int = REPORT_VERSION
 
 
-def _scope_confusion(cells: list, n_classes: int):
-    """C x C count matrix, as nested lists, pooled over `cells`; None for no cells."""
+def _scope_confusion(cells: list):
+    """The (true, pred) pairs counted in `cells`, as sorted [true, pred, count]
+    triples; None for no cells.  Sparse, so its size is bounded by the
+    records, not by the largest label."""
     if not cells:
         return None
-    matrix = np.zeros((n_classes, n_classes), dtype=np.int64)
+    pooled = Counter()
     for cell in cells:
-        for (i, j), n in cell.confusion.items():
-            matrix[i, j] += n
-    return matrix.tolist()
+        pooled.update(cell.confusion)
+    return [[true, pred, n] for (true, pred), n in sorted(pooled.items())]
 
 
-def report_from_table(table: CountTable, n_classes: int | None = None) -> MetricsReport:
+def report_from_table(table: CountTable) -> MetricsReport:
+    """Every rate and mask of the report; n_classes is 1 + the largest label counted."""
     if not table.cells:
         raise ValueError("no records counted")
-    largest = max(max(pair) for cell in table.cells.values() for pair in cell.confusion)
-    if n_classes is None:
-        n_classes = 1 + largest
-    elif largest >= n_classes:
-        raise ValueError(f"label {largest} counted, but n_classes is {n_classes}")
+    n_classes = 1 + max(max(pair) for cell in table.cells.values() for pair in cell.confusion)
 
     cells_out: dict = {}
     for (corruption, severity), cell in sorted(table.cells.items()):
@@ -262,9 +258,9 @@ def report_from_table(table: CountTable, n_classes: int | None = None) -> Metric
 
     corrupted = [cell for (corruption, _), cell in table.cells.items() if corruption != CLEAN]
     confusion_counts = {
-        "clean": _scope_confusion([clean_cell] if clean_cell else [], n_classes),
-        "corrupted": _scope_confusion(corrupted, n_classes),
-        "all": _scope_confusion(list(table.cells.values()), n_classes),
+        "clean": _scope_confusion([clean_cell] if clean_cell else []),
+        "corrupted": _scope_confusion(corrupted),
+        "all": _scope_confusion(list(table.cells.values())),
     }
 
     return MetricsReport(
@@ -285,9 +281,9 @@ def report_from_table(table: CountTable, n_classes: int | None = None) -> Metric
     )
 
 
-def aggregate(records, n_classes: int | None = None) -> MetricsReport:
+def aggregate(records) -> MetricsReport:
     """One-shot: count every record, then derive all rates and masks."""
-    return report_from_table(count_records(records), n_classes)
+    return report_from_table(count_records(records))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _rng
-from .augmentation import LabeledCloud, MixSpec, apply_mix
+from .augmentation import MIXERS, LabeledCloud, apply_mix
 from .geometry import PointCloud
 from .io_formats import parse_json, write_file
 
@@ -77,6 +77,15 @@ from .io_formats import parse_json, write_file
 BN_EPS = 1e-8
 BN_MOMENTUM = 0.1
 CHECKPOINT_MAGIC = b"TPN1"
+# Adam's moment decays and denominator guard, for training and TENT alike
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# train scales the lr by PLATEAU_FACTOR after PLATEAU_PATIENCE epochs in a
+# row whose validation loss is not PLATEAU_MIN_DELTA below the best so far
+PLATEAU_PATIENCE = 10
+PLATEAU_FACTOR = 0.5
+PLATEAU_MIN_DELTA = 1e-4
 
 _MODES = ("train", "eval", "adapt")
 _STAT_SUFFIXES = (".bn.mean", ".bn.var")
@@ -387,7 +396,7 @@ def _log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def loss_smoothed_ce(logits: np.ndarray, labels, smoothing: float = 0.2):
+def loss_smoothed_ce(logits: np.ndarray, labels, smoothing: float):
     """Mean smoothed cross-entropy and its gradient w.r.t. the logits.
 
     labels may be integer class indices or soft target rows; soft targets
@@ -422,9 +431,6 @@ def loss_entropy(logits: np.ndarray):
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -435,11 +441,11 @@ class AdamState:
             g = grads[name]
             m = self.m.setdefault(name, np.zeros_like(p))
             v = self.v.setdefault(name, np.zeros_like(p))
-            m += (1 - self.beta1) * (g - m)
-            v += (1 - self.beta2) * (g * g - v)
-            m_hat = m / (1 - self.beta1**self.t)
-            v_hat = v / (1 - self.beta2**self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m += (1 - ADAM_BETA1) * (g - m)
+            v += (1 - ADAM_BETA2) * (g * g - v)
+            m_hat = m / (1 - ADAM_BETA1**self.t)
+            v_hat = v / (1 - ADAM_BETA2**self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -447,13 +453,7 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     smoothing: float = 0.2
-    plateau_patience: int = 10
-    plateau_factor: float = 0.5
-    plateau_min_delta: float = 1e-4
     augment: bool = True
     mix: str = "none"
     mix_lam: float = 0.5
@@ -468,6 +468,10 @@ class TrainConfig:
             raise ValueError("smoothing must be in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.mix != "none" and self.mix not in MIXERS:
+            raise ValueError(f"unknown mix {self.mix!r}; choose from {sorted(MIXERS)} or 'none'")
+        if not 0.0 <= self.mix_lam <= 1.0:
+            raise ValueError(f"mix_lam must be in [0, 1], got {self.mix_lam}")
 
 
 def _default_augment(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -496,15 +500,15 @@ def train(
     state: NetworkState,
     train_set: list[LabeledCloud],
     config: TrainConfig,
-    val_set: list[LabeledCloud] | None = None,
     on_epoch=None,
 ):
     """Adam training with the plateau learning-rate rule and best-val snapshot.
 
-    Returns (best_state, history); history holds one dict per epoch with
-    train_loss, val_loss, val_acc and the lr in force.  `on_epoch`, if
-    given, receives each epoch's row as it ends, with `s`, the epoch's
-    seconds, added.
+    A seeded 10% of `train_set` (at least one sample) is held out for
+    validation.  Returns (best_state, history); history holds one dict per
+    epoch with train_loss, val_loss, val_acc and the lr in force.
+    `on_epoch`, if given, receives each epoch's row as it ends, with `s`,
+    the epoch's seconds, added.
     """
     if len(train_set) < config.batch_size:
         raise ValueError("dataset smaller than one batch")
@@ -512,14 +516,13 @@ def train(
         raise ValueError("need at least 2 classes present in the training set")
 
     rng = _rng.stream(config.seed, 0x747261696E)
-    if val_set is None:
-        order = rng.permutation(len(train_set))
-        n_val = max(1, len(train_set) // 10)
-        val_set = [train_set[i] for i in order[:n_val]]
-        train_set = [train_set[i] for i in order[n_val:]]
+    order = rng.permutation(len(train_set))
+    n_val = max(1, len(train_set) // 10)
+    val_set = [train_set[i] for i in order[:n_val]]
+    train_set = [train_set[i] for i in order[n_val:]]
 
     state = state.copy()
-    adam = AdamState(config.lr, config.beta1, config.beta2, config.adam_eps)
+    adam = AdamState(config.lr)
     best_loss, _ = _evaluate(state, val_set, config.smoothing)
     best_state = state.copy()
     stall = 0
@@ -534,9 +537,8 @@ def train(
             samples = [train_set[i] for i in idx]
             if config.mix != "none" and len(samples) > 1:
                 partners = rng.permutation(len(samples))
-                spec = MixSpec(lam=config.mix_lam, seed=config.seed)
                 samples = [
-                    apply_mix(config.mix, s, samples[partners[j]], spec, rng=rng)
+                    apply_mix(config.mix, s, samples[partners[j]], config.mix_lam, rng)
                     for j, s in enumerate(samples)
                 ]
             clouds = [s.cloud.points for s in samples]
@@ -554,14 +556,14 @@ def train(
 
         val_loss, val_acc = _evaluate(state, val_set, config.smoothing)
         lr_now = adam.lr
-        if val_loss < best_loss - config.plateau_min_delta:
+        if val_loss < best_loss - PLATEAU_MIN_DELTA:
             best_loss = val_loss
             best_state = state.copy()
             stall = 0
         else:
             stall += 1
-            if stall >= config.plateau_patience:
-                lr_now = adam.lr * config.plateau_factor
+            if stall >= PLATEAU_PATIENCE:
+                lr_now = adam.lr * PLATEAU_FACTOR
                 adam.lr = lr_now
                 stall = 0
         history.append(
@@ -592,7 +594,6 @@ class PgdConfig:
     epsilon: float = 0.05
     alpha: float = 0.01
     steps: int = 7
-    smoothing: float = 0.0
 
     def __post_init__(self):
         if not np.isfinite(self.epsilon):
@@ -612,16 +613,16 @@ def pgd_attack(
 ) -> PointCloud:
     """Iterated signed-gradient point shifting inside an l-inf ball.
 
-    Starts from uniform noise in [-eps, eps], ascends the classification
-    loss with eval-mode (frozen) statistics, and projects back onto the
-    ball around the original points after every step.
+    Starts from uniform noise in [-eps, eps], ascends the unsmoothed
+    cross-entropy with eval-mode (frozen) statistics, and projects back onto
+    the ball around the original points after every step.
     """
     base = cloud.points
     x = base + rng.uniform(-config.epsilon, config.epsilon, size=base.shape)
     lo, hi = base - config.epsilon, base + config.epsilon
     for _ in range(config.steps):
         logits, cache = forward(state, [x], mode="eval")
-        _, dlogits = loss_smoothed_ce(logits, np.array([label]), config.smoothing)
+        _, dlogits = loss_smoothed_ce(logits, np.array([label]), 0.0)
         _, dpoints = backward(state, cache, dlogits, wanted=())
         x = np.clip(x + config.alpha * np.sign(dpoints), lo, hi)
     return PointCloud(x)

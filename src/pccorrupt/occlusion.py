@@ -1,12 +1,12 @@
 """Ray-cast visibility: single-view occlusion clouds and LiDAR scan patterns.
 
-A pinhole camera at distance 2.5 looks at the origin from one of five
-canonical azimuths (0, 72, 144, 216, 288 degrees) with a random elevation
-in [30, 60] degrees.  Rays keep their nearest triangle intersection
-(Moller-Trumbore, t > 1e-9; at equal t the lowest triangle index).  The
-caster bins the rays of a view on its image plane and tests each triangle
-only against the rays near its projection; the result is exact (the same
-nearest hit as exhaustive iteration).
+A pinhole camera at distance CAMERA_DISTANCE (2.5) looks at the origin
+from one of five canonical azimuths (0, 72, 144, 216, 288 degrees) with a
+random elevation in [30, 60] degrees.  Rays keep their nearest triangle
+intersection (Moller-Trumbore, t > 1e-9; at equal t the lowest triangle
+index).  The caster bins the rays of a view on its image plane and tests
+each triangle only against the rays near its projection; the result is
+exact (the same nearest hit as exhaustive iteration).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .severity import SEVERITIES
 
 CANONICAL_AZIMUTHS = (0.0, 72.0, 144.0, 216.0, 288.0)
 FIELD_OF_VIEW_DEG = 50.0  # of the pinhole grid and of the LiDAR pattern
-DEFAULT_CAMERA_DISTANCE = 2.5
+CAMERA_DISTANCE = 2.5
 RAY_T_MIN = 1e-9
 OCCLUSION_HITS = (768, 1280)  # hit counts occlusion_cloud searches for
 LIDAR_POINTS = 1024  # lidar_cloud keeps at most this many hits
@@ -40,11 +40,11 @@ class DegenerateViewError(RuntimeError):
 
 @dataclass(frozen=True)
 class ViewPose:
-    """Sensor pose: canonical azimuth, elevation in [30, 60] deg, looking at origin."""
+    """Sensor pose: canonical azimuth, elevation in [30, 60] deg, looking at
+    the origin from CAMERA_DISTANCE."""
 
     azimuth_deg: float
     elevation_deg: float
-    distance: float = DEFAULT_CAMERA_DISTANCE
 
     def __post_init__(self):
         if self.azimuth_deg not in CANONICAL_AZIMUTHS:
@@ -55,14 +55,12 @@ class ViewPose:
             raise ValueError(
                 f"elevation must be within [30, 60] deg, got {self.elevation_deg}"
             )
-        if not self.distance > 0:
-            raise ValueError("camera distance must be > 0")
 
     @property
     def position(self) -> np.ndarray:
         az = math.radians(self.azimuth_deg)
         el = math.radians(self.elevation_deg)
-        return self.distance * np.array(
+        return CAMERA_DISTANCE * np.array(
             [math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)]
         )
 

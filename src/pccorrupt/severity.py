@@ -120,9 +120,9 @@ def _misfit(kind: CorruptionKind, name: str, value) -> str | None:
         isinstance(value, bool)
         or not isinstance(value, (int, float))
         # compared, not converted: an int past the float range fails instead of overflowing
-        or not -sys.float_info.max <= value <= sys.float_info.max
+        or not 0 <= value <= sys.float_info.max
     ):
-        return "a finite number"
+        return "a finite number >= 0"
     return None
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from pccorrupt import (
     LabeledCloud,
-    MixSpec,
     Permutation,
     PointCloud,
     apply_mix,
@@ -66,9 +65,12 @@ def test_labeled_cloud_validation():
 
 
 def test_mix_spec_lambda():
-    assert MixSpec(lam=0.3, seed=0).lam == 0.3
-    with pytest.raises(ValueError):
-        MixSpec(lam=1.5)
+    """Every mixer takes the first cloud's weight lam in [0, 1] and nothing else."""
+    a, b = _pair(n=16)
+    for mixer in (cutmix_r, cutmix_k, mixup_emd, rsmix):
+        for lam in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="lam must be in"):
+                mixer(a, b, lam, np.random.default_rng(0))
 
 
 # -- cutmix ----------------------------------------------------------------
@@ -76,7 +78,7 @@ def test_mix_spec_lambda():
 
 def test_cutmix_r_membership_and_label():
     a, b = _pair(n=80)
-    out = cutmix_r(a, b, MixSpec(lam=0.4, seed=3))
+    out = cutmix_r(a, b, 0.4, np.random.default_rng(3))
     assert out.cloud.count == 80
     n_a = int(0.4 * 80)
     assert _rows(out.cloud.points[:n_a]) <= _rows(a.cloud.points)
@@ -86,14 +88,14 @@ def test_cutmix_r_membership_and_label():
 
 def test_cutmix_r_lambda_one_returns_a_points():
     a, b = _pair(n=32)
-    out = cutmix_r(a, b, MixSpec(lam=1.0, seed=5))
+    out = cutmix_r(a, b, 1.0, np.random.default_rng(5))
     assert _rows(out.cloud.points) == _rows(a.cloud.points)
     assert np.allclose(out.label, a.label)
 
 
 def test_cutmix_k_parts_are_knn_regions():
     a, b = _pair(n=60)
-    out = cutmix_k(a, b, MixSpec(lam=0.5, seed=7))
+    out = cutmix_k(a, b, 0.5, np.random.default_rng(7))
     n_a = 30
     part_a = out.cloud.points[:n_a]
     part_b = out.cloud.points[n_a:]
@@ -116,10 +118,10 @@ def test_cutmix_requires_matching_sizes():
     a = LabeledCloud.from_class(random_cloud(10, 0), 0, 2)
     b = LabeledCloud.from_class(random_cloud(12, 1), 1, 2)
     with pytest.raises(ValueError):
-        cutmix_r(a, b, MixSpec(lam=0.5))
+        cutmix_r(a, b, 0.5, np.random.default_rng(0))
     c = LabeledCloud.from_class(random_cloud(10, 2), 1, 3)
     with pytest.raises(ValueError):
-        cutmix_r(a, c, MixSpec(lam=0.5))
+        cutmix_r(a, c, 0.5, np.random.default_rng(0))
 
 
 # -- minimum-cost matching -------------------------------------------------
@@ -232,10 +234,10 @@ def test_emd_largest_matchable_distances_match_without_warnings(n):
 
 def test_mixup_endpoints():
     a, b = _pair(n=30)
-    out1 = mixup_emd(a, b, MixSpec(lam=1.0, seed=1))
+    out1 = mixup_emd(a, b, 1.0, np.random.default_rng(1))
     assert np.allclose(out1.cloud.points, a.cloud.points)
     assert np.allclose(out1.label, a.label)
-    out0 = mixup_emd(a, b, MixSpec(lam=0.0, seed=1))
+    out0 = mixup_emd(a, b, 0.0, np.random.default_rng(1))
     assert _rows(np.round(out0.cloud.points, 12)) == _rows(np.round(b.cloud.points, 12))
     assert np.allclose(out0.label, b.label)
 
@@ -243,7 +245,7 @@ def test_mixup_endpoints():
 def test_mixup_points_on_matching_segments():
     a, b = _pair(n=25)
     lam = 0.3
-    out = mixup_emd(a, b, MixSpec(lam=lam, seed=2))
+    out = mixup_emd(a, b, lam, np.random.default_rng(2))
     perm = emd_assign(a.cloud, b.cloud)
     expected = lam * a.cloud.points + (1 - lam) * b.cloud.points[perm.indices]
     assert np.allclose(out.cloud.points, expected)
@@ -254,7 +256,7 @@ def test_mixup_identical_clouds_fixed_point():
     cloud = random_cloud(20, seed=3)
     a = LabeledCloud.from_class(cloud, 0, 2)
     b = LabeledCloud.from_class(PointCloud(cloud.points.copy()), 1, 2)
-    out = mixup_emd(a, b, MixSpec(lam=0.37, seed=4))
+    out = mixup_emd(a, b, 0.37, np.random.default_rng(4))
     assert np.allclose(out.cloud.points, cloud.points)
     assert np.allclose(out.label, [0.37, 0.63])
 
@@ -291,7 +293,7 @@ def test_golden_emd_assign_and_mixup():
             out = mixup_emd(
                 LabeledCloud.from_class(PointCloud(p), 0, 2),
                 LabeledCloud.from_class(PointCloud(q), 1, 2),
-                MixSpec(lam=0.3),
+                0.3, np.random.default_rng(0),
             )
             h.update(np.ascontiguousarray(out.cloud.points).tobytes())
     assert h.hexdigest() == "5055f2fbb4a20b2493654634e1782b9560eb8f0f66db8d2176b85206bd550545"
@@ -302,8 +304,7 @@ def test_golden_emd_assign_and_mixup():
 
 def test_rsmix_patch_is_rigid():
     a, b = _pair(n=100)
-    spec = MixSpec(lam=0.35, seed=6)
-    out = rsmix(a, b, spec)
+    out = rsmix(a, b, 0.35, np.random.default_rng(6))
     n_region = 35
     assert out.cloud.count == 100
     kept, patch = out.cloud.points[:-n_region], out.cloud.points[-n_region:]
@@ -324,7 +325,7 @@ def test_rsmix_patch_is_rigid():
 
 def test_rsmix_zero_region_returns_a():
     a, b = _pair(n=40)
-    out = rsmix(a, b, MixSpec(lam=0.0, seed=8))
+    out = rsmix(a, b, 0.0, np.random.default_rng(8))
     assert np.array_equal(out.cloud.points, a.cloud.points)
     assert np.array_equal(out.label, a.label)
 
@@ -334,18 +335,17 @@ def test_rsmix_zero_region_returns_a():
 
 def test_apply_mix_dispatch():
     a, b = _pair(n=16)
-    assert apply_mix("none", a, b, MixSpec()) is a
-    out = apply_mix("cutmix_r", a, b, MixSpec(lam=0.5, seed=1))
+    assert apply_mix("none", a, b, 0.5, np.random.default_rng(0)) is a
+    out = apply_mix("cutmix_r", a, b, 0.5, np.random.default_rng(1))
     assert out.cloud.count == 16
     with pytest.raises(ValueError):
-        apply_mix("blend", a, b, MixSpec())
+        apply_mix("blend", a, b, 0.5, np.random.default_rng(0))
 
 
 def test_mixers_deterministic_under_spec_seed():
     a, b = _pair(n=24)
     for name in ("cutmix_r", "cutmix_k", "mixup", "rsmix"):
-        s = MixSpec(lam=0.4, seed=13)
-        x = apply_mix(name, a, b, s)
-        y = apply_mix(name, a, b, s)
+        x = apply_mix(name, a, b, 0.4, np.random.default_rng(13))
+        y = apply_mix(name, a, b, 0.4, np.random.default_rng(13))
         assert np.array_equal(x.cloud.points, y.cloud.points), name
         assert np.array_equal(x.label, y.label), name

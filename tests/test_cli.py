@@ -607,6 +607,17 @@ def test_train_config_outside_choices_is_data_error(workspace, tmp_path, capsys)
     assert not (tmp_path / "m.tpn").exists()
 
 
+def test_train_mix_lam_outside_unit_interval_fails_before_loading(workspace, tmp_path, capsys):
+    _, _, data, _ = workspace
+    code = main(["train", str(data / "manifest.json"), "--out", str(tmp_path / "m.tpn"),
+                 "--mix-lam", "1.5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "mix_lam must be in [0, 1], got 1.5" in err
+    assert "train_start" not in err
+    assert not (tmp_path / "m.tpn").exists()
+
+
 _SCALAR = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**1024)
            | st.floats() | st.text(max_size=8))
 _JSON = _SCALAR | st.lists(_SCALAR, max_size=3) | st.dictionaries(st.text(max_size=8), _SCALAR,
@@ -650,7 +661,9 @@ def test_eval_writes_predictions(workspace, tmp_path, capsys):
     cells = {(r.corruption, r.severity) for r in records}
     assert ("clean", 0) in cells and ("cutout", 3) in cells
     events = _read_json_lines(captured.err)
-    assert sum(e["event"] == "cell_evaluated" for e in events) == 5
+    evaluated = [e for e in events if e["event"] == "cell_evaluated"]
+    assert len(evaluated) == 5
+    assert all(e["min_chunk_classes"] is None for e in evaluated)  # nothing adapted
     assert "ER" in captured.out
 
 
@@ -660,11 +673,32 @@ def test_eval_with_adaptation(workspace, tmp_path, capsys, adapt):
     out = tmp_path / f"preds_{adapt}.csv"
     code = main(["eval", str(model), str(data / "manifest.json"),
                  "--out", str(out), "--adapt", adapt, "--adapt-batch", "4"])
-    capsys.readouterr()
+    events = _read_json_lines(capsys.readouterr().err)
     assert code == 0
     from pccorrupt import ingest_predictions
 
     assert len(ingest_predictions(out)) == 20
+    # one sample of each of the 4 classes per cell: its one chunk holds all 4
+    cells = [e for e in events if e["event"] == "cell_evaluated"]
+    assert [e["min_chunk_classes"] for e in cells] == [4] * 5
+
+
+def test_eval_logs_class_sorted_adaptation_chunks(workspace, tmp_path, capsys):
+    """Manifest order groups samples by class, so with 2 samples per class
+    every adapted chunk of 2 holds a single class."""
+    _, _, _, model = workspace
+    src, data = tmp_path / "src", tmp_path / "data"
+    write_shape_dataset(src, n_per_class=2, seed=2)
+    assert main(["gen", str(src), str(data), "--kinds", "gaussian", "--severities", "1",
+                 "--points", "64", "--seed", "3"]) == 0
+    capsys.readouterr()
+    code = main(["eval", str(model), str(data / "manifest.json"), "--out",
+                 str(tmp_path / "p.csv"), "--adapt", "bn", "--adapt-batch", "2"])
+    events = _read_json_lines(capsys.readouterr().err)
+    assert code == 0
+    cells = [e for e in events if e["event"] == "cell_evaluated"]
+    assert [(e["corruption"], e["min_chunk_classes"]) for e in cells] == [
+        ("clean", 1), ("gaussian", 1)]
 
 
 @pytest.mark.parametrize("adapt", ["bn", "tent"])
@@ -869,7 +903,7 @@ def test_bench_json_and_markdown(workspace, tmp_path, capsys):
     assert code == 0
     assert "ER_clean" in captured.out
     payload = json.loads(report.read_text())
-    assert payload["report_version"] == 1
+    assert payload["report_version"] == 2
 
     md = tmp_path / "r.md"
     code = main(["bench", str(preds), str(data / "manifest.json"),

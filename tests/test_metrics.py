@@ -1,5 +1,7 @@
 """Error-rate bookkeeping: ingestion, counting, aggregation, rendering."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,25 +262,32 @@ def test_confusion_counts_and_rows():
         _rec("c", "clean", 0, 1, 1),
         _rec("d", "gaussian", 2, 1, 0),
     ]
-    scopes = aggregate(records, n_classes=2).confusion_counts
-    counts = np.array(scopes["all"])
-    assert counts.tolist() == [[1, 1], [1, 1]]
+    scopes = aggregate(records).confusion_counts
+    # sparse: sorted [true, pred, count] triples of the pairs counted
+    assert scopes["all"] == [[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]]
     # diagonal mass equals the number of correct predictions
-    assert np.trace(counts) == sum(not r.wrong for r in records)
-    # row sums equal per-class record counts
-    assert counts.sum(axis=1).tolist() == [2, 2]
-
-    assert scopes["clean"] == [[1, 1], [0, 1]]
-    assert scopes["corrupted"] == [[0, 0], [1, 0]]
+    assert sum(n for t, p, n in scopes["all"] if t == p) == sum(not r.wrong for r in records)
+    assert scopes["clean"] == [[0, 0, 1], [0, 1, 1], [1, 1, 1]]
+    assert scopes["corrupted"] == [[1, 0, 1]]
 
 
-@pytest.mark.parametrize("true,pred", [(0, 5), (5, 1), (2, 2)])
-def test_explicit_n_classes_below_a_counted_label_is_a_value_error(true, pred):
-    records = [_rec("a", "clean", 0, true, pred), _rec("b", "gaussian", 1, 0, 1)]
-    largest = max(true, pred)
-    with pytest.raises(ValueError, match=f"label {largest} counted, but n_classes is 2"):
-        aggregate(records, n_classes=2)
-    assert aggregate(records, n_classes=largest + 1).n_classes == largest + 1
+def test_bench_reports_a_huge_label_sparsely(tmp_path, capsys):
+    """A label far past any class count costs one triple, not a dense matrix."""
+    preds = tmp_path / "p.csv"
+    preds.write_text(",".join(CSV_HEADER) + "\na,clean,0,1000000,0\n")
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "manifest_version": 1, "seed": 0, "point_budget": 64,
+        "severity_table_digest": "sha256:0",
+        "samples": [{"sample_id": "a", "class_name": "c", "corrupted": {},
+                     "clean": {"path": "clean/a.ply", "sha256": "sha256:0"}}],
+    }))
+    out = tmp_path / "r.json"
+    assert main(["bench", str(preds), str(manifest), "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert report["n_classes"] == 1_000_001
+    assert report["confusion_counts"]["all"] == [[1_000_000, 0, 1]]
 
 
 # -- aggregation -----------------------------------------------------------
@@ -344,8 +353,8 @@ def test_empty_aggregate_rejected():
 
 def test_report_version_pinned():
     report = aggregate(_random_records(100, seed=8))
-    assert report.report_version == 1
-    assert '"report_version": 1' in report_to_json(report)
+    assert report.report_version == 2
+    assert '"report_version": 2' in report_to_json(report)
 
 
 # -- rendering -------------------------------------------------------------
@@ -407,9 +416,9 @@ def test_golden_report_bytes(tmp_path, capsys):
     ]
     h = hashlib.sha256()
     for i, records in enumerate((with_clean, without_clean, partial)):
-        for report in (aggregate(records), aggregate(records, n_classes=8)):
-            h.update(report_to_json(report).encode())
-            h.update(render_markdown(report).encode())
+        report = aggregate(records)
+        h.update(report_to_json(report).encode())
+        h.update(render_markdown(report).encode())
 
         preds = tmp_path / f"p{i}.csv"
         write_predictions(records, preds)
@@ -443,4 +452,4 @@ def test_golden_report_bytes(tmp_path, capsys):
             assert code == 0
             h.update(capsys.readouterr().out.encode())
             h.update(out.read_bytes())
-    assert h.hexdigest() == "0010ba74baeba20d5bf0ed54ec3dcb2efc93c43efcc9e403645fd7f8a7024411"
+    assert h.hexdigest() == "aa155455ecc7b381a6887bd36302bb89fad1fa79a496c1f14052b092c66e3b2b"

@@ -33,6 +33,7 @@ from pccorrupt import (
     tent_adapt,
     train,
 )
+from pccorrupt import network
 from pccorrupt.network import BN_EPS, BN_MOMENTUM
 
 from synthdata import labelled_clouds, random_cloud
@@ -477,6 +478,11 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(smoothing=1.0)
+    with pytest.raises(ValueError, match="unknown mix 'cutmix'"):
+        TrainConfig(mix="cutmix")
+    for lam in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match="mix_lam must be in"):
+            TrainConfig(mix_lam=lam)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             TrainConfig(lr=bad)
@@ -517,13 +523,12 @@ def test_train_returns_history_and_is_deterministic():
         assert np.array_equal(t, s2.parameters()[name]), name
 
 
-def test_train_plateau_rule_halves_lr():
+def test_train_plateau_rule_halves_lr(monkeypatch):
     data = labelled_clouds(8, 32, seed=22, n_classes=2)
     # an impossible improvement threshold forces a halving every 2 epochs
-    cfg = TrainConfig(
-        epochs=6, batch_size=8, lr=1e-3, seed=6,
-        plateau_patience=2, plateau_min_delta=1e9,
-    )
+    monkeypatch.setattr(network, "PLATEAU_PATIENCE", 2)
+    monkeypatch.setattr(network, "PLATEAU_MIN_DELTA", 1e9)
+    cfg = TrainConfig(epochs=6, batch_size=8, lr=1e-3, seed=6)
     state = NetworkState.create(2, point_dims=(4, 6, 8), head_dim=6, seed=2)
     _, history = train(state, data, cfg)
     lrs = [row["lr"] for row in history]

@@ -19,6 +19,7 @@ from pccorrupt import (
     view_pose,
 )
 from pccorrupt.occlusion import (
+    CAMERA_DISTANCE,
     OCCLUSION_HITS,
     RAY_T_MIN,
     _PROBE_GRID,
@@ -73,12 +74,13 @@ def brute_nearest_hits(mesh, origin, directions):
 
 def test_view_pose_canonical_azimuths():
     assert CANONICAL_AZIMUTHS == (0.0, 72.0, 144.0, 216.0, 288.0)
+    assert CAMERA_DISTANCE == 2.5
     rng = np.random.default_rng(0)
     for s in range(1, 6):
         pose = view_pose(s, rng)
         assert pose.azimuth_deg == 72.0 * (s - 1)
         assert 30.0 <= pose.elevation_deg <= 60.0
-        assert pose.distance == 2.5
+        assert np.linalg.norm(pose.position) == pytest.approx(CAMERA_DISTANCE)
     with pytest.raises(ValueError):
         view_pose(0, rng)
 
@@ -88,8 +90,6 @@ def test_view_pose_validation():
         ViewPose(10.0, 45.0)
     with pytest.raises(ValueError):
         ViewPose(0.0, 20.0)
-    with pytest.raises(ValueError):
-        ViewPose(0.0, 45.0, distance=0.0)
 
 
 def test_pose_basis_orthonormal_and_aimed_at_origin():

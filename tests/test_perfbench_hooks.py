@@ -36,5 +36,8 @@ def test_instrument_wraps_and_restores_every_entry_point():
     assert (occlusion, "raycast_visible") in wrapped
     assert (spans.corruptions, "occlusion_cloud") in wrapped
     assert (spans.pipeline, "run_generate") in wrapped
+    # the model workload's adam_step and apply_mix spans
+    assert (spans.network.AdamState, "step") in wrapped
+    assert (spans.network, "apply_mix") in wrapped
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)

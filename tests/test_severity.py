@@ -136,6 +136,13 @@ def _cutout(**changes):
                      for s in range(1, 6)]},              # divisor below 1
         [1, 2, 3],                                        # not an object
         {"uniform": [{"scale": 10**400}] * 5},            # an int past the float range
+        {"gaussian": [{"sigma": -0.01}] * 5},             # negative floats
+        {"uniform": [{"scale": -0.01}] * 5},
+        {"shear": [{"max_coeff": -0.05}] * 5},
+        {"ffd": [{"distance": -0.1}] * 5},
+        {"rbf": [{"distance": -0.1}] * 5},
+        {"upsampling": [{"count_div": 10, "count_mul": s, "bound": -0.05}
+                        for s in range(1, 6)]},
     ],
 )
 def test_override_checked_against_registry(override):
