@@ -15,23 +15,20 @@ from __future__ import annotations
 import numpy as np
 
 from . import _rng
-from .geometry import Aabb, PointCloud, TriangleMesh, nearest_indices
+from .geometry import PointCloud, TriangleMesh, nearest_indices
 from .deformation import (
     INVERSE_MULTIQUADRIC,
+    LATTICE_RESOLUTION,
     MULTIQUADRIC,
     RbfKernel,
     apply_ffd,
     apply_rbf,
-    make_ffd_lattice,
-    perturb_lattice,
+    deformation_lattice,
     random_unit_vectors,
     solve_rbf,
 )
 from .occlusion import lidar_cloud, occlusion_cloud, view_pose
 from .severity import CorruptionKind, CorruptionSpec, SeverityTable
-
-_UNIT_CUBE = Aabb(np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
-
 
 # ---------------------------------------------------------------------------
 # noise family
@@ -190,15 +187,12 @@ def random_shear(cloud: PointCloud, max_coeff: float, rng: np.random.Generator) 
     return PointCloud(points)
 
 
-def _deformation_lattice(cloud: PointCloud):
-    bounds = Aabb.of_points(cloud.points).union(_UNIT_CUBE)
-    return make_ffd_lattice(bounds, resolution=5)
-
-
 def ffd_corrupt(cloud: PointCloud, distance: float, rng: np.random.Generator) -> PointCloud:
-    """Free-form deformation: 5x5x5 control lattice, each control point
+    """Free-form deformation: each point of the cloud's control lattice
     shifted by `distance` along its own random unit direction."""
-    return apply_ffd(cloud, perturb_lattice(_deformation_lattice(cloud), distance, rng))
+    n = LATTICE_RESOLUTION**3
+    disp = np.zeros((n, 3)) if distance == 0.0 else distance * random_unit_vectors(n, rng)
+    return apply_ffd(cloud, disp)
 
 
 def rbf_corrupt(
@@ -207,11 +201,12 @@ def rbf_corrupt(
     rng: np.random.Generator,
     variant: str = MULTIQUADRIC,
 ) -> PointCloud:
-    """Radial-basis deformation anchored at the 5x5x5 lattice rest positions."""
-    lattice = _deformation_lattice(cloud)
-    centers = lattice.rest_positions.reshape(-1, 3)
+    """Radial-basis deformation anchored at the cloud's lattice rest positions,
+    with the mean lattice spacing as kernel radius."""
+    _, _, rest, spacing = deformation_lattice(cloud.points)
+    centers = rest.reshape(-1, 3)
     displacements = distance * random_unit_vectors(len(centers), rng)
-    kernel = RbfKernel(variant, float(np.mean(lattice.spacing)))
+    kernel = RbfKernel(variant, float(np.mean(spacing)))
     return apply_rbf(cloud, solve_rbf(centers, displacements, kernel))
 
 

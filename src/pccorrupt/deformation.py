@@ -26,13 +26,14 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import dgecon
 from scipy.spatial.distance import cdist
 
-from .geometry import Aabb, PointCloud
+from .geometry import PointCloud
 
 MULTIQUADRIC = "multiquadric"
 INVERSE_MULTIQUADRIC = "inverse_multiquadric"
 
 # 1-norm condition numbers above this are reported, never regularized away.
 CONDITION_LIMIT = 1e12
+LATTICE_RESOLUTION = 5  # control points per axis of the FFD / RBF lattice
 
 
 class IllConditionedError(RuntimeError):
@@ -58,52 +59,18 @@ class RbfKernel:
         return 1.0 / base
 
 
-@dataclass(frozen=True)
-class FfdLattice:
-    """Regular control-point grid over `bounds` with per-point displacements."""
+def deformation_lattice(points: np.ndarray):
+    """The control lattice of a cloud: `(lo, hi, rest, spacing)`.
 
-    bounds: Aabb
-    resolution: int
-    displacements: np.ndarray  # (res, res, res, 3)
-
-    def __post_init__(self):
-        if self.resolution < 2:
-            raise ValueError("lattice resolution must be >= 2")
-        disp = np.asarray(self.displacements, dtype=np.float64)
-        res = self.resolution
-        if disp.shape != (res, res, res, 3):
-            raise ValueError(
-                f"displacements must have shape {(res, res, res, 3)}, "
-                f"got {disp.shape}"
-            )
-        disp = np.ascontiguousarray(disp)
-        disp.setflags(write=False)
-        object.__setattr__(self, "displacements", disp)
-
-    @property
-    def rest_positions(self) -> np.ndarray:
-        """Control-point rest coordinates, shape (res, res, res, 3)."""
-        res = self.resolution
-        axes = [
-            np.linspace(self.bounds.lo[a], self.bounds.hi[a], res) for a in range(3)
-        ]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        return grid
-
-    @property
-    def spacing(self) -> np.ndarray:
-        return (self.bounds.hi - self.bounds.lo) / (self.resolution - 1)
-
-
-def make_ffd_lattice(bounds: Aabb, resolution: int = 5) -> FfdLattice:
-    """Identity lattice (zero displacements) over the given box."""
-    if resolution < 2:
-        raise ValueError("lattice resolution must be >= 2")
-    extent = bounds.hi - bounds.lo
-    if not (extent > 0).all():
-        raise ValueError("degenerate lattice bounds (zero extent on some axis)")
-    zeros = np.zeros((resolution, resolution, resolution, 3))
-    return FfdLattice(bounds, resolution, zeros)
+    Its bounds `lo`, `hi` are the points' box joined with [-1, 1]^3; `rest`
+    holds the LATTICE_RESOLUTION^3 evenly spaced rest positions, shape
+    (res, res, res, 3), and `spacing` the per-axis gap between them.
+    """
+    lo = np.minimum(points.min(axis=0), -1.0)
+    hi = np.maximum(points.max(axis=0), 1.0)
+    axes = [np.linspace(lo[a], hi[a], LATTICE_RESOLUTION) for a in range(3)]
+    rest = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return lo, hi, rest, (hi - lo) / (LATTICE_RESOLUTION - 1)
 
 
 def random_unit_vectors(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -118,20 +85,6 @@ def random_unit_vectors(n: int, rng: np.random.Generator) -> np.ndarray:
     return v / norms
 
 
-def perturb_lattice(
-    lattice: FfdLattice, distance: float, rng: np.random.Generator
-) -> FfdLattice:
-    """Displace every control point by `distance` in a random direction."""
-    if distance < 0:
-        raise ValueError("distance must be >= 0")
-    res = lattice.resolution
-    if distance == 0.0:
-        disp = np.zeros((res, res, res, 3))
-    else:
-        disp = distance * random_unit_vectors(res**3, rng).reshape(res, res, res, 3)
-    return FfdLattice(lattice.bounds, res, disp)
-
-
 def bernstein_basis(degree: int, t: np.ndarray) -> np.ndarray:
     """All Bernstein polynomials B_i^degree evaluated at t; shape (len(t), degree+1)."""
     t = np.asarray(t, dtype=np.float64)
@@ -141,20 +94,19 @@ def bernstein_basis(degree: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_ffd(cloud: PointCloud, lattice: FfdLattice) -> PointCloud:
-    """Displace cloud points by the Bernstein blend of control displacements.
-
-    Points outside the lattice box have their normalized coordinates
-    clamped to [0, 1].
-    """
-    extent = lattice.bounds.hi - lattice.bounds.lo
-    uvw = np.clip((cloud.points - lattice.bounds.lo) / extent, 0.0, 1.0)
-    degree = lattice.resolution - 1
-    bx = bernstein_basis(degree, uvw[:, 0])
-    by = bernstein_basis(degree, uvw[:, 1])
-    bz = bernstein_basis(degree, uvw[:, 2])
+def apply_ffd(cloud: PointCloud, displacements) -> PointCloud:
+    """Displace cloud points by the Bernstein blend of the displacements of
+    the cloud's control points: res^3 rows of 3, in the C order of `rest`."""
+    res = LATTICE_RESOLUTION
+    disp = np.asarray(displacements, dtype=np.float64).reshape(res, res, res, 3)
+    lo, hi, _, _ = deformation_lattice(cloud.points)
+    # the lattice box holds every point, so each coordinate lands in [0, 1]
+    uvw = (cloud.points - lo) / (hi - lo)
+    bx = bernstein_basis(res - 1, uvw[:, 0])
+    by = bernstein_basis(res - 1, uvw[:, 1])
+    bz = bernstein_basis(res - 1, uvw[:, 2])
     # contract one lattice axis at a time: (n,i)(i,j,k,c) -> ... -> (n,c)
-    tmp = np.einsum("ni,ijkc->njkc", bx, lattice.displacements)
+    tmp = np.einsum("ni,ijkc->njkc", bx, disp)
     tmp = np.einsum("nj,njkc->nkc", by, tmp)
     delta = np.einsum("nk,nkc->nc", bz, tmp)
     return PointCloud(cloud.points + delta)

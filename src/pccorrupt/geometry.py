@@ -101,32 +101,6 @@ class TriangleMesh:
         return 0.5 * np.linalg.norm(cross, axis=1)
 
 
-@dataclass(frozen=True)
-class Aabb:
-    """Axis-aligned box; lo <= hi componentwise."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=np.float64).reshape(3)
-        hi = np.asarray(self.hi, dtype=np.float64).reshape(3)
-        if not (lo <= hi).all():
-            raise ValueError("Aabb lo must be <= hi componentwise")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    @staticmethod
-    def of_points(points: np.ndarray) -> "Aabb":
-        pts = _as_points(points)
-        return Aabb(pts.min(axis=0), pts.max(axis=0))
-
-    def union(self, other: "Aabb") -> "Aabb":
-        return Aabb(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi))
-
-
 # ---------------------------------------------------------------------------
 # OFF parsing / writing
 

@@ -22,7 +22,7 @@ from .io_formats import write_file
 from .severity import SEVERITIES, CorruptionKind
 
 CLEAN = "clean"
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 CSV_HEADER = ["sample_id", "corruption", "severity", "true_label", "pred_label"]
 
 _KIND_NAMES = tuple(k.value for k in CorruptionKind)
@@ -194,7 +194,6 @@ def error_rate(records) -> float:
 
 @dataclass
 class MetricsReport:
-    n_classes: int
     cells: dict                 # corruption -> {severity -> {"count", "wrong"}}
     er_clean: float | None
     mer_clean: float | None
@@ -224,10 +223,9 @@ def _scope_confusion(cells: list):
 
 
 def report_from_table(table: CountTable) -> MetricsReport:
-    """Every rate and mask of the report; n_classes is 1 + the largest label counted."""
+    """Every rate and mask of the report."""
     if not table.cells:
         raise ValueError("no records counted")
-    n_classes = 1 + max(max(pair) for cell in table.cells.values() for pair in cell.confusion)
 
     cells_out: dict = {}
     for (corruption, severity), cell in sorted(table.cells.items()):
@@ -264,7 +262,6 @@ def report_from_table(table: CountTable) -> MetricsReport:
     }
 
     return MetricsReport(
-        n_classes=n_classes,
         cells=cells_out,
         er_clean=er_clean,
         mer_clean=mer_clean,

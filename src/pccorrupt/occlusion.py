@@ -24,6 +24,8 @@ FIELD_OF_VIEW_DEG = 50.0  # of the pinhole grid and of the LiDAR pattern
 CAMERA_DISTANCE = 2.5
 RAY_T_MIN = 1e-9
 OCCLUSION_HITS = (768, 1280)  # hit counts occlusion_cloud searches for
+LIDAR_BEAMS = 32  # elevation lines of the LiDAR pattern
+LIDAR_AZIMUTH_STEPS = 512  # rays per line
 LIDAR_POINTS = 1024  # lidar_cloud keeps at most this many hits
 
 _DET_EPS = 1e-12
@@ -256,11 +258,11 @@ def _pinhole_directions(pose: ViewPose, grid: int) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _lidar_directions(pose: ViewPose, n_beams: int, azimuth_steps: int) -> np.ndarray:
+def _lidar_directions(pose: ViewPose) -> np.ndarray:
     forward, right, up = pose.basis()
     half = math.radians(FIELD_OF_VIEW_DEG) / 2.0
-    tan_beam = np.tan(np.linspace(-half, half, n_beams))
-    tan_az = np.tan(np.linspace(-half, half, azimuth_steps))
+    tan_beam = np.tan(np.linspace(-half, half, LIDAR_BEAMS))
+    tan_az = np.tan(np.linspace(-half, half, LIDAR_AZIMUTH_STEPS))
     dirs = (
         forward[None, None, :]
         + tan_az[None, :, None] * right[None, None, :]
@@ -288,36 +290,22 @@ def raycast_visible(
     return PointCloud(pose.position[None, :] + t[hit, None] * dirs[hit])
 
 
-def lidar_scan(
-    mesh: TriangleMesh,
-    pose: ViewPose,
-    n_beams: int = 32,
-    azimuth_steps: int = 512,
-    return_beams: bool = False,
-):
-    """Scan-line raycast: n_beams elevation lines x azimuth_steps per line.
+def lidar_scan(mesh: TriangleMesh, pose: ViewPose) -> PointCloud:
+    """Scan-line raycast: LIDAR_BEAMS elevation lines x LIDAR_AZIMUTH_STEPS
+    rays per line, evenly spaced in angle over the field of view.
 
     Beam i holds a fixed sensor-frame vertical angle, so its hit points are
     exactly coplanar (the plane spanned by the beam's central direction and
     the sensor's right axis).
     """
-    if n_beams < 2:
-        raise ValueError("n_beams must be >= 2")
-    if azimuth_steps < 1:
-        raise ValueError("azimuth_steps must be >= 1")
-    dirs = _lidar_directions(pose, n_beams, azimuth_steps)
+    dirs = _lidar_directions(pose)
     t, tri = Bvh(mesh).nearest_hits(pose.position, dirs)
     hit = tri >= 0
     if not hit.any():
         raise DegenerateViewError(
             f"no LiDAR ray hit the mesh from azimuth {pose.azimuth_deg} deg"
         )
-    points = pose.position[None, :] + t[hit, None] * dirs[hit]
-    cloud = PointCloud(points)
-    if return_beams:
-        beam_ids = np.repeat(np.arange(n_beams), azimuth_steps)[hit]
-        return cloud, beam_ids
-    return cloud
+    return PointCloud(pose.position[None, :] + t[hit, None] * dirs[hit])
 
 
 def occlusion_cloud(mesh: TriangleMesh, pose: ViewPose) -> PointCloud:

@@ -378,27 +378,6 @@ def sidecar_json(sample_id: str, spec: CorruptionSpec, table: SeverityTable,
     return json.dumps(record, indent=2, sort_keys=True)
 
 
-def _corrupt_task(out_root, sid, sample_hash, mesh, cloud, kind, severity, config, table,
-                  table_digest):
-    """One (sample, kind, severity) unit of work; returns a manifest entry.
-
-    `table_digest` is `table.digest()`, computed once per run by the caller.
-    """
-    spec = CorruptionSpec(CorruptionKind.from_name(kind), severity, seed=config.seed)
-    source = mesh if spec.kind in MESH_KINDS else cloud
-    corrupted = apply_corruption(source, spec, table, sample_key=sample_hash)
-    rel_ply = _cell_dir(kind, severity) / f"{sid}.ply"
-    rel_sidecar = rel_ply.with_suffix(".json")
-    sha256 = _write_cloud(out_root / rel_ply, corrupted)
-    write_file(out_root / rel_sidecar, sidecar_json(sid, spec, table, table_digest).encode())
-    return {
-        "path": rel_ply.as_posix(),
-        "sidecar": rel_sidecar.as_posix(),
-        "sha256": sha256,
-        "n_points": corrupted.count,
-    }
-
-
 def run_generate(config: RunConfig, log=None) -> DatasetManifest:
     """Generate the corrupted dataset; see the module docstring.
 
@@ -462,20 +441,32 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
         log({"event": "clean_written", "sample": sid})
 
     tasks = [
-        (sid, sample_hash, mesh, cloud, kind, severity)
-        for sid, (_, sample_hash, mesh, cloud) in prepared.items()
+        (sid, kind, severity)
+        for sid in prepared
         for kind in config.kinds
         for severity in config.severities
     ]
 
     def run_task(task):
-        sid, sample_hash, mesh, cloud, kind, severity = task
+        """One (sample, kind, severity) unit of work: its manifest entry or error."""
+        sid, kind, severity = task
+        _, sample_hash, mesh, cloud = prepared[sid]
         task_start_s = time.perf_counter()
         try:
-            entry = _corrupt_task(
-                out_root, sid, sample_hash, mesh, cloud, kind, severity, config, table,
-                table_digest,
-            )
+            spec = CorruptionSpec(CorruptionKind.from_name(kind), severity, seed=config.seed)
+            source = mesh if spec.kind in MESH_KINDS else cloud
+            corrupted = apply_corruption(source, spec, table, sample_key=sample_hash)
+            rel_ply = _cell_dir(kind, severity) / f"{sid}.ply"
+            rel_sidecar = rel_ply.with_suffix(".json")
+            sha256 = _write_cloud(out_root / rel_ply, corrupted)
+            write_file(out_root / rel_sidecar,
+                       sidecar_json(sid, spec, table, table_digest).encode())
+            entry = {
+                "path": rel_ply.as_posix(),
+                "sidecar": rel_sidecar.as_posix(),
+                "sha256": sha256,
+                "n_points": corrupted.count,
+            }
             error = None
         except Exception as exc:  # noqa: BLE001 - per-task isolation
             entry, error = None, exc

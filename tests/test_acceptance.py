@@ -29,15 +29,15 @@ from pccorrupt import (
     count_records,
     emd_assign,
     assignment_cost,
+    deformation_lattice,
     forward,
     loss_entropy,
     loss_smoothed_ce,
-    make_ffd_lattice,
     merge_tables,
     nearest_indices,
-    perturb_lattice,
     pgd_attack,
     predict,
+    random_unit_vectors,
     raycast_visible,
     report_from_table,
     report_to_json,
@@ -46,8 +46,7 @@ from pccorrupt import (
     tent_adapt,
     train,
 )
-from pccorrupt.deformation import FfdLattice, MULTIQUADRIC, RbfKernel
-from pccorrupt.geometry import Aabb
+from pccorrupt.deformation import MULTIQUADRIC, RbfKernel
 from pccorrupt.network import BN_EPS
 from pccorrupt import _rng
 
@@ -163,13 +162,14 @@ def test_acceptance_02_rotation_and_shear_isometries():
 def test_acceptance_03_deformation_identity_bounds_affine():
     from pccorrupt import INVERSE_MULTIQUADRIC, apply_rbf
 
-    unit = Aabb(np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
     cloud = random_cloud(500, seed=300)
+    # the cloud lies in [-1, 1]^3, so its control lattice spans the unit cube
+    lo, hi, rest, _ = deformation_lattice(cloud.points)
+    assert np.array_equal(lo, [-1.0] * 3) and np.array_equal(hi, [1.0] * 3)
 
-    identity = apply_ffd(cloud, make_ffd_lattice(unit))
+    identity = apply_ffd(cloud, np.zeros_like(rest))
     id_err = float(np.abs(identity.points - cloud.points).max())
 
-    rest = make_ffd_lattice(unit).rest_positions
     centers = rest.reshape(-1, 3)
     zero = np.zeros((125, 3))
     for kernel_kind in (MULTIQUADRIC, INVERSE_MULTIQUADRIC):
@@ -178,10 +178,10 @@ def test_acceptance_03_deformation_identity_bounds_affine():
 
     rng = np.random.default_rng(301)
     a = np.eye(3) + 0.05 * rng.standard_normal((3, 3))
-    affine = apply_ffd(cloud, FfdLattice(unit, 5, rest @ a.T - rest))
+    affine = apply_ffd(cloud, rest @ a.T - rest)
     affine_err = float(np.abs(affine.points - cloud.points @ a.T).max())
 
-    bent = apply_ffd(cloud, perturb_lattice(make_ffd_lattice(unit), 0.3, rng))
+    bent = apply_ffd(cloud, 0.3 * random_unit_vectors(125, rng))
     bound_excess = float(
         np.linalg.norm(bent.points - cloud.points, axis=1).max() - 0.3
     )

@@ -903,7 +903,7 @@ def test_bench_json_and_markdown(workspace, tmp_path, capsys):
     assert code == 0
     assert "ER_clean" in captured.out
     payload = json.loads(report.read_text())
-    assert payload["report_version"] == 2
+    assert payload["report_version"] == 3
 
     md = tmp_path / "r.md"
     code = main(["bench", str(preds), str(data / "manifest.json"),

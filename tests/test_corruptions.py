@@ -1,5 +1,7 @@
 """The fifteen corruption operators and their dispatch table."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,13 @@ from pccorrupt import (
     nearest_indices,
     random_rotation,
     random_shear,
+    random_unit_vectors,
     rotation_matrix_xyz,
     uniform_noise,
     upsampling_noise,
 )
 from pccorrupt import _rng
-from pccorrupt.corruptions import rbf_corrupt
+from pccorrupt.corruptions import ffd_corrupt, rbf_corrupt
 
 from synthdata import random_cloud, uv_sphere
 
@@ -198,6 +201,51 @@ def test_deformations_preserve_count_and_stay_bounded(kind):
     moved = np.linalg.norm(out.points - cloud.points, axis=1)
     assert moved.max() > 1e-4  # severity 5 visibly deforms
     assert moved.max() < 3.0  # but stays in the same ballpark as the shape
+
+
+def _reference_lattice(lo, hi):
+    """5 evenly spaced control points per axis over [lo, hi], flattened."""
+    axes = [np.linspace(lo[a], hi[a], 5) for a in range(3)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _reference_ffd(points, lo, hi, disp):
+    """Bernstein FFD written out: sum over (i, j, k) of B_i B_j B_k d_ijk."""
+    uvw = np.clip((points - lo) / (hi - lo), 0.0, 1.0)
+    basis = np.stack([math.comb(4, i) * uvw**i * (1 - uvw) ** (4 - i) for i in range(5)])
+    weights = np.einsum("in,jn,kn->nijk", basis[:, :, 0], basis[:, :, 1], basis[:, :, 2])
+    return points + weights.reshape(len(points), -1) @ disp
+
+
+def _reference_rbf(points, centers, disp, variant, r):
+    def kernel(a, b):
+        base = np.sqrt(((a[:, None] - b[None]) ** 2).sum(axis=2) + r * r)
+        return base if variant == MULTIQUADRIC else 1.0 / base
+
+    return points + kernel(points, centers) @ np.linalg.solve(kernel(centers, centers), disp)
+
+
+def test_deformation_lattice_covers_a_cloud_beyond_the_unit_cube():
+    # the lattice rule: the cloud's box joined with [-1, 1]^3, 5 points per
+    # axis, kernel radius the mean spacing.  A raw or un-normalized cloud
+    # reaches [-3, 3]^3, so a lattice on the unit cube alone would differ
+    points = _rng_for(24).uniform(-3.0, 3.0, size=(300, 3))
+    points[:2] = [[-3.0, -3.0, -3.0], [3.0, 3.0, 3.0]]
+    cloud = PointCloud(points)
+    wide, unit = (np.full(3, -3.0), np.full(3, 3.0)), (np.full(3, -1.0), np.full(3, 1.0))
+
+    disp = 0.3 * random_unit_vectors(125, _rng_for(25))
+    out = ffd_corrupt(cloud, 0.3, _rng_for(25)).points
+    assert np.abs(out - _reference_ffd(points, *wide, disp)).max() < 1e-12
+    assert np.abs(out - _reference_ffd(points, *unit, disp)).max() > 0.1
+
+    for variant in (MULTIQUADRIC, INVERSE_MULTIQUADRIC):
+        disp = 0.3 * random_unit_vectors(125, _rng_for(26))
+        out = rbf_corrupt(cloud, 0.3, _rng_for(26), variant).points
+        want = _reference_rbf(points, _reference_lattice(*wide), disp, variant, 1.5)
+        assert np.abs(out - want).max() < 1e-9
+        on_unit = _reference_rbf(points, _reference_lattice(*unit), disp, variant, 0.5)
+        assert np.abs(out - on_unit).max() > 0.1
 
 
 def test_rbf_corrupt_on_concurrent_threads_matches_serial_bytes():

@@ -9,24 +9,21 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
 from pccorrupt import (
-    Aabb,
     CONDITION_LIMIT,
     INVERSE_MULTIQUADRIC,
     IllConditionedError,
+    LATTICE_RESOLUTION,
     MULTIQUADRIC,
     PointCloud,
     RbfKernel,
     apply_ffd,
     apply_rbf,
     bernstein_basis,
-    make_ffd_lattice,
-    perturb_lattice,
+    deformation_lattice,
     random_unit_vectors,
     solve_rbf,
 )
-from pccorrupt.deformation import FfdLattice
-
-UNIT = Aabb(np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
+from pccorrupt.corruptions import ffd_corrupt
 
 
 def _cloud(n=200, seed=0):
@@ -64,27 +61,27 @@ def test_bernstein_endpoint_interpolation():
 
 
 def test_ffd_lattice_shapes():
-    lattice = make_ffd_lattice(UNIT, resolution=5)
-    assert lattice.rest_positions.shape == (5, 5, 5, 3)
-    assert np.allclose(lattice.spacing, 0.5)
-    corner = lattice.rest_positions[0, 0, 0]
-    assert np.array_equal(corner, [-1.0, -1.0, -1.0])
-    assert np.array_equal(lattice.rest_positions[4, 4, 4], [1.0, 1.0, 1.0])
+    lo, hi, rest, spacing = deformation_lattice(_cloud().points)
+    assert LATTICE_RESOLUTION == 5
+    # a cloud inside [-1, 1]^3 gets the unit cube's lattice
+    assert np.array_equal(lo, [-1.0, -1.0, -1.0]) and np.array_equal(hi, [1.0, 1.0, 1.0])
+    assert rest.shape == (5, 5, 5, 3)
+    assert np.allclose(spacing, 0.5)
+    assert np.array_equal(rest[0, 0, 0], [-1.0, -1.0, -1.0])
+    assert np.array_equal(rest[4, 4, 4], [1.0, 1.0, 1.0])
 
 
 def test_ffd_zero_displacement_is_identity():
     cloud = _cloud()
-    out = apply_ffd(cloud, make_ffd_lattice(UNIT))
+    out = apply_ffd(cloud, np.zeros((5, 5, 5, 3)))
     assert np.array_equal(out.points, cloud.points)
 
 
 def test_ffd_uniform_translation():
     # every control point moved by the same vector -> pure translation
     cloud = _cloud(100, seed=3)
-    lattice = make_ffd_lattice(UNIT)
     shift = np.array([0.25, -0.5, 0.125])
-    moved = FfdLattice(UNIT, 5, np.tile(shift, (5, 5, 5, 1)))
-    out = apply_ffd(cloud, moved)
+    out = apply_ffd(cloud, np.tile(shift, (5, 5, 5, 1)))
     assert np.allclose(out.points, cloud.points + shift, atol=1e-12)
 
 
@@ -92,31 +89,37 @@ def test_ffd_reproduces_affine_maps():
     # displacing control points by (A - I) x turns the FFD into x -> A x
     rng = np.random.default_rng(7)
     a = np.eye(3) + 0.05 * rng.standard_normal((3, 3))
-    lattice = make_ffd_lattice(UNIT)
-    rest = lattice.rest_positions
-    disp = rest @ a.T - rest
     cloud = _cloud(300, seed=8)
-    out = apply_ffd(cloud, FfdLattice(UNIT, 5, disp))
+    rest = deformation_lattice(cloud.points)[2]
+    out = apply_ffd(cloud, rest @ a.T - rest)
     assert np.abs(out.points - cloud.points @ a.T).max() < 1e-9
 
 
 def test_ffd_displacement_bounded_by_control_norms():
     # blended displacement is a convex combination of control displacements
     cloud = _cloud(500, seed=1)
-    rng = np.random.default_rng(2)
-    lattice = perturb_lattice(make_ffd_lattice(UNIT), 0.3, rng)
-    out = apply_ffd(cloud, lattice)
+    disp = 0.3 * random_unit_vectors(125, np.random.default_rng(2))
+    out = apply_ffd(cloud, disp)
     moved = np.linalg.norm(out.points - cloud.points, axis=1)
     assert moved.max() <= 0.3 + 1e-9
 
 
-def test_perturb_lattice_exact_distance():
+def test_ffd_corrupt_moves_lattice_corners_by_exact_distance():
+    # Bernstein blends interpolate at the lattice corners, so a corner point
+    # moves by exactly its own control displacement: `distance` times the
+    # op's unit draw for that control point
+    corners = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
+    cloud = PointCloud(np.vstack([corners, _cloud(50, seed=4).points]))
+    out = ffd_corrupt(cloud, 0.2, np.random.default_rng(5))
+    draw = random_unit_vectors(125, np.random.default_rng(5)).reshape(5, 5, 5, 3)
+    want = 0.2 * draw[[0, 0, 0, 0, 4, 4, 4, 4], [0, 0, 4, 4, 0, 0, 4, 4], [0, 4, 0, 4, 0, 4, 0, 4]]
+    moved = out.points[:8] - corners
+    assert np.allclose(moved, want, atol=1e-12)
+    assert np.allclose(np.linalg.norm(moved, axis=1), 0.2, atol=1e-12)
+    # distance 0 leaves the cloud as it is and draws nothing
     rng = np.random.default_rng(5)
-    lattice = perturb_lattice(make_ffd_lattice(UNIT), 0.2, rng)
-    norms = np.linalg.norm(lattice.displacements.reshape(-1, 3), axis=1)
-    assert np.allclose(norms, 0.2, atol=1e-12)
-    with pytest.raises(ValueError):
-        perturb_lattice(make_ffd_lattice(UNIT), -0.1, rng)
+    assert np.array_equal(ffd_corrupt(cloud, 0.0, rng).points, cloud.points)
+    assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
 
 def test_random_unit_vectors():
@@ -236,11 +239,11 @@ def _rbf_clouds():
 def test_rbf_bits_equal_broadcast_distance_formula(kind, name):
     points = _rbf_clouds()[name]
     # centers on the lattice rbf_corrupt builds: the cloud's box joined with [-1, 1]^3
-    lattice = make_ffd_lattice(Aabb.of_points(points).union(UNIT), resolution=5)
-    assert (lattice.bounds.hi.max() > 1.0) == (name == "beyond")
-    centers = lattice.rest_positions.reshape(-1, 3)
+    _, hi, rest, spacing = deformation_lattice(points)
+    assert (hi.max() > 1.0) == (name == "beyond")
+    centers = rest.reshape(-1, 3)
     disp = 0.05 * random_unit_vectors(len(centers), np.random.default_rng(29))
-    kernel = RbfKernel(kind, float(np.mean(lattice.spacing)))
+    kernel = RbfKernel(kind, float(np.mean(spacing)))
 
     solved = solve_rbf(centers, disp, kernel)
     phi = kernel(_broadcast_distances(centers, centers))
@@ -274,9 +277,9 @@ def test_rbf_memo_hits_equal_fresh_solves_bit_for_bit():
     ]
     for name, kind, disp in calls + calls[::-1]:
         points = clouds[name]
-        lattice = make_ffd_lattice(Aabb.of_points(points).union(UNIT), resolution=5)
-        centers = lattice.rest_positions.reshape(-1, 3)
-        kernel = RbfKernel(kind, float(np.mean(lattice.spacing)))
+        _, _, rest, spacing = deformation_lattice(points)
+        centers = rest.reshape(-1, 3)
+        kernel = RbfKernel(kind, float(np.mean(spacing)))
         weights, moved = _reference_rbf(points, centers, disp, kernel)
         solved = solve_rbf(centers, disp, kernel)
         assert np.array_equal(solved.weights, weights)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pccorrupt import (
-    Aabb,
     OffParseError,
     PointCloud,
     TriangleMesh,
@@ -126,14 +125,6 @@ def test_mesh_validation():
         TriangleMesh(verts, np.array([[0, 1, 3]]))
     with pytest.raises(ValueError):
         TriangleMesh(verts, np.array([[0, 1, -1]]))
-
-
-def test_aabb_of_points_and_union():
-    a = Aabb.of_points(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]))
-    b = Aabb.of_points(np.array([[-1.0, 0.5, 0.0], [0.5, 0.5, 4.0]]))
-    u = a.union(b)
-    assert np.array_equal(u.lo, [-1.0, 0.0, 0.0])
-    assert np.array_equal(u.hi, [1.0, 2.0, 4.0])
 
 
 # -- sampling --------------------------------------------------------------

@@ -20,6 +20,9 @@ from pccorrupt import (
 )
 from pccorrupt.occlusion import (
     CAMERA_DISTANCE,
+    FIELD_OF_VIEW_DEG,
+    LIDAR_AZIMUTH_STEPS,
+    LIDAR_BEAMS,
     OCCLUSION_HITS,
     RAY_T_MIN,
     _PROBE_GRID,
@@ -141,7 +144,7 @@ VIEW_MESHES = {
 VIEW_PATTERNS = {
     "pinhole_48": (lambda pose: _pinhole_directions(pose, 48), 48, 1),
     "pinhole_96": (lambda pose: _pinhole_directions(pose, 96), 96, 4),
-    "lidar_32x512": (lambda pose: _lidar_directions(pose, 32, 512), 32, 8),
+    "lidar_32x512": (_lidar_directions, LIDAR_BEAMS, 8),
 }
 
 
@@ -313,25 +316,35 @@ def test_raycast_degenerate_view_errors():
 # -- LiDAR -----------------------------------------------------------------
 
 
-def test_lidar_beams_have_constant_sensor_elevation():
-    mesh = uv_sphere()
-    pose = ViewPose(216.0, 50.0)
-    cloud, beam_ids = lidar_scan(mesh, pose, return_beams=True)
-    # vertical angle of each point in the sensor frame
+def _beams(cloud, pose):
+    """Each hit's beam: the nearest of the LIDAR_BEAMS sensor-frame vertical
+    angles to the hit's own, and how far the hit's angle is from it."""
     forward, _right, up = pose.basis()
     delta = cloud.points - pose.position
     elev = np.arctan2(delta @ up, delta @ forward)
-    for b in np.unique(beam_ids):
-        spread = np.ptp(elev[beam_ids == b])
-        assert spread < 1e-9
+    half = math.radians(FIELD_OF_VIEW_DEG) / 2.0
+    angles = np.linspace(-half, half, LIDAR_BEAMS)
+    beam = np.abs(elev[:, None] - angles[None, :]).argmin(axis=1)
+    return beam, np.abs(elev - angles[beam])
+
+
+def test_lidar_beams_have_constant_sensor_elevation():
+    mesh = uv_sphere()
+    pose = ViewPose(216.0, 50.0)
+    beam, off = _beams(lidar_scan(mesh, pose), pose)
+    # every hit lies on one beam's vertical angle, not between two
+    assert off.max() < 1e-9
+    assert len(np.unique(beam)) > 1
 
 
 def test_lidar_beams_are_coplanar():
     mesh = box_mesh()
     pose = ViewPose(288.0, 40.0)
-    cloud, beam_ids = lidar_scan(mesh, pose, return_beams=True)
-    for b in np.unique(beam_ids):
-        pts = cloud.points[beam_ids == b]
+    cloud = lidar_scan(mesh, pose)
+    beam, off = _beams(cloud, pose)
+    assert off.max() < 1e-9
+    for b in np.unique(beam):
+        pts = cloud.points[beam == b]
         if len(pts) < 4:
             continue
         centered = pts - pts.mean(axis=0)
@@ -348,15 +361,17 @@ def test_lidar_cloud_downsample_cap():
     assert capped.count == min(1024, full.count)
     rows = {tuple(p) for p in full.points}
     assert all(tuple(p) in rows for p in capped.points)
+    # the kept hits stay on the beams' vertical angles
+    assert _beams(capped, pose)[1].max() < 1e-9
 
 
 def test_lidar_scan_row_structure():
     mesh = uv_sphere()
     pose = ViewPose(0.0, 45.0)
-    cloud, beam_ids = lidar_scan(mesh, pose, n_beams=8, azimuth_steps=64,
-                                 return_beams=True)
-    assert beam_ids.max() < 8
-    assert cloud.count == len(beam_ids)
+    cloud = lidar_scan(mesh, pose)
+    beam, off = _beams(cloud, pose)
+    assert off.max() < 1e-9
+    # at most one hit per ray: a beam holds at most LIDAR_AZIMUTH_STEPS hits
+    assert np.bincount(beam, minlength=LIDAR_BEAMS).max() <= LIDAR_AZIMUTH_STEPS
     # the sphere fills the middle of the field of view; central beams hit
-    mid = (beam_ids == 4).sum()
-    assert mid > 10
+    assert (beam == LIDAR_BEAMS // 2).sum() > 10

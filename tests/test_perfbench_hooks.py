@@ -7,6 +7,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench import spans  # noqa: E402
+from pccorrupt import CorruptionKind, CorruptionSpec  # noqa: E402
+from synthdata import random_cloud  # noqa: E402
 
 TRACED_MODULES = ("augmentation", "cli", "corruptions", "metrics", "network",
                   "occlusion", "pipeline")
@@ -41,3 +43,23 @@ def test_instrument_wraps_and_restores_every_entry_point():
     assert (spans.network, "apply_mix") in wrapped
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_deformation_ops_call_their_steps_through_the_wrapped_globals():
+    # an op that bound apply_ffd / solve_rbf / apply_rbf at import time would
+    # bypass the wrappers and zero the deformation.* per-layer metrics
+    tracer = spans.Tracer()
+    cloud = random_cloud(64, seed=0)
+    with spans.instrument(tracer):
+        for kind in ("ffd", "rbf", "inv_rbf"):
+            spec = CorruptionSpec(CorruptionKind.from_name(kind), 3, seed=0)
+            spans.pipeline.apply_corruption(cloud, spec, sample_key=1)
+    by_id = {s.span_id: s for s in tracer.spans}
+    under = {(by_id[s.parent].name, s.name) for s in tracer.spans if s.parent in by_id}
+    assert under == {
+        ("corruptions.ffd", "deformation.apply_ffd"),
+        ("corruptions.rbf", "deformation.solve_rbf"),
+        ("corruptions.rbf", "deformation.apply_rbf"),
+        ("corruptions.inv_rbf", "deformation.solve_rbf"),
+        ("corruptions.inv_rbf", "deformation.apply_rbf"),
+    }

@@ -666,7 +666,7 @@ def test_run_benchmark_report_and_coverage(generated, tmp_path):
     assert report.er_cor is not None
     assert report_path.is_file()
     loaded = json.loads(report_path.read_text())
-    assert loaded["report_version"] == 2
+    assert loaded["report_version"] == 3
 
 
 def test_run_benchmark_flags_missing_cells(generated, tmp_path):
