@@ -286,58 +286,48 @@ def _model_and_manifest(args):
     return state, index, manifest, Path(args.manifest).parent
 
 
-def _predict_chunk(base, clouds, args, kind, severity):
-    """Predicted classes of one chunk under the state `--adapt` makes of `base`."""
-    if args.adapt == "none":
-        return network.predict(base, clouds)
-    if len(clouds) < 2:  # batch statistics need at least two clouds
-        log_event(event="adaptation_skipped", corruption=kind, severity=severity,
-                  n=len(clouds))
-        return network.predict(base, clouds)
-    if args.adapt == "bn":
-        _, logits = network.bn_adapt(base, clouds, blend=args.blend)
-    else:
-        _, logits = network.tent_adapt(
-            base, clouds, network.TentConfig(lr=args.tent_lr, steps=args.tent_steps)
-        )
-    return logits.argmax(axis=1)
+def _pct(rate) -> str:
+    return "n/a" if rate is None else f"{100 * rate:.1f}%"
 
 
 def cmd_eval(args) -> int:
     if args.adapt_batch < 1:
         raise DataError(f"--adapt-batch must be >= 1, got {args.adapt_batch}")
+    if args.adapt == "bn":
+        network.check_blend(args.blend)
+    tent = (network.TentConfig(lr=args.tent_lr, steps=args.tent_steps)
+            if args.adapt == "tent" else None)
     state, index, manifest, root = _model_and_manifest(args)
-    records = []
+    records, table = [], metrics.CountTable()
     for kind, severity, batch in pipeline.iter_cells(manifest, root):
         start_s = time.perf_counter()
         preds, chunk_classes = [], []
         for start in range(0, len(batch), args.adapt_batch):
             chunk = batch[start : start + args.adapt_batch]
             clouds = [cloud for _, _, cloud in chunk]
-            preds.extend(_predict_chunk(state, clouds, args, kind, severity).tolist())
-            if args.adapt != "none" and len(chunk) >= 2:
-                # batch statistics adapt to this chunk's class mix as much as to the corruption
-                chunk_classes.append(len({cls for _, cls, _ in chunk}))
-        wrong = 0
+            if args.adapt == "none" or len(chunk) < network.MIN_ADAPT_BATCH:
+                if args.adapt != "none":
+                    log_event(event="adaptation_skipped", corruption=kind, severity=severity,
+                              n=len(chunk))
+                preds.extend(network.predict(state, clouds).tolist())
+                continue
+            _, logits = (network.bn_adapt(state, clouds, blend=args.blend) if args.adapt == "bn"
+                         else network.tent_adapt(state, clouds, tent))
+            preds.extend(logits.argmax(axis=1).tolist())
+            # batch statistics adapt to this chunk's class mix as much as to the corruption
+            chunk_classes.append(len({cls for _, cls, _ in chunk}))
         for (sid, cls, _), pred in zip(batch, preds):
-            records.append(
-                metrics.PredictionRecord(sid, kind, severity, index[cls], int(pred))
-            )
-            wrong += int(index[cls] != pred)
+            records.append(metrics.PredictionRecord(sid, kind, severity, index[cls], pred))
+            table.add(records[-1])
         elapsed_s = time.perf_counter() - start_s
         log_event(event="cell_evaluated", corruption=kind, severity=severity,
-                  n=len(batch), error_rate=wrong / len(batch), ms=elapsed_s * 1e3,
-                  clouds_per_s=len(batch) / elapsed_s,
+                  n=len(batch), error_rate=table.cells[kind, severity].error_rate(),
+                  ms=elapsed_s * 1e3, clouds_per_s=len(batch) / elapsed_s,
                   min_chunk_classes=min(chunk_classes, default=None))
     metrics.write_predictions(records, args.out)
-    clean = [r for r in records if r.corruption == "clean"]
-    corrupted = [r for r in records if r.corruption != "clean"]
-    parts = [f"{len(records)} predictions -> {args.out}"]
-    if clean:
-        parts.append(f"ER_clean={metrics.error_rate(clean):.3f}")
-    if corrupted:
-        parts.append(f"ER_corrupted={metrics.error_rate(corrupted):.3f}")
-    print("  ".join(parts))
+    report = metrics.report_from_table(table)
+    print(f"{len(records)} predictions -> {args.out}  "
+          f"ER_clean={_pct(report.er_clean)}  ER_cor={_pct(report.er_cor)}")
     return 0
 
 
@@ -375,13 +365,9 @@ def cmd_bench(args) -> int:
     )
     for cell in missing:
         log_event(event="missing_cell", corruption=cell[0], severity=cell[1])
-    def pct(x):
-        return "n/a" if x is None else f"{100 * x:.1f}%"
-    print(
-        f"ER_clean={pct(report.er_clean)}  ER_cor={pct(report.er_cor)}  "
-        f"mER_cor={pct(report.mer_cor)}"
-        + (f"  ({len(missing)} cells missing)" if missing else "")
-    )
+    missing_note = f"  ({len(missing)} cells missing)" if missing else ""
+    print(f"ER_clean={_pct(report.er_clean)}  ER_cor={_pct(report.er_cor)}  "
+          f"mER_cor={_pct(report.mer_cor)}{missing_note}")
     return 0
 
 

@@ -53,10 +53,6 @@ class PredictionRecord:
         if self.true_label < 0 or self.pred_label < 0:
             raise ValueError("class indices must be >= 0")
 
-    @property
-    def wrong(self) -> bool:
-        return self.true_label != self.pred_label
-
 
 def ingest_predictions(path) -> list[PredictionRecord]:
     """Read and validate the prediction CSV at `path`.
@@ -175,17 +171,6 @@ def merge_tables(a: CountTable, b: CountTable) -> CountTable:
         key: Cell(a.cells.get(key, empty).confusion + b.cells.get(key, empty).confusion)
         for key in set(a.cells) | set(b.cells)
     })
-
-
-# ---------------------------------------------------------------------------
-# direct record-level metrics
-
-
-def error_rate(records) -> float:
-    """Share of wrong predictions among all records, whatever their cell."""
-    if not records:
-        raise ValueError("cannot compute an error rate over zero records")
-    return sum(r.wrong for r in records) / len(records)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The network is one ordered list of layers, each a shared linear map, batch
 norm and ReLU: the per-point layers (3 -> 64 -> 128 -> 256), a global max
 pool over each cloud's points, then the head layer (256 -> 128), and last
-an affine map to the C class logits.  The forward pass is pure; batch-norm
-running statistics are updated explicitly by the training loop from values
-the forward pass reports.  The backward pass produces exact analytic
+an affine map to the C class logits.  The forward pass is pure; callers
+blend the batch statistics it reports into the running ones through
+`NetworkState.set_running_stats`.  The backward pass produces exact analytic
 gradients for the input points, which is what the projected-gradient
 attack consumes, and for the parameters its caller names: training takes
 all of them, TENT the batch-norm scale/shift and the attack none.  A
@@ -34,7 +34,7 @@ output, and only each (cloud, feature)'s winning point carries gradient.
 The activation cache holds the packed points `x`; per layer its `input`
 (points x fan_in, a view of the layer below's output), `mean` and
 `inv_std`; each pooled feature's winning row `argmax_rows`; the out map's
-input `out_input`; and `batch_stats` and `new_stats`.  No normalized
+input `out_input`; and `batch_stats`.  No normalized
 activations and no ReLU masks are kept: a layer's ReLU output is the next
 layer's cached input (the head's is `out_input`), and the pre-pool layer's
 mask is its pooled output's.  Per point, nothing wider than a per-point
@@ -76,6 +76,7 @@ from .io_formats import parse_json, write_file
 # even for low-variance features; float64 tolerates the wide dynamic range
 BN_EPS = 1e-8
 BN_MOMENTUM = 0.1
+MIN_ADAPT_BATCH = 2  # clouds that batch statistics need, in adaptation and eval
 CHECKPOINT_MAGIC = b"TPN1"
 # Adam's moment decays and denominator guard, for training and TENT alike
 ADAM_BETA1 = 0.9
@@ -178,12 +179,14 @@ class NetworkState:
     def touch(self):
         self.version += 1
 
-    def set_running_stats(self, stats: dict[str, np.ndarray]):
+    def set_running_stats(self, stats: dict[str, np.ndarray], weight: float):
+        """Running statistics become weight * stats + (1 - weight) * running."""
         current = self.running_stats()
         for name, value in stats.items():
             if name not in current:
                 raise KeyError(f"unknown statistic {name!r}")
-            current[name][...] = value
+            running = current[name]
+            running[...] = value if weight == 1 else weight * value + (1 - weight) * running
         self.touch()
 
 
@@ -227,9 +230,9 @@ def _max_pool(z, offsets):
 def forward(state: NetworkState, clouds, mode: str = "eval"):
     """Run the classifier; returns (logits, cache).
 
-    train/adapt modes normalize with current-batch statistics and report the
-    momentum-updated running statistics in cache["new_stats"] without
-    touching the state.  eval mode uses the stored running statistics.
+    train/adapt modes normalize with current-batch statistics and report
+    them in cache["batch_stats"] without touching the state.  eval mode uses
+    the stored running statistics.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
@@ -243,7 +246,6 @@ def forward(state: NetworkState, clouds, mode: str = "eval"):
         "x": x,
         "layers": [],
         "batch_stats": {},
-        "new_stats": {},
     }
 
     h = x
@@ -274,11 +276,8 @@ def forward(state: NetworkState, clouds, mode: str = "eval"):
             mean = mean * sign
         cache["layers"].append({"input": h, "mean": mean, "inv_std": inv_std})
         if batch_stats:
-            for part, value in (("mean", mean), ("var", var)):
-                name = f"{layer.name}.bn.{part}"
-                cache["batch_stats"][name] = value
-                running = getattr(layer, part)
-                cache["new_stats"][name] = (1 - BN_MOMENTUM) * running + BN_MOMENTUM * value
+            cache["batch_stats"][f"{layer.name}.bn.mean"] = mean
+            cache["batch_stats"][f"{layer.name}.bn.var"] = var
         h = z.T
 
     cache["out_input"] = h
@@ -550,7 +549,7 @@ def train(
             loss, dlogits = loss_smoothed_ce(logits, targets, config.smoothing)
             grads, _ = backward(state, cache, dlogits)
             adam.step(state.parameters(), grads)
-            state.set_running_stats(cache["new_stats"])
+            state.set_running_stats(cache["batch_stats"], BN_MOMENTUM)
             epoch_loss += loss * len(samples)
             n_seen += len(samples)
 
@@ -632,6 +631,12 @@ def pgd_attack(
 # test-time adaptation
 
 
+def check_blend(blend: float):
+    """bn_adapt's blend, the batch statistics' weight, must be in (0, 1]."""
+    if not 0.0 < blend <= 1.0:
+        raise ValueError("blend must be in (0, 1]")
+
+
 def bn_adapt(state: NetworkState, clouds, blend: float = 1.0):
     """Re-estimate batch-norm statistics from one batch; weights untouched.
 
@@ -639,21 +644,14 @@ def bn_adapt(state: NetworkState, clouds, blend: float = 1.0):
     batch and running statistics.  Returns (adapted state, the batch's
     eval-mode logits under it).
     """
-    if not 0.0 < blend <= 1.0:
-        raise ValueError("blend must be in (0, 1]")
-    if len(clouds) < 2:
-        raise ValueError("need a batch of at least 2 clouds")
+    check_blend(blend)
+    if len(clouds) < MIN_ADAPT_BATCH:
+        raise ValueError(f"need a batch of at least {MIN_ADAPT_BATCH} clouds")
     adapted = state.copy()
     logits, cache = forward(adapted, clouds, mode="adapt")
-    batch = cache["batch_stats"]
+    adapted.set_running_stats(cache["batch_stats"], blend)
     if blend == 1.0:
-        adapted.set_running_stats(batch)
         return adapted, logits
-    running = adapted.running_stats()
-    merged = {
-        name: blend * batch[name] + (1.0 - blend) * running[name] for name in batch
-    }
-    adapted.set_running_stats(merged)
     return adapted, forward(adapted, clouds, mode="eval")[0]
 
 
@@ -683,8 +681,8 @@ def tent_adapt(state: NetworkState, clouds, config: TentConfig | None = None):
     Every other parameter is left bit-identical.  Returns (adapted state,
     the batch's eval-mode logits under it).
     """
-    if len(clouds) < 2:
-        raise ValueError("need a batch of at least 2 clouds")
+    if len(clouds) < MIN_ADAPT_BATCH:
+        raise ValueError(f"need a batch of at least {MIN_ADAPT_BATCH} clouds")
     config = config or TentConfig()
     adapted = state.copy()
     affine = {
@@ -702,7 +700,7 @@ def tent_adapt(state: NetworkState, clouds, config: TentConfig | None = None):
     # store the batch statistics seen under the final scale/shift values, so
     # a later eval-mode pass reproduces the adapted forward exactly
     logits, cache = forward(adapted, clouds, mode="adapt")
-    adapted.set_running_stats(cache["batch_stats"])
+    adapted.set_running_stats(cache["batch_stats"], 1.0)
     return adapted, logits
 
 

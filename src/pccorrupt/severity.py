@@ -113,8 +113,11 @@ class CorruptionSpec:
 def _misfit(kind: CorruptionKind, name: str, value) -> str | None:
     """What parameter `name` of `kind` must be, if `value` does not fit it."""
     if kind.params[name] is int:
+        is_int = isinstance(value, int) and not isinstance(value, bool)
+        if name == "view_index":  # one of the 5 canonical views
+            return None if is_int and value in SEVERITIES else "an integer in 1..5"
         least = 1 if name == "count_div" else 0  # count_div is a divisor
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        if not is_int or value < least:
             return f"an integer >= {least}"
     elif (
         isinstance(value, bool)

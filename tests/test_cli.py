@@ -728,6 +728,61 @@ def test_eval_single_cloud_chunk_logs_adaptation_skipped(workspace, tmp_path, ca
         assert r.pred_label == unadapted[(r.sample_id, r.corruption, r.severity)]
 
 
+@pytest.mark.parametrize("bad", [["bn", "--blend", "0"], ["bn", "--blend", "nan"],
+                                 ["tent", "--tent-steps", "0"], ["tent", "--tent-lr", "nan"]])
+def test_eval_checks_adaptation_settings_before_the_first_cell(workspace, tmp_path, capsys,
+                                                               bad):
+    # chunks of 1 cloud never adapt, so only a check made up front sees these
+    _, _, data, model = workspace
+    out = tmp_path / "p.csv"
+    code = main(["eval", str(model), str(data / "manifest.json"), "--out", str(out),
+                 "--adapt-batch", "1", "--adapt", *bad])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "cell_evaluated" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("other", [["none", "--tent-lr", "nan", "--blend", "0"],
+                                   ["bn", "--tent-steps", "0"], ["tent", "--blend", "0"]])
+def test_eval_ignores_the_settings_of_other_adaptations(workspace, tmp_path, capsys, other):
+    _, _, data, model = workspace
+    out = tmp_path / "p.csv"
+    code = main(["eval", str(model), str(data / "manifest.json"), "--out", str(out),
+                 "--adapt", *other])
+    capsys.readouterr()
+    assert code == 0 and out.exists()
+
+
+def test_eval_and_bench_print_the_same_error_rates(workspace, tmp_path, capsys):
+    """ER_cor is the mean over kinds of each kind's mean cell rate, which
+    differs from the pooled corrupted error when cells differ in size."""
+    import re
+    import shutil
+    from collections import Counter
+
+    from pccorrupt import ingest_predictions
+
+    _, shapes, _, model = workspace
+    src, data, preds = tmp_path / "src", tmp_path / "data", tmp_path / "p.csv"
+    shutil.copytree(shapes, src)
+    # 256 points: local_density_dec refuses this cloud at s4 and s5
+    save_cloud(random_cloud(256, seed=5), src / "box" / "sparse.ply")
+    assert main(["gen", str(src), str(data), "--kinds", "local_density_dec",
+                 "--points", "1024", "--seed", "3"]) == 3
+    capsys.readouterr()
+    assert main(["eval", str(model), str(data / "manifest.json"), "--out", str(preds)]) == 0
+    eval_out = capsys.readouterr().out
+    assert main(["bench", str(preds), str(data / "manifest.json"),
+                 "--out", str(tmp_path / "r.json")]) == 0
+    bench_out = capsys.readouterr().out
+
+    sizes = Counter((r.corruption, r.severity) for r in ingest_predictions(preds))
+    assert [sizes["local_density_dec", s] for s in range(1, 6)] == [5, 5, 5, 4, 4]
+    rates = re.search(r"ER_clean=\S+  ER_cor=\S+", bench_out).group()
+    assert rates in eval_out
+
+
 def test_eval_truncated_checkpoint_is_data_error(workspace, tmp_path, capsys):
     _, _, data, model = workspace
     short = tmp_path / "short.tpn"

@@ -13,7 +13,6 @@ from pccorrupt import (
     PredictionRecord,
     aggregate,
     count_records,
-    error_rate,
     ingest_predictions,
     merge_tables,
     render_markdown,
@@ -71,8 +70,6 @@ def test_record_validation():
         _rec("a", "gaussian", 6, 0, 0)
     with pytest.raises(ValueError):
         _rec("a", "gaussian", 1, -1, 0)
-    assert _rec("a", "gaussian", 1, 2, 3).wrong
-    assert not _rec("a", "gaussian", 1, 2, 2).wrong
 
 
 def _csv_file(tmp_path, body: str):
@@ -189,7 +186,7 @@ def test_error_rate_simple():
         _rec("c", "clean", 0, 1, 1),
         _rec("d", "clean", 0, 1, 1),
     ]
-    assert error_rate(records) == 0.25
+    assert aggregate(records).er_clean == 0.25
     assert aggregate(records).mer_clean == pytest.approx((0.5 + 0.0) / 2)
 
 
@@ -209,7 +206,7 @@ def test_balanced_classes_make_both_rates_agree():
         for i in range(10):
             pred = c if i < 7 else (c + 1) % 4
             records.append(_rec(f"{c}_{i}", "clean", 0, c, pred))
-    assert error_rate(records) == pytest.approx(0.3)
+    assert aggregate(records).er_clean == pytest.approx(0.3)
     assert aggregate(records).mer_clean == pytest.approx(0.3)
 
 
@@ -222,7 +219,7 @@ def test_count_table_recount_oracle():
         key = (r.corruption, r.severity)
         c = counts.setdefault(key, [0, 0])
         c[0] += 1
-        c[1] += r.wrong
+        c[1] += r.true_label != r.pred_label
     assert set(table.cells) == set(counts)
     for key, (n, wrong) in counts.items():
         assert table.cells[key].count == n
@@ -266,7 +263,8 @@ def test_confusion_counts_and_rows():
     # sparse: sorted [true, pred, count] triples of the pairs counted
     assert scopes["all"] == [[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]]
     # diagonal mass equals the number of correct predictions
-    assert sum(n for t, p, n in scopes["all"] if t == p) == sum(not r.wrong for r in records)
+    correct = sum(r.true_label == r.pred_label for r in records)
+    assert sum(n for t, p, n in scopes["all"] if t == p) == correct
     assert scopes["clean"] == [[0, 0, 1], [0, 1, 1], [1, 1, 1]]
     assert scopes["corrupted"] == [[1, 0, 1]]
 

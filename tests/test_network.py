@@ -101,16 +101,18 @@ def test_forward_eval_batch_composition_irrelevant():
 
 
 def test_forward_train_mode_reports_momentum_stats():
-    state = _tiny_state()
-    clouds = _clouds([8, 8], seed=7)
-    _, cache = forward(state, clouds, mode="train")
-    old = state.running_stats()
-    for name, batch_value in cache["batch_stats"].items():
-        expected = (1 - BN_MOMENTUM) * old[name] + BN_MOMENTUM * batch_value
-        assert np.allclose(cache["new_stats"][name], expected, atol=1e-15)
-    # pure function: the state itself must not change
-    assert np.array_equal(old["point0.bn.mean"], np.zeros(4))
-    assert np.array_equal(old["point0.bn.var"], np.ones(4))
+    """forward leaves the state alone; set_running_stats(batch, BN_MOMENTUM)
+    then stores the momentum blend bit for bit."""
+    state = _perturbed_state(seed=7)
+    old = {name: t.copy() for name, t in state.running_stats().items()}
+    _, cache = forward(state, _clouds([8, 8], seed=7), mode="train")
+    batch = cache["batch_stats"]
+    assert batch.keys() == old.keys()
+    assert all(np.array_equal(t, old[name]) for name, t in state.running_stats().items())
+    state.set_running_stats(batch, BN_MOMENTUM)
+    for name, value in state.running_stats().items():
+        expected = (1 - BN_MOMENTUM) * old[name] + BN_MOMENTUM * batch[name]
+        assert np.array_equal(value, expected)
 
 
 def test_forward_train_batch_stats_are_biased_moments():
@@ -908,7 +910,10 @@ def test_golden_forward_backward_checkpoint_and_adaptation(tmp_path):
             logits, cache = forward(state, clouds, mode=mode)
             _, dlogits = loss_smoothed_ce(logits, labels, 0.2)
             grads, dpoints = backward(state, cache, dlogits)
-            feed({"logits": logits, "points": dpoints, **grads, **cache["new_stats"]})
+            running = state.running_stats()
+            momentum = {name: (1 - BN_MOMENTUM) * running[name] + BN_MOMENTUM * value
+                        for name, value in cache["batch_stats"].items()}
+            feed({"logits": logits, "points": dpoints, **grads, **momentum})
 
     data = labelled_clouds(4, 24, seed=41, n_classes=3)
     config = TrainConfig(epochs=2, batch_size=4, lr=3e-3, mix="cutmix_r", seed=6)

@@ -63,3 +63,29 @@ def test_deformation_ops_call_their_steps_through_the_wrapped_globals():
         ("corruptions.inv_rbf", "deformation.solve_rbf"),
         ("corruptions.inv_rbf", "deformation.apply_rbf"),
     }
+
+
+def test_eval_adaptations_are_traced_through_the_network_module(tmp_path, capsys):
+    # eval must look bn_adapt / tent_adapt up on the network module at call
+    # time; a loop that bound them early would bypass the wrappers and zero
+    # the network.bn_adapt / network.tent_adapt per-layer metrics
+    from pccorrupt import NetworkState, save_checkpoint
+    from synthdata import SHAPE_NAMES, write_shape_dataset
+
+    src, data, model = tmp_path / "src", tmp_path / "data", tmp_path / "m.tpn"
+    write_shape_dataset(src, n_per_class=1, seed=0)
+    assert spans.cli.main(["gen", str(src), str(data), "--kinds", "gaussian",
+                           "--severities", "1", "--points", "64"]) == 0
+    save_checkpoint(NetworkState.create(len(SHAPE_NAMES)), model, class_names=list(SHAPE_NAMES))
+    for mode in ("bn", "tent"):
+        tracer = spans.Tracer()
+        with spans.instrument(tracer):
+            assert spans.cli.main(["eval", str(model), str(data / "manifest.json"),
+                                   "--out", str(tmp_path / f"{mode}.csv"),
+                                   "--adapt", mode]) == 0
+        adapted = [s for s in tracer.spans if s.name == f"network.{mode}_adapt"]
+        assert len(adapted) == 2  # the clean and the gaussian cell, one chunk each
+        for span in adapted:
+            children = {c.name for c in tracer.spans if c.parent == span.span_id}
+            assert "network.forward.adapt" in children
+    capsys.readouterr()

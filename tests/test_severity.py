@@ -150,6 +150,31 @@ def test_override_checked_against_registry(override):
         SeverityTable(override)
 
 
+@pytest.mark.parametrize("kind", ["occlusion", "lidar"])
+@pytest.mark.parametrize("views", [(0, 1, 2, 3, 4), (1, 2, 3, 4, 6), (1, 2, 3, 4, 9),
+                                   (1, 2, 3, 4, 5.0)])
+def test_view_index_outside_the_five_views_fails_at_load(kind, views):
+    with pytest.raises(ValueError, match="'view_index' must be an integer in 1..5"):
+        SeverityTable({kind: [{"view_index": v} for v in views]})
+    # the five canonical views, in any non-decreasing order, load
+    table = SeverityTable({kind: [{"view_index": v} for v in (1, 1, 3, 5, 5)]})
+    assert table.params(CorruptionKind.from_name(kind), 4) == {"view_index": 5}
+
+
+def test_gen_rejects_a_view_index_outside_the_five_views(tmp_path, capsys):
+    from synthdata import write_shape_dataset
+
+    src, out, path = tmp_path / "src", tmp_path / "out", tmp_path / "t.json"
+    write_shape_dataset(src, n_per_class=1, seed=0)
+    path.write_text(json.dumps({"occlusion": [{"view_index": v} for v in (1, 2, 3, 4, 9)]}))
+    code = main(["gen", str(src), str(out), "--kinds", "occlusion", "--severities", "5",
+                 "--points", "64", "--table", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "an integer in 1..5, got 9" in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_override_accepts_int_for_float_parameter():
     table = SeverityTable({"uniform": [{"scale": s} for s in range(1, 6)]})
     assert table.params(CorruptionKind.UNIFORM, 2) == {"scale": 2}
