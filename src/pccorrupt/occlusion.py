@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointCloud, TriangleMesh
+from .geometry import PointCloud, TriangleMesh, _as_points
 from .severity import SEVERITIES
 
 CANONICAL_AZIMUTHS = (0.0, 72.0, 144.0, 216.0, 288.0)
@@ -125,10 +125,12 @@ class Bvh:
         origin = np.asarray(origin, dtype=np.float64)
         if origin.shape != (3,):
             raise ValueError(f"origin must have shape (3,), got {origin.shape}")
-        directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
+        _as_points(origin[None], "origin")
+        directions = _as_points(np.asarray(directions, dtype=np.float64).reshape(-1, 3),
+                                "directions")
         n = len(directions)
         best_t = np.full(n, np.inf)
-        best_tri = np.full(n, -1, dtype=np.int64)
+        best_tri = np.full(n, len(self._faces), dtype=np.int64)  # above every index
 
         # with one origin these Moller-Trumbore terms depend on the triangle only
         tvec = origin[:, None] - self._v0
@@ -144,25 +146,24 @@ class Bvh:
             before = np.cumsum(length) - length
             rays = ray_order[np.repeat(start - before, length) + np.arange(length.sum())]
             tris = np.repeat(tris, length)
-            d = dirs[:, rays]
-            pvec = _cross(d, self._e2[:, tris])
-            det = _dot(self._e1[:, tris], pvec)
+            # np.take: a[:, idx] measured ~4x slower on these (3, n) arrays
+            d = np.take(dirs, rays, axis=1)
+            pvec = _cross(d, np.take(self._e2, tris, axis=1))
+            det = _dot(np.take(self._e1, tris, axis=1), pvec)
             ok = np.abs(det) > _DET_EPS
             with np.errstate(divide="ignore", over="ignore"):
                 inv_det = np.where(ok, 1.0 / det, 0.0)
-            u = _dot(tvec[:, tris], pvec) * inv_det
-            v = _dot(d, qvec[:, tris]) * inv_det
+            u = _dot(np.take(tvec, tris, axis=1), pvec) * inv_det
+            v = _dot(d, np.take(qvec, tris, axis=1)) * inv_det
             t = tnum[tris] * inv_det
             valid = ok & (u >= 0.0) & (v >= 0.0) & (u + v <= 1.0) & (t > RAY_T_MIN)
             found.append((rays[valid], t[valid], tris[valid]))
 
         rays, t, tris = (np.concatenate(c) for c in zip(*found))
-        order = np.lexsort((tris, t, rays))
-        rays, t, tris = rays[order], t[order], tris[order]
-        first = np.ones(len(rays), dtype=bool)
-        first[1:] = rays[1:] != rays[:-1]
-        best_t[rays[first]] = t[first]
-        best_tri[rays[first]] = tris[first]
+        np.minimum.at(best_t, rays, t)
+        nearest = t == best_t[rays]
+        np.minimum.at(best_tri, rays[nearest], tris[nearest])
+        best_tri[best_tri == len(self._faces)] = -1
         return best_t, best_tri
 
     def _candidates(self, origin, directions):
@@ -219,9 +220,10 @@ class Bvh:
         # clipped to the strip (a flat edge's ends are its neighbours' ends)
         xb, yb = np.roll(px, -1, axis=0), np.roll(py, -1, axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.where(yb != py, (xb - px) / (yb - py), 0.0)[:, k]
-        e_lo, e_hi = np.minimum(py, yb)[:, k], np.maximum(py, yb)[:, k]
-        xa, ya, pad = px[:, k], py[:, k], pad[k]
+            slope = np.take(np.where(yb != py, (xb - px) / (yb - py), 0.0), k, axis=1)
+        e_lo = np.take(np.minimum(py, yb), k, axis=1)
+        e_hi = np.take(np.maximum(py, yb), k, axis=1)
+        xa, ya, pad = np.take(px, k, axis=1), np.take(py, k, axis=1), pad[k]
         s_lo = y0 + rows * wy - pad
         s_hi = y0 + (rows + 1) * wy + pad
         x_lo = xa + (np.clip(s_lo, e_lo, e_hi) - ya) * slope

@@ -234,6 +234,55 @@ def test_bvh_rejects_per_ray_origins():
         bvh.nearest_hits(origins, -origins)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bvh_rejects_non_finite_origin(bad):
+    # a NaN origin would report every ray as a miss
+    bvh = Bvh(uv_sphere())
+    with pytest.raises(ValueError, match="origin contain non-finite coordinates"):
+        bvh.nearest_hits(np.array([3.0, bad, 0.0]), np.array([[-1.0, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bvh_rejects_non_finite_directions(bad):
+    # one NaN direction would poison the bundle axis and make the cast exhaustive
+    bvh = Bvh(uv_sphere())
+    pose = ViewPose(0.0, 45.0)
+    dirs = _pinhole_directions(pose, 8)
+    dirs[17, 1] = bad
+    with pytest.raises(ValueError, match="directions contain non-finite coordinates"):
+        bvh.nearest_hits(pose.position, dirs)
+
+
+@pytest.mark.parametrize("case", ["sphere_6240_pinhole_48", "doubled_faces", "no_rays"])
+def test_bvh_results_do_not_depend_on_chunk_size(monkeypatch, case):
+    pose = ViewPose(72.0, 39.0)
+    dirs = _pinhole_directions(pose, 48)
+    mesh = uv_sphere()
+    if case == "sphere_6240_pinhole_48":
+        mesh = VIEW_MESHES["sphere_6240"]()
+    elif case == "doubled_faces":
+        # face i and face 2F - 1 - i are the same triangle, so every hit ties
+        # at exactly equal t, with the two pairs far apart in chunk order
+        mesh = TriangleMesh(mesh.vertices, np.concatenate([mesh.faces, mesh.faces[::-1]]))
+    else:
+        dirs = np.empty((0, 3))
+    default = occlusion._CHUNK
+    results = []
+    for chunk in (1, 97, default):
+        monkeypatch.setattr(occlusion, "_CHUNK", chunk)
+        results.append(Bvh(mesh).nearest_hits(pose.position, dirs))
+    t, tri = results[-1]
+    assert t.dtype == np.float64 and tri.dtype == np.int64
+    assert t.shape == tri.shape == (len(dirs),)
+    for chunk_t, chunk_tri in results:
+        assert np.array_equal(chunk_t, t) and np.array_equal(chunk_tri, tri)
+    if case == "doubled_faces":
+        # the lowest index wins: the same hits as on the undoubled mesh
+        single_t, single_tri = Bvh(uv_sphere()).nearest_hits(pose.position, dirs)
+        assert (single_tri >= 0).any()
+        assert np.array_equal(t, single_t) and np.array_equal(tri, single_tri)
+
+
 # -- visible-surface clouds ------------------------------------------------
 
 
