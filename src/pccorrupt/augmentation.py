@@ -9,6 +9,7 @@ points.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ class LabeledCloud:
         label = np.asarray(self.label, dtype=np.float64).reshape(-1)
         if (label < 0).any():
             raise ValueError("soft label entries must be >= 0")
-        if abs(label.sum() - 1.0) > 1e-9:
+        if not abs(label.sum() - 1.0) <= 1e-9:  # a nan sum fails too
             raise ValueError(f"soft label must sum to 1, got {label.sum()!r}")
         label = label.copy()
         label.flags.writeable = False
@@ -133,35 +134,58 @@ def emd_assign(a: PointCloud, b: PointCloud) -> Permutation:
     at the median of the axis of largest variance of both clouds, n // 2
     points of each to the lower half, until every block fits the limit; each
     block is matched exactly and the result never costs more than the
-    identity.  Identical clouds map to the identity; squared distances that
-    overflow float64 in the matcher's sums raise ValueError.
+    identity.  Only the blocks' own costs are built, and the blocks are
+    solved on up to the usable CPUs; the result does not depend on how many.
+    Identical clouds map to the identity.  Only the costs that the block
+    solver reads may overflow: a block holding a squared distance too large
+    for float64 sums raises ValueError, while a pair whose large distances
+    all lie between blocks is matched.
     """
+    # pipeline imports this module, so its CPU helper is looked up per call
+    from .pipeline import _usable_cpus
+
     if a.count != b.count:
         raise ValueError(f"cloud sizes differ: {a.count} vs {b.count}")
     n = a.count
     if np.array_equal(a.points, b.points):
         return Permutation(np.arange(n))
-    # bit-equal to ((a[:, None] - b[None]) ** 2).sum(axis=2), which a test checks
-    cost = cdist(a.points, b.points, "sqeuclidean")
-    # the block solves and the identity guard add up to 4n costs; keep them finite
-    if not cost.max() <= np.finfo(np.float64).max / (4 * n):
-        raise ValueError("squared distances between the clouds overflow float64")
-    perm = np.empty(n, dtype=np.int64)
+    leaves = []
     blocks = [(np.arange(n), np.arange(n))]
     while blocks:
         rows, cols = blocks.pop()
         if len(rows) <= EXACT_ASSIGN_LIMIT:
-            _, block = linear_sum_assignment(cost[np.ix_(rows, cols)])
-            perm[rows] = cols[block]
+            # bit-equal to ((a[:, None] - b[None]) ** 2).sum(axis=2), which a test checks
+            cost = cdist(a.points[rows], b.points[cols], "sqeuclidean")
+            # a block solve and the identity guard add up to 4n costs; keep them finite
+            if not cost.max() <= np.finfo(np.float64).max / (4 * n):
+                raise ValueError("squared distances between the clouds overflow float64")
+            leaves.append((rows, cols, cost))
             continue
         pa, pb = a.points[rows], b.points[cols]
-        axis = int(np.concatenate([pa, pb]).var(axis=0).argmax())
+        # a variance that overflows is inf (or nan, which argmax also picks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            axis = int(np.concatenate([pa, pb]).var(axis=0).argmax())
         rows = rows[np.argsort(pa[:, axis], kind="stable")]
         cols = cols[np.argsort(pb[:, axis], kind="stable")]
         half = len(rows) // 2
         blocks += [(rows[:half], cols[:half]), (rows[half:], cols[half:])]
-    # blocks can cut across identity pairs; never lose to the trivial matching
-    if cost[np.arange(n), perm].sum() > cost.trace():
+    # linear_sum_assignment releases the GIL, so the blocks solve in parallel;
+    # with one worker they solve on this thread
+    costs = [cost for _, _, cost in leaves]
+    workers = min(len(leaves), _usable_cpus())
+    if workers == 1:
+        solved = list(map(linear_sum_assignment, costs))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            solved = list(pool.map(linear_sum_assignment, costs))
+    perm = np.empty(n, dtype=np.int64)
+    for (rows, cols, _), (_, block) in zip(leaves, solved):
+        perm[rows] = cols[block]
+    # blocks can cut across identity pairs; never lose to the trivial matching,
+    # whose sum may overflow to inf, and then loses
+    with np.errstate(over="ignore"):
+        identity = ((a.points - b.points) ** 2).sum(axis=1).sum()
+    if ((a.points - b.points[perm]) ** 2).sum(axis=1).sum() > identity:
         perm = np.arange(n)
     return Permutation(perm)
 

@@ -507,7 +507,8 @@ def train(
     validation.  Returns (best_state, history); history holds one dict per
     epoch with train_loss, val_loss, val_acc and the lr in force.
     `on_epoch`, if given, receives each epoch's row as it ends, with `s`,
-    the epoch's seconds, added.
+    the epoch's seconds, and `mix_s`, the part of them spent in apply_mix,
+    added.
     """
     if len(train_set) < config.batch_size:
         raise ValueError("dataset smaller than one batch")
@@ -530,16 +531,18 @@ def train(
     for epoch in range(config.epochs):
         start_s = time.perf_counter()
         order = rng.permutation(len(train_set))
-        epoch_loss, n_seen = 0.0, 0
+        epoch_loss, n_seen, mix_s = 0.0, 0, 0.0
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
             samples = [train_set[i] for i in idx]
             if config.mix != "none" and len(samples) > 1:
                 partners = rng.permutation(len(samples))
+                mix_start_s = time.perf_counter()
                 samples = [
                     apply_mix(config.mix, s, samples[partners[j]], config.mix_lam, rng)
                     for j, s in enumerate(samples)
                 ]
+                mix_s += time.perf_counter() - mix_start_s
             clouds = [s.cloud.points for s in samples]
             if config.augment:
                 clouds = [_default_augment(c, rng) for c in clouds]
@@ -575,7 +578,7 @@ def train(
             }
         )
         if on_epoch is not None:
-            on_epoch({**history[-1], "s": time.perf_counter() - start_s})
+            on_epoch({**history[-1], "s": time.perf_counter() - start_s, "mix_s": mix_s})
     return best_state, history
 
 

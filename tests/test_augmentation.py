@@ -58,6 +58,8 @@ def test_labeled_cloud_validation():
         LabeledCloud(cloud, np.array([0.5, 0.4]))  # does not sum to 1
     with pytest.raises(ValueError):
         LabeledCloud(cloud, np.array([1.5, -0.5]))  # negative mass
+    with pytest.raises(ValueError, match="sum to 1"):
+        LabeledCloud(cloud, np.array([np.nan, 1.0]))  # nan passes `< 0` and `> tol`
     lc = LabeledCloud.from_class(cloud, 1, 3)
     assert lc.n_classes == 3
     with pytest.raises(ValueError):
@@ -227,6 +229,45 @@ def test_emd_largest_matchable_distances_match_without_warnings(n):
         warnings.simplefilter("error")
         perm = emd_assign(PointCloud(a * scale), PointCloud(b * scale))
     assert len(perm) == n
+
+
+def test_emd_overflow_between_blocks_matches_within_clusters():
+    # eight clusters 1e153 apart along x: squared distances between clusters
+    # overflow the matcher's bound, and the shuffled identity's sum overflows
+    # float64, but every block holds one cluster of each cloud, so no cost that
+    # the block solver reads is large and the clouds match cluster to cluster
+    rng = np.random.default_rng(35)
+    size = EXACT_ASSIGN_LIMIT
+    cluster = np.repeat(np.arange(8), size)
+    centres = cluster[:, None] * 1e153 * np.array([1.0, 0.0, 0.0])
+    order_a, order_b = rng.permutation(8 * size), rng.permutation(8 * size)
+    a = (rng.normal(size=(8 * size, 3)) + centres)[order_a]
+    b = (rng.normal(size=(8 * size, 3)) + centres)[order_b]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        perm = emd_assign(PointCloud(a), PointCloud(b))
+    assert np.array_equal(cluster[order_a], cluster[order_b][perm.indices])
+
+
+def test_emd_assign_does_not_depend_on_the_worker_count(monkeypatch):
+    """The blocks solve on up to the usable CPUs; 1 and 4 workers give the
+    same permutation on the golden test's pairs and on a 1,024-point pair."""
+    from pccorrupt import pipeline
+
+    pairs = []
+    for n in (6, EXACT_ASSIGN_LIMIT, EXACT_ASSIGN_LIMIT + 1, 1024):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, 3))
+        b = rng.normal(size=(n, 3))
+        dup = b[np.arange(n) % (n // 2)]
+        pairs += [(a, b), (a, dup), (dup, a), (a, a + 0.25)]
+    pairs.append((random_cloud(1024, 50).points, random_cloud(1024, 51).points))
+    got = {}
+    for cpus in (1, 4):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        got[cpus] = [emd_assign(PointCloud(p), PointCloud(q)).indices for p, q in pairs]
+    for one, four in zip(got[1], got[4]):
+        assert np.array_equal(one, four)
 
 
 # -- mixup -----------------------------------------------------------------

@@ -493,7 +493,7 @@ def test_train_writes_checkpoint_and_logs(workspace, capsys):
     # quickly to inspect them here
     out = root / "model2.tpn"
     code = main(["train", str(data / "manifest.json"), "--out", str(out),
-                 "--epochs", "1", "--batch-size", "4"])
+                 "--epochs", "1", "--batch-size", "4", "--mix", "mixup"])
     captured = capsys.readouterr()
     assert code == 0
     events = _read_json_lines(captured.err)
@@ -503,6 +503,8 @@ def test_train_writes_checkpoint_and_logs(workspace, capsys):
     assert {"train_loss", "val_loss", "val_acc", "lr"} <= set(epochs[0])
     seconds = float(epochs[0]["s"])
     assert math.isfinite(seconds) and seconds > 0.0
+    # the seconds spent mixing are part of the epoch's
+    assert 0.0 <= float(epochs[0]["mix_s"]) <= seconds
     assert "val_acc=" in captured.out
 
     from pccorrupt import load_checkpoint
