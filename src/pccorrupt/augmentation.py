@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from ._cpus import usable_cpus
 from .geometry import PointCloud, nearest_indices
 
 EXACT_ASSIGN_LIMIT = 128
@@ -141,9 +142,6 @@ def emd_assign(a: PointCloud, b: PointCloud) -> Permutation:
     for float64 sums raises ValueError, while a pair whose large distances
     all lie between blocks is matched.
     """
-    # pipeline imports this module, so its CPU helper is looked up per call
-    from .pipeline import _usable_cpus
-
     if a.count != b.count:
         raise ValueError(f"cloud sizes differ: {a.count} vs {b.count}")
     n = a.count
@@ -156,7 +154,8 @@ def emd_assign(a: PointCloud, b: PointCloud) -> Permutation:
         if len(rows) <= EXACT_ASSIGN_LIMIT:
             # bit-equal to ((a[:, None] - b[None]) ** 2).sum(axis=2), which a test checks
             cost = cdist(a.points[rows], b.points[cols], "sqeuclidean")
-            # a block solve and the identity guard add up to 4n costs; keep them finite
+            # a block solve and the permutation's sum read at most 4n of these
+            # costs; keep them finite (the identity's sum may overflow, see below)
             if not cost.max() <= np.finfo(np.float64).max / (4 * n):
                 raise ValueError("squared distances between the clouds overflow float64")
             leaves.append((rows, cols, cost))
@@ -169,15 +168,10 @@ def emd_assign(a: PointCloud, b: PointCloud) -> Permutation:
         cols = cols[np.argsort(pb[:, axis], kind="stable")]
         half = len(rows) // 2
         blocks += [(rows[:half], cols[:half]), (rows[half:], cols[half:])]
-    # linear_sum_assignment releases the GIL, so the blocks solve in parallel;
-    # with one worker they solve on this thread
+    # linear_sum_assignment releases the GIL, so the blocks solve in parallel
     costs = [cost for _, _, cost in leaves]
-    workers = min(len(leaves), _usable_cpus())
-    if workers == 1:
-        solved = list(map(linear_sum_assignment, costs))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            solved = list(pool.map(linear_sum_assignment, costs))
+    with ThreadPoolExecutor(min(len(leaves), usable_cpus())) as pool:
+        solved = list(pool.map(linear_sum_assignment, costs))
     perm = np.empty(n, dtype=np.int64)
     for (rows, cols, _), (_, block) in zip(leaves, solved):
         perm[rows] = cols[block]

@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _rng, metrics
+from ._cpus import usable_cpus as _usable_cpus
 from ._version import __version__
 from .geometry import (
     PointCloud,
@@ -92,13 +93,6 @@ class RunConfig:
             raise ValueError(f"point budget must be >= {MIN_POINT_BUDGET}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @contextmanager

@@ -252,7 +252,7 @@ def test_emd_overflow_between_blocks_matches_within_clusters():
 def test_emd_assign_does_not_depend_on_the_worker_count(monkeypatch):
     """The blocks solve on up to the usable CPUs; 1 and 4 workers give the
     same permutation on the golden test's pairs and on a 1,024-point pair."""
-    from pccorrupt import pipeline
+    from pccorrupt import augmentation
 
     pairs = []
     for n in (6, EXACT_ASSIGN_LIMIT, EXACT_ASSIGN_LIMIT + 1, 1024):
@@ -264,7 +264,7 @@ def test_emd_assign_does_not_depend_on_the_worker_count(monkeypatch):
     pairs.append((random_cloud(1024, 50).points, random_cloud(1024, 51).points))
     got = {}
     for cpus in (1, 4):
-        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(augmentation, "usable_cpus", lambda: cpus)
         got[cpus] = [emd_assign(PointCloud(p), PointCloud(q)).indices for p, q in pairs]
     for one, four in zip(got[1], got[4]):
         assert np.array_equal(one, four)
