@@ -21,21 +21,17 @@ all take the manifest's clouds from it.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import _rng, metrics
-from ._cpus import usable_cpus as _usable_cpus
+from . import _cpus, _rng, metrics
 from ._version import __version__
 from .geometry import (
     PointCloud,
@@ -93,39 +89,6 @@ class RunConfig:
             raise ValueError(f"point budget must be >= {MIN_POINT_BUDGET}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-
-
-@contextmanager
-def _openblas_capped(cap: int, log):
-    """Lower every loaded OpenBLAS to at most `cap` threads; restore on exit.
-
-    openblas_set_num_threads_local returns the previous count and is
-    process-wide in the bundled builds, so the caller wraps its whole worker
-    pool from its own thread.  Setting 1 first reads a count without ever
-    raising it.  A `blas_threads` event says when a count was lowered, or
-    that no OpenBLAS was found (another BLAS, or no /proc/self/maps).
-    """
-    maps = Path("/proc/self/maps")
-    lines = maps.read_text().splitlines() if maps.exists() else []
-    setters = {}  # by address: one library can be mapped from more than one path
-    for path in sorted({line.split()[-1] for line in lines if "openblas" in line}):
-        try:
-            fn = ctypes.CDLL(path).openblas_set_num_threads_local
-        except (OSError, AttributeError):  # a deleted file, a path with spaces, an old build
-            continue
-        fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
-        setters.setdefault(ctypes.cast(fn, ctypes.c_void_p).value, fn)
-    before = [fn(1) for fn in setters.values()]
-    try:
-        for fn, count in zip(setters.values(), before):
-            fn(min(count, cap))
-        if not before or max(before) > cap:
-            log({"event": "blas_threads", "libraries": len(before), "before": before,
-                 "used": cap})
-        yield
-    finally:
-        for fn, count in zip(setters.values(), before):
-            fn(count)
 
 
 def _sha256(data: bytes) -> str:
@@ -212,8 +175,14 @@ class DatasetManifest:
             raise DataError(f"manifest lacks {missing}")
         if not isinstance(raw["samples"], list):
             raise DataError("manifest samples must be a list")
+        first_at: dict[str, int] = {}
         for i, sample in enumerate(raw["samples"]):
             _check_sample(i, sample)
+            # one sample id, one output file: attack writes <out>/<sample_id>.ply
+            j = first_at.setdefault(sample["sample_id"], i)
+            if j != i:
+                raise DataError(f"manifest samples[{j}] and samples[{i}] share "
+                                f"sample_id {sample['sample_id']!r}")
         return cls(
             seed=raw["seed"],
             point_budget=raw["point_budget"],
@@ -466,14 +435,10 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
             entry, error = None, exc
         return sid, kind, severity, entry, error, (time.perf_counter() - task_start_s) * 1e3
 
-    cpus = _usable_cpus()
-    workers = min(config.workers, cpus)
+    workers = min(config.workers, _cpus.usable_cpus())
     if workers < config.workers:
         log({"event": "workers_capped", "requested": config.workers, "used": workers})
-    # Uncapped, each worker's BLAS calls would wake helpers on every core.
-    with _openblas_capped(max(1, cpus // workers), log) if workers > 1 else nullcontext():
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_task, tasks))
+    results = _cpus.map_tasks(run_task, tasks, workers, log)
 
     kind_ms: dict[str, list[float]] = {}
     for sid, kind, severity, entry, error, ms in results:

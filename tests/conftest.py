@@ -19,6 +19,37 @@ def small_model():
     return best, data
 
 
+def _openblas_libraries():
+    """Every OpenBLAS this process has loaded, as (getter, setter) pairs."""
+    import ctypes
+
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        getters = [getattr(lib, name) for name in (
+            "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_", "openblas_get_num_threads",
+        ) if hasattr(lib, name)]
+        set_count = lib.openblas_set_num_threads_local
+        getters[0].argtypes, getters[0].restype = [], ctypes.c_int
+        set_count.argtypes, set_count.restype = [ctypes.c_int], ctypes.c_int
+        found.append((getters[0], set_count))
+    assert found, "no OpenBLAS loaded; the BLAS cap of gen and attack would be a no-op"
+    return found
+
+
+@pytest.fixture
+def openblas_at_two_threads():
+    """Every loaded OpenBLAS at 2 threads for the test, whatever the environment set."""
+    libs = _openblas_libraries()
+    previous = [set_count(2) for _, set_count in libs]
+    yield lambda: [get_count() for get_count, _ in libs]
+    for (_, set_count), count in zip(libs, previous):
+        set_count(count)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the one-line acceptance verdicts after the normal test summary."""
     try:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pccorrupt import SeverityTable, load_cloud, save_cloud, write_off
+from pccorrupt import SeverityTable, _cpus, load_cloud, network, save_cloud, write_off
 from pccorrupt.cli import main
 
 from synthdata import box_mesh, random_cloud, write_shape_dataset
@@ -1041,16 +1042,153 @@ def test_eval_and_attack_log_timings_to_stderr_only(workspace, tmp_path, capsys)
                  if e["event"] == "cell_evaluated"]
     assert main(["attack", str(model), manifest, "--out", str(tmp_path / "adv"),
                  "--steps", "1"]) == 0
-    attacked = [e for e in _read_json_lines(capsys.readouterr().err)
-                if e["event"] == "attacked"]
-    assert len(evaluated) == 5 and len(attacked) == 4
+    events = _read_json_lines(capsys.readouterr().err)
+    attacked = [e for e in events if e["event"] == "attacked"]
+    finished = [e for e in events if e["event"] == "attack_finished"]
+    assert len(evaluated) == 5 and len(attacked) == 4 and len(finished) == 1
+    assert events[-1] is finished[0]
+    assert finished[0]["n"] == 4 and finished[0]["workers"] == min(4, _cpus.usable_cpus())
     timings = [e[f] for e in evaluated for f in ("ms", "clouds_per_s")]
-    timings += [e["ms"] for e in attacked]
+    timings += [e["ms"] for e in attacked] + [finished[0][f] for f in ("ms", "clouds_per_s")]
     assert all(type(t) is float and 0.0 <= t < math.inf for t in timings), timings
     # the predictions file carries no timing: a second run writes the same bytes
     assert main(["eval", str(model), manifest, "--out", str(second)]) == 0
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_attack_bytes_and_logs_do_not_depend_on_the_cpu_count(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    _, _, data, model = workspace
+    runs = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(_cpus, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"adv{cpus}"
+        assert main(["attack", str(model), str(data / "manifest.json"),
+                     "--out", str(out), "--steps", "2"]) == 0
+        captured = capsys.readouterr()
+        events = _read_json_lines(captured.err)
+        attacked = [{k: v for k, v in e.items() if k != "ms"}
+                    for e in events if e["event"] == "attacked"]
+        workers = [e["workers"] for e in events if e["event"] == "attack_finished"]
+        assert workers == [min(4, cpus)]
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((files, captured.out.replace(str(out), "<out>"), attacked))
+    assert len(runs[0][0]) == 4 and len(runs[0][2]) == 4
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("tasks", ["succeed", "fail"])
+def test_attack_caps_openblas_while_its_workers_run_then_restores_it(
+    workspace, tmp_path, capsys, monkeypatch, openblas_at_two_threads, tasks
+):
+    _, _, data, model = workspace
+    monkeypatch.setattr(_cpus, "usable_cpus", lambda: 2)
+    before = openblas_at_two_threads()
+    inside = []
+    attack = network.pgd_attack
+
+    def observing_attack(*args, **kwargs):
+        # read from the worker thread: the cap is set from the main thread
+        inside.append(openblas_at_two_threads())
+        if tasks == "fail":
+            raise ValueError("attack failed")
+        return attack(*args, **kwargs)
+
+    monkeypatch.setattr(network, "pgd_attack", observing_attack)
+    code = main(["attack", str(model), str(data / "manifest.json"),
+                 "--out", str(tmp_path / "adv"), "--steps", "1"])
+    err = capsys.readouterr().err
+    # a data error adds a plain "error: ..." line after its JSON event
+    events = _read_json_lines("\n".join(line for line in err.splitlines()
+                                         if line.startswith("{")))
+    assert code == (2 if tasks == "fail" else 0)
+    assert inside and all(counts == [1] * len(before) for counts in inside)
+    assert openblas_at_two_threads() == before == [2] * len(before)
+    assert [e for e in events if e["event"] == "blas_threads"] == [
+        {"event": "blas_threads", "libraries": len(before), "before": before, "used": 1}
+    ]
+    if tasks == "fail":
+        assert events[-1]["event"] == "error" and events[-1]["error"] == "attack failed"
+        assert not [e for e in events if e["event"] in ("attacked", "attack_finished")]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "attack", "bench"])
+def test_manifest_with_a_repeated_sample_id_is_data_error(workspace, tmp_path, capsys, command):
+    _, _, data, model = workspace
+    manifest = json.loads((data / "manifest.json").read_text())
+    for sample in manifest["samples"]:
+        for entry in (sample["clean"], *(e for by_sev in sample["corrupted"].values()
+                                         for e in by_sev.values())):
+            entry["path"] = str(data / entry["path"])
+    manifest["samples"][3]["sample_id"] = manifest["samples"][1]["sample_id"]
+    path = tmp_path / "in" / "manifest.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(manifest))
+    preds = tmp_path / "in" / "p.csv"
+    if command == "bench":
+        assert main(["eval", str(model), str(data / "manifest.json"), "--out", str(preds)]) == 0
+        capsys.readouterr()
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", str(path)],
+        "eval": ["eval", str(model), str(path)],
+        "attack": ["attack", str(model), str(path)],
+        "bench": ["bench", str(preds), str(path)],
+    }[command]
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "samples[1] and samples[3]" in err
+    assert not out.exists()
+
+
+# a log field that holds a duration or a rate: ms, s, p50_ms, mix_s, clouds_per_s, ...
+_TIMING_FIELD = re.compile(r"(^|_)(ms|s)$|time")
+
+
+def _keys(value):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _keys(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _keys(item)
+
+
+def test_every_command_logs_json_events_and_keeps_timings_out_of_its_files(tmp_path, capsys):
+    src, data = tmp_path / "src", tmp_path / "data"
+    write_shape_dataset(src, n_per_class=1, seed=2)
+    model, preds = tmp_path / "model.tpn", tmp_path / "p.csv"
+    clean = data / "clean" / "box_box_0000.ply"
+    runs = [
+        ["gen", str(src), str(data), "--kinds", "gaussian,occlusion", "--severities", "1",
+         "--points", "96", "--workers", "2"],
+        ["apply", str(clean), str(tmp_path / "cut.ply"), "--kind", "cutout",
+         "--severity", "1", "--sidecar", str(tmp_path / "cut.json")],
+        ["train", str(data / "manifest.json"), "--out", str(model), "--epochs", "1",
+         "--batch-size", "4", "--mix", "mixup"],
+        ["eval", str(model), str(data / "manifest.json"), "--out", str(preds), "--adapt", "bn"],
+        ["attack", str(model), str(data / "manifest.json"), "--out", str(tmp_path / "adv"),
+         "--steps", "1"],
+        ["bench", str(preds), str(data / "manifest.json"), "--out", str(tmp_path / "r.json")],
+        ["export", str(clean), str(tmp_path / "clean.ply"), "--ascii"],
+    ]
+    logged = set()
+    for argv in runs:
+        assert main(argv) == 0, argv
+        for line in capsys.readouterr().err.splitlines():
+            event = json.loads(line)
+            assert isinstance(event, dict) and isinstance(event.get("event"), str), line
+            logged |= {key for key in event if _TIMING_FIELD.search(key)}
+    assert {"ms", "s", "mix_s", "p50_ms", "cells_per_s", "clouds_per_s"} <= logged
+    files = [data / "manifest.json", tmp_path / "cut.json", *data.glob("*/*/*.json")]
+    assert len(files) == 2 + 2 * 4
+    for path in files:
+        timed = [key for key in _keys(json.loads(path.read_text())) if _TIMING_FIELD.search(key)]
+        assert timed == [], path
 
 
 def test_eval_byte_flipped_checkpoint_is_data_error(workspace, tmp_path, capsys):

@@ -767,6 +767,26 @@ def test_pgd_increases_loss(small_model):
     assert wins >= 9
 
 
+@pytest.mark.parametrize("n_points", [7, 100, 1024, 3000])
+def test_pgd_bytes_do_not_depend_on_the_blas_thread_count(openblas_at_two_threads, n_points):
+    # every product of an eval-mode forward/backward sums at most 256 terms
+    # and never over points, so attack may run its clouds on capped workers
+    from pccorrupt import _cpus
+
+    state = NetworkState.create(4, seed=5)
+    cloud = random_cloud(n_points, seed=n_points)
+
+    def attack():
+        return pgd_attack(state, cloud, 2, PgdConfig(steps=3), np.random.default_rng(9)).points
+
+    before = openblas_at_two_threads()
+    uncapped = attack()
+    with _cpus.openblas_capped(1, lambda event: None):
+        assert openblas_at_two_threads() == [1] * len(before)
+        capped = attack()
+    assert capped.tobytes() == uncapped.tobytes()
+
+
 # -- test-time adaptation --------------------------------------------------
 
 

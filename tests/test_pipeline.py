@@ -22,6 +22,7 @@ from pccorrupt import (
     verify_manifest,
     write_predictions,
 )
+from pccorrupt import _cpus
 from pccorrupt.metrics import PredictionRecord
 
 from synthdata import random_cloud, write_shape_dataset
@@ -205,7 +206,7 @@ def test_generate_worker_threads_capped_at_usable_cpus(
 
     from pccorrupt import pipeline
 
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_cpus, "usable_cpus", lambda: cpus)
     live = []
     apply = pipeline.apply_corruption
 
@@ -230,37 +231,6 @@ def test_generate_worker_threads_capped_at_usable_cpus(
         assert capped == []
 
 
-def _openblas_libraries():
-    """Every OpenBLAS this process has loaded, as (getter, setter) pairs."""
-    import ctypes
-
-    with open("/proc/self/maps") as maps:
-        paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
-    found = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        getters = [getattr(lib, name) for name in (
-            "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-            "openblas_get_num_threads64_", "openblas_get_num_threads",
-        ) if hasattr(lib, name)]
-        set_count = lib.openblas_set_num_threads_local
-        getters[0].argtypes, getters[0].restype = [], ctypes.c_int
-        set_count.argtypes, set_count.restype = [ctypes.c_int], ctypes.c_int
-        found.append((getters[0], set_count))
-    assert found, "no OpenBLAS loaded; the gen BLAS cap would be a no-op"
-    return found
-
-
-@pytest.fixture
-def openblas_at_two_threads():
-    """Every loaded OpenBLAS at 2 threads for the test, whatever the environment set."""
-    libs = _openblas_libraries()
-    previous = [set_count(2) for _, set_count in libs]
-    yield lambda: [get_count() for get_count, _ in libs]
-    for (_, set_count), count in zip(libs, previous):
-        set_count(count)
-
-
 class _Abort(BaseException):
     """Escapes run_generate's per-task isolation, so it unwinds the worker pool."""
 
@@ -271,7 +241,7 @@ def test_generate_caps_openblas_while_the_pool_runs_then_restores_it(
 ):
     from pccorrupt import pipeline
 
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_cpus, "usable_cpus", lambda: 2)
     before = openblas_at_two_threads()
     inside = []
     apply = pipeline.apply_corruption
@@ -306,12 +276,10 @@ def test_generate_caps_openblas_while_the_pool_runs_then_restores_it(
 def test_generate_logs_a_blas_cap_that_found_no_openblas(mesh_dataset, tmp_path, monkeypatch):
     import ctypes
 
-    from pccorrupt import pipeline
-
     def no_library(path, *args, **kwargs):
         raise OSError(f"{path}: not loadable")
 
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_cpus, "usable_cpus", lambda: 2)
     monkeypatch.setattr(ctypes, "CDLL", no_library)
     events = []
     run_generate(RunConfig(input_dir=mesh_dataset, output_dir=tmp_path, kinds=("gaussian",),
@@ -323,12 +291,10 @@ def test_generate_logs_a_blas_cap_that_found_no_openblas(mesh_dataset, tmp_path,
 
 
 def test_generate_with_one_worker_leaves_openblas_alone(mesh_dataset, tmp_path, monkeypatch):
-    from pccorrupt import pipeline
-
     def untouchable(cap, log):
         raise AssertionError("one worker must not touch the BLAS thread count")
 
-    monkeypatch.setattr(pipeline, "_openblas_capped", untouchable)
+    monkeypatch.setattr(_cpus, "openblas_capped", untouchable)
     events = []
     run_generate(RunConfig(input_dir=mesh_dataset, output_dir=tmp_path, kinds=("gaussian",),
                            severities=(1,), point_budget=64, workers=1),
@@ -506,8 +472,10 @@ _GOOD_SAMPLE = {"sample_id": "a", "class_name": "c",
 
 
 def _with_sample(**changes):
-    """The good manifest with one good sample and, after it, one changed copy."""
-    return {**_GOOD_MANIFEST, "samples": [_GOOD_SAMPLE, {**_GOOD_SAMPLE, **changes}]}
+    """The good manifest with one good sample and, after it, one changed copy
+    under its own sample id."""
+    return {**_GOOD_MANIFEST,
+            "samples": [_GOOD_SAMPLE, {**_GOOD_SAMPLE, "sample_id": "b", **changes}]}
 
 
 _BAD_SAMPLES = [
@@ -548,6 +516,14 @@ def test_manifest_sample_error_names_the_entry(payload):
         DatasetManifest.from_json(json.dumps(payload))
 
 
+def test_manifest_repeating_a_sample_id_names_both_entries():
+    DatasetManifest.from_json(json.dumps(_with_sample()))
+    payload = {**_GOOD_MANIFEST,
+               "samples": [_GOOD_SAMPLE, {**_GOOD_SAMPLE, "sample_id": "b"}, _GOOD_SAMPLE]}
+    with pytest.raises(DataError, match=r"samples\[0\] and samples\[2\] share sample_id 'a'"):
+        DatasetManifest.from_json(json.dumps(payload))
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
@@ -564,7 +540,7 @@ _SAMPLE_FIELDS = [
 @st.composite
 def _mutated_manifests(draw):
     """The good manifest with two good samples, one field of one of them changed."""
-    samples = json.loads(json.dumps([_GOOD_SAMPLE, _GOOD_SAMPLE]))
+    samples = json.loads(json.dumps([_GOOD_SAMPLE, {**_GOOD_SAMPLE, "sample_id": "b"}]))
     *parents, key = draw(st.sampled_from(_SAMPLE_FIELDS))
     owner = samples[draw(st.integers(0, 1))]
     for name in parents:
