@@ -7,11 +7,13 @@ flags win over the file.  An unknown config key, a value of the wrong
 JSON type and a value outside a flag's choices are data errors.  A
 default that a consuming dataclass holds (RunConfig, TrainConfig,
 PgdConfig, TentConfig, CorruptionSpec) or bn_adapt's blend is read from
-there.  Logs are JSON lines on stderr, the human-readable summary goes to
-stdout.
+there.  stderr carries only JSON lines, a failing command's `usage_error`
+or `error` event included; the human-readable summary goes to stdout.
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error,
-3 generation finished with some per-sample failures.
+Exit codes: 0 success, 1 usage error (argparse or UsageError), 2 any
+ValueError, OSError or OverflowError (every bad-input error pccorrupt
+raises is a ValueError), 3 generation finished with some per-sample
+failures.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from ._version import __version__
 from .augmentation import MIXERS
 from .io_formats import MESH_SUFFIXES, load_cloud, parse_json, save_cloud, write_file
 from .corruptions import apply_corruption
-from .occlusion import DegenerateViewError
 from .pipeline import MIN_POINT_BUDGET, DataError, RunConfig
 from .severity import SEVERITIES, CorruptionKind, CorruptionSpec, SeverityTable
 
@@ -91,7 +92,6 @@ class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         log_event(event="usage_error", error=message)
         raise SystemExit(USAGE_ERROR)
 
@@ -286,10 +286,6 @@ def _model_and_manifest(args):
     return state, index, manifest, Path(args.manifest).parent
 
 
-def _pct(rate) -> str:
-    return "n/a" if rate is None else f"{100 * rate:.1f}%"
-
-
 def cmd_eval(args) -> int:
     if args.adapt_batch < 1:
         raise DataError(f"--adapt-batch must be >= 1, got {args.adapt_batch}")
@@ -327,7 +323,7 @@ def cmd_eval(args) -> int:
     metrics.write_predictions(records, args.out)
     report = metrics.report_from_table(table)
     print(f"{len(records)} predictions -> {args.out}  "
-          f"ER_clean={_pct(report.er_clean)}  ER_cor={_pct(report.er_cor)}")
+          f"ER_clean={metrics.pct(report.er_clean)}  ER_cor={metrics.pct(report.er_cor)}")
     return 0
 
 
@@ -381,8 +377,8 @@ def cmd_bench(args) -> int:
     for cell in missing:
         log_event(event="missing_cell", corruption=cell[0], severity=cell[1])
     missing_note = f"  ({len(missing)} cells missing)" if missing else ""
-    print(f"ER_clean={_pct(report.er_clean)}  ER_cor={_pct(report.er_cor)}  "
-          f"mER_cor={_pct(report.mer_cor)}{missing_note}")
+    print(f"ER_clean={metrics.pct(report.er_clean)}  ER_cor={metrics.pct(report.er_cor)}  "
+          f"mER_cor={metrics.pct(report.mer_cor)}{missing_note}")
     return 0
 
 
@@ -485,11 +481,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         log_event(event="usage_error", error=str(exc))
-        print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (DataError, DegenerateViewError, ValueError, OSError, OverflowError) as exc:
-        log_event(event="error", error=str(exc), type=type(exc).__name__)
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError) as exc:
+        log_event(event="error", error=str(exc), error_type=type(exc).__name__)
         return DATA_ERROR
 
 

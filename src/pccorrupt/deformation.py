@@ -36,7 +36,7 @@ CONDITION_LIMIT = 1e12
 LATTICE_RESOLUTION = 5  # control points per axis of the FFD / RBF lattice
 
 
-class IllConditionedError(RuntimeError):
+class IllConditionedError(ValueError):
     """The RBF interpolation system is singular or near-singular."""
 
 

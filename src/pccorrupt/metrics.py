@@ -277,7 +277,8 @@ def report_to_json(report: MetricsReport) -> str:
     return json.dumps(asdict(report), indent=2, sort_keys=True)
 
 
-def _pct(rate) -> str:
+def pct(rate) -> str:
+    """A rate in percent to one decimal, without a sign (0.8 -> "80.0"); "-" if absent."""
     return "-" if rate is None else f"{100.0 * rate:.1f}"
 
 
@@ -292,14 +293,14 @@ def render_markdown(report: MetricsReport) -> str:
     kinds = _KIND_NAMES
     header = ["metric", *kinds, "ER_cor"]
     lines = [
-        f"ER_clean: {_pct(report.er_clean)}  |  mER_clean: {_pct(report.mer_clean)}",
+        f"ER_clean: {pct(report.er_clean)}  |  mER_clean: {pct(report.mer_clean)}",
         "",
         "| " + " | ".join(group_row) + " |",
         "| " + " | ".join(header) + " |",
         "|" + "|".join("---" for _ in header) + "|",
     ]
-    er_row = ["ER_c", *(_pct(report.er_c.get(k)) for k in kinds), _pct(report.er_cor)]
-    mer_row = ["mER_c", *(_pct(report.mer_c.get(k)) for k in kinds), _pct(report.mer_cor)]
+    er_row = ["ER_c", *(pct(report.er_c.get(k)) for k in kinds), pct(report.er_cor)]
+    mer_row = ["mER_c", *(pct(report.mer_c.get(k)) for k in kinds), pct(report.mer_cor)]
     lines.append("| " + " | ".join(er_row) + " |")
     lines.append("| " + " | ".join(mer_row) + " |")
     for s in SEVERITIES:
@@ -308,7 +309,7 @@ def render_markdown(report: MetricsReport) -> str:
         for k in kinds:
             rate = report.er.get(k, {}).get(s)
             any_present = any_present or rate is not None
-            row.append(_pct(rate))
+            row.append(pct(rate))
         row.append("-")
         if any_present:
             lines.append("| " + " | ".join(row) + " |")

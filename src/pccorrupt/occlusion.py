@@ -36,7 +36,7 @@ _CHUNK = 1 << 15  # (triangle, ray) pairs tested per step
 _PROBE_GRID = 32  # side of occlusion_cloud's first ray grid
 
 
-class DegenerateViewError(RuntimeError):
+class DegenerateViewError(ValueError):
     """No ray hit the mesh from the requested pose."""
 
 

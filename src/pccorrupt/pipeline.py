@@ -15,8 +15,8 @@ is the one provenance record, for gen and apply alike: sample id, seed,
 kind, severity, params and table digest, which replay the cell exactly.
 
 DatasetManifest.cells() is the one reader of a sample's `clean` /
-`corrupted[kind][severity]` layout; verify, bench, train, eval and attack
-all take the manifest's clouds from it.
+`corrupted[kind][severity]` layout; verify_manifest and the bench, train,
+eval and attack commands all take the manifest's clouds from it.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ _SEVERITY_KEYS = frozenset(str(s) for s in SEVERITIES)
 MIN_POINT_BUDGET = 64
 
 
-class DataError(Exception):
+class DataError(ValueError):
     """Input data failed validation (maps to CLI exit code 2)."""
 
 

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pccorrupt import SeverityTable, _cpus, load_cloud, network, save_cloud, write_off
+from pccorrupt import (
+    PointCloud, SeverityTable, _cpus, load_cloud, network, save_cloud, write_off,
+)
 from pccorrupt.cli import main
 
 from synthdata import box_mesh, random_cloud, write_shape_dataset
@@ -367,7 +369,8 @@ def test_apply_missing_kind_is_usage_error(tmp_path, capsys):
     save_cloud(random_cloud(64, seed=3), src)
     code = main(["apply", str(src), str(tmp_path / "o.ply")])
     assert code == 1
-    assert "usage error" in capsys.readouterr().err
+    assert _read_json_lines(capsys.readouterr().err) == [
+        {"event": "usage_error", "error": "apply needs --kind (or 'kind' in the config file)"}]
 
 
 def test_apply_mesh_kind_on_cloud_is_data_error(tmp_path, capsys):
@@ -461,7 +464,9 @@ def test_export_ply_header_defect_is_data_error(tmp_path, capsys, old, new):
     code = main(["export", str(src), str(tmp_path / "out.ply")])
     err = capsys.readouterr().err
     assert code == 2
-    assert "Traceback" not in err and '"type": "PlyParseError"' in err and "header line" in err
+    [event] = _read_json_lines(err)
+    assert (event["event"], event["error_type"]) == ("error", "PlyParseError")
+    assert "header line" in event["error"]
 
 
 @pytest.mark.parametrize("command", ["export", "apply"])
@@ -1100,9 +1105,7 @@ def test_attack_caps_openblas_while_its_workers_run_then_restores_it(
     code = main(["attack", str(model), str(data / "manifest.json"),
                  "--out", str(tmp_path / "adv"), "--steps", "1"])
     err = capsys.readouterr().err
-    # a data error adds a plain "error: ..." line after its JSON event
-    events = _read_json_lines("\n".join(line for line in err.splitlines()
-                                         if line.startswith("{")))
+    events = _read_json_lines(err)
     assert code == (2 if tasks == "fail" else 0)
     assert inside and all(counts == [1] * len(before) for counts in inside)
     assert openblas_at_two_threads() == before == [2] * len(before)
@@ -1110,7 +1113,8 @@ def test_attack_caps_openblas_while_its_workers_run_then_restores_it(
         {"event": "blas_threads", "libraries": len(before), "before": before, "used": 1}
     ]
     if tasks == "fail":
-        assert events[-1]["event"] == "error" and events[-1]["error"] == "attack failed"
+        assert events[-1] == {"event": "error", "error": "attack failed",
+                              "error_type": "ValueError"}
         assert not [e for e in events if e["event"] in ("attacked", "attack_finished")]
 
 
@@ -1189,6 +1193,39 @@ def test_every_command_logs_json_events_and_keeps_timings_out_of_its_files(tmp_p
     for path in files:
         timed = [key for key in _keys(json.loads(path.read_text())) if _TIMING_FIELD.search(key)]
         assert timed == [], path
+
+
+@pytest.mark.parametrize("case,expected", [
+    ("unknown_flag", 1), ("bad_severity", 1), ("missing_manifest", 2),
+    ("ill_conditioned", 2), ("refused_cell", 3),
+])
+def test_every_failing_command_logs_only_json_events(tmp_path, capsys, case, expected):
+    cloud, out = tmp_path / "in.ply", tmp_path / "out.ply"
+    points = random_cloud(200, seed=4).points
+    if case == "ill_conditioned":
+        points = points * [1e6, 1.0, 1.0]  # an RBF system that no lattice conditions
+    save_cloud(PointCloud(points), cloud)
+    if case == "refused_cell":
+        (tmp_path / "src").mkdir()
+        save_cloud(random_cloud(20, 1), tmp_path / "src" / "small.ply")  # too few for clusters
+    argv = {
+        "unknown_flag": ["apply", str(cloud), str(out), "--kind", "gaussian", "--bogus"],
+        "bad_severity": ["apply", str(cloud), str(out), "--kind", "gaussian", "--severity", "9"],
+        "missing_manifest": ["train", str(tmp_path / "nope.json")],
+        "ill_conditioned": ["apply", str(cloud), str(out), "--kind", "rbf", "--no-normalize"],
+        "refused_cell": ["gen", str(tmp_path / "src"), str(tmp_path / "data"),
+                         "--kinds", "local_density_inc", "--severities", "5"],
+    }[case]
+    assert main(argv) == expected
+    events = []
+    for line in capsys.readouterr().err.splitlines():
+        event = json.loads(line)
+        assert isinstance(event, dict) and isinstance(event.get("event"), str), line
+        events.append(event)
+    failure = {1: "usage_error", 2: "error", 3: "task_failed"}[expected]
+    assert [e["event"] for e in events].count(failure) == 1
+    if case == "ill_conditioned":
+        assert events[-1]["error_type"] == "IllConditionedError" and not out.exists()
 
 
 def test_eval_byte_flipped_checkpoint_is_data_error(workspace, tmp_path, capsys):

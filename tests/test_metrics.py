@@ -156,7 +156,9 @@ def test_ingest_fuzz_records_or_format_error(tmp_path, capsys):
                          "--out", str(tmp_path / "r.json")])
             err = capsys.readouterr().err
             assert code == 2
-            assert f"error: {exc}" in err and "Traceback" not in err
+            events = [json.loads(line) for line in err.splitlines()]
+            assert events[-1] == {"event": "error", "error": str(exc),
+                                  "error_type": type(exc).__name__}
             return
         assert _is_utf8(data)
         assert all(isinstance(r, PredictionRecord) for r in records)
@@ -450,4 +452,4 @@ def test_golden_report_bytes(tmp_path, capsys):
             assert code == 0
             h.update(capsys.readouterr().out.encode())
             h.update(out.read_bytes())
-    assert h.hexdigest() == "6b714882167a45827f25f9dd7bbfd55b78a4928c808e174df1cbca9868968a7e"
+    assert h.hexdigest() == "205fb78e919825549b9f80afbc3e948059c51248334f30f9f2620b8cf21db97a"

@@ -209,7 +209,9 @@ def test_table_fuzz_loads_or_is_value_error(tmp_path, capsys):
                          "--kind", "cutout", "--table", str(path)])
             err = capsys.readouterr().err
             assert code == 2
-            assert f"error: {exc}" in err and "Traceback" not in err
+            events = [json.loads(line) for line in err.splitlines()]
+            assert events[-1] == {"event": "error", "error": str(exc),
+                                  "error_type": type(exc).__name__}
             return
         assert isinstance(table, SeverityTable)
 
