@@ -2,9 +2,11 @@
 
 Subcommands: gen, apply, train, eval, attack, bench, export.  gen, apply
 and train declare the options a flag or a --config JSON file may set in
-one table each (GEN_OPTIONS, APPLY_OPTIONS, TRAIN_OPTIONS); explicit
-flags win over the file.  An unknown config key, a value of the wrong
-JSON type and a value outside a flag's choices are data errors.  A
+one table each (GEN_OPTIONS, APPLY_OPTIONS, TRAIN_OPTIONS); a setting
+comes from its flag, else its config key (the option's name), else its
+default.  An unknown config key, a value of the wrong JSON type and a
+value outside a flag's choices are data errors; a gen kind or severity
+list that names nothing or repeats an entry is a usage error.  A
 default that a consuming dataclass holds (RunConfig, TrainConfig,
 PgdConfig, TentConfig, CorruptionSpec) or bn_adapt's blend is read from
 there.  stderr carries only JSON lines, a failing command's `usage_error`
@@ -19,10 +21,8 @@ failures.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import inspect
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -31,10 +31,10 @@ from typing import NamedTuple
 from . import _cpus, _rng, metrics, network, pipeline
 from ._version import __version__
 from .augmentation import MIXERS
-from .io_formats import MESH_SUFFIXES, load_cloud, parse_json, save_cloud, write_file
+from .io_formats import MESH_SUFFIXES, load_cloud, parse_json, save_cloud, sha256_tag, write_file
 from .corruptions import apply_corruption
 from .pipeline import MIN_POINT_BUDGET, DataError, RunConfig
-from .severity import SEVERITIES, CorruptionKind, CorruptionSpec, SeverityTable
+from .severity import KIND_NAMES, SEVERITIES, CorruptionKind, CorruptionSpec, SeverityTable
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -69,8 +69,7 @@ APPLY_OPTIONS = {
     "points": Option(int, RunConfig.point_budget),
     "table": Option(str),
 }
-# Named as the TrainConfig fields they set; a config file may give two of
-# them by alias.
+# Named as the TrainConfig fields they set.
 TRAIN_OPTIONS = {
     "epochs": Option(int, network.TrainConfig.epochs),
     "batch_size": Option(int, network.TrainConfig.batch_size),
@@ -81,7 +80,6 @@ TRAIN_OPTIONS = {
     "seed": Option(int, network.TrainConfig.seed),
     "augment": Option(bool, network.TrainConfig.augment),
 }
-TRAIN_ALIASES = {"augmentation": "mix", "lambda": "mix_lam"}
 
 
 def log_event(**fields):
@@ -96,29 +94,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _options(flags: dict, path, options: dict, aliases: dict = {}) -> dict:
+def _options(flags: dict, path, options: dict) -> dict:
     """Each option's flag value if given, else its --config value, else its default.
 
-    For `seed`, PC_CORRUPT_SEED comes between the config file and the
-    default.  The config file holds a JSON object keyed by option names
-    or their `aliases`; a value must be of its option's type (an int
-    passes for a float and becomes one; a bool passes only for bool) and
-    among its choices.  Anything else is a DataError.
+    The config file holds a JSON object keyed by option names; a value
+    must be of its option's type (an int passes for a float and becomes
+    one; a bool passes only for bool) and among its choices.  Anything
+    else is a DataError.
     """
     config = {}
     if path is not None:
         config = parse_json(Path(path).read_bytes(), f"config file {path}")
         if not isinstance(config, dict):
             raise DataError(f"config file {path} must hold a JSON object")
-        accepted = sorted([*options, *aliases])
-        unknown = sorted(set(config) - set(accepted))
+        unknown = sorted(set(config) - set(options))
         if unknown:
-            raise DataError(f"config file {path} has unknown keys {unknown}; accepted: {accepted}")
-        for alias, name in aliases.items():
-            if alias in config:
-                if name in config:
-                    raise DataError(f"config gives both {name!r} and its alias {alias!r}")
-                config[name] = config.pop(alias)
+            raise DataError(
+                f"config file {path} has unknown keys {unknown}; accepted: {sorted(options)}")
     values = {}
     for name, (kind, default, choices, _) in options.items():
         value = flags.get(name)
@@ -134,43 +126,26 @@ def _options(flags: dict, path, options: dict, aliases: dict = {}) -> dict:
                     f"config key {name!r} must be one of {list(choices)}, got {json.dumps(value)}"
                 )
             value = kind(value)
-        if value is None and name == "seed":
-            value = _env_seed(default)
         values[name] = default if value is None else value
     return values
 
 
-def _env_seed(default: int) -> int:
-    """PC_CORRUPT_SEED if set, else `default`."""
-    env = os.environ.get("PC_CORRUPT_SEED")
-    if env is None:
-        return default
+def _parse_list(text, what: str, everything: tuple, parse) -> tuple:
+    """`everything` for an unset list or 'all', else the comma list's entries
+    through `parse`; an entry `parse` refuses, a list that names nothing and
+    one that repeats an entry are UsageErrors."""
+    if text in (None, "all"):
+        return everything
     try:
-        return int(env)
-    except ValueError:
-        raise DataError(f"PC_CORRUPT_SEED is not an integer: {env!r}") from None
-
-
-def _parse_kinds(text: str) -> tuple[str, ...]:
-    if text in (None, "", "all"):
-        return tuple(k.value for k in CorruptionKind)
-    names = tuple(t.strip() for t in text.split(",") if t.strip())
-    for name in names:
-        try:
-            CorruptionKind.from_name(name)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    return names
-
-
-def _parse_severities(text: str) -> tuple[int, ...]:
-    if text in (None, "", "all"):
-        return SEVERITIES
-    try:
-        values = tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise UsageError(f"bad severity list {text!r}") from None
-    return tuple(_check_severity(v) for v in values)
+        entries = tuple(parse(t.strip()) for t in text.split(",") if t.strip())
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if not entries:
+        raise UsageError(f"{what} list {text!r} names nothing")
+    repeated = sorted({e for e in entries if entries.count(e) > 1})
+    if repeated:
+        raise UsageError(f"{what} list {text!r} repeats {repeated}")
+    return entries
 
 
 def _check_severity(value: int) -> int:
@@ -194,8 +169,10 @@ def cmd_gen(args) -> int:
     run = RunConfig(
         input_dir=args.input_dir,
         output_dir=args.output_dir,
-        kinds=_parse_kinds(opts["kinds"]),
-        severities=_parse_severities(opts["severities"]),
+        kinds=_parse_list(opts["kinds"], "kind", KIND_NAMES,
+                          lambda name: CorruptionKind.from_name(name).value),
+        severities=_parse_list(opts["severities"], "severity", SEVERITIES,
+                               lambda text: _check_severity(int(text))),
         point_budget=opts["points"],
         seed=opts["seed"],
         workers=opts["workers"],
@@ -250,7 +227,7 @@ def cmd_apply(args) -> int:
 
 def cmd_train(args) -> int:
     flags = {**vars(args), "augment": False if args.no_augment else None}
-    tconf = network.TrainConfig(**_options(flags, args.config, TRAIN_OPTIONS, TRAIN_ALIASES))
+    tconf = network.TrainConfig(**_options(flags, args.config, TRAIN_OPTIONS))
     manifest = pipeline.load_manifest(args.manifest)
     root = Path(args.manifest).parent
     samples, class_names = pipeline.load_labeled_clean(manifest, root)
@@ -258,9 +235,7 @@ def cmd_train(args) -> int:
     log_event(event="train_start", samples=len(samples), classes=len(class_names))
     trained, history = network.train(state, samples, tconf,
                                      on_epoch=lambda row: log_event(event="epoch", **row))
-    digest = "sha256:" + hashlib.sha256(
-        json.dumps(tconf.__dict__, sort_keys=True).encode()
-    ).hexdigest()
+    digest = sha256_tag(json.dumps(tconf.__dict__, sort_keys=True).encode())
     network.save_checkpoint(trained, args.out, class_names=class_names,
                             config_digest=digest)
     last = history[-1]
@@ -330,7 +305,6 @@ def cmd_eval(args) -> int:
 def cmd_attack(args) -> int:
     state, index, manifest, root = _model_and_manifest(args)
     pgd = network.PgdConfig(epsilon=args.epsilon, alpha=args.alpha, steps=args.steps)
-    seed = _env_seed(0) if args.seed is None else args.seed
     _, _, clean = next(pipeline.iter_cells(manifest, root))
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -339,7 +313,7 @@ def cmd_attack(args) -> int:
         """One clean cloud: its adversarial file and both predictions."""
         sid, cls, cloud = item
         cloud_start_s = time.perf_counter()
-        rng = _rng.stream(seed, 0x706764, _rng.hash_sample_id(sid))
+        rng = _rng.stream(args.seed, 0x706764, _rng.hash_sample_id(sid))
         adv = network.pgd_attack(state, cloud, index[cls], pgd, rng)
         save_cloud(adv, out_root / f"{sid}.ply")
         pred_clean = int(network.predict(state, [cloud])[0])
@@ -452,7 +426,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, default=network.PgdConfig.epsilon)
     p.add_argument("--alpha", type=float, default=network.PgdConfig.alpha)
     p.add_argument("--steps", type=int, default=network.PgdConfig.steps)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("bench", help="score a prediction CSV against a manifest")

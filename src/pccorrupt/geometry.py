@@ -245,22 +245,23 @@ def sample_surface(
     return cloud
 
 
+def _unit_sphere(points: np.ndarray, what: str) -> np.ndarray:
+    """`points` centred at their centroid and scaled to a max norm of 1."""
+    centred = points - points.mean(axis=0)
+    radius = np.linalg.norm(centred, axis=1).max()
+    if not radius > 0.0:
+        raise DegenerateGeometryError(f"{what} has zero extent")
+    return centred / radius
+
+
 def normalize_unit_sphere(cloud: PointCloud) -> PointCloud:
     """Center the cloud at its centroid and scale the max norm to 1."""
-    pts = cloud.points - cloud.points.mean(axis=0)
-    radius = np.linalg.norm(pts, axis=1).max()
-    if not radius > 0.0:
-        raise DegenerateGeometryError("cloud has zero extent")
-    return PointCloud(pts / radius)
+    return PointCloud(_unit_sphere(cloud.points, "cloud"))
 
 
 def normalize_mesh(mesh: TriangleMesh) -> TriangleMesh:
     """Apply the unit-sphere normalization convention to mesh vertices."""
-    verts = mesh.vertices - mesh.vertices.mean(axis=0)
-    radius = np.linalg.norm(verts, axis=1).max()
-    if not radius > 0.0:
-        raise DegenerateGeometryError("mesh has zero extent")
-    return TriangleMesh(verts / radius, mesh.faces)
+    return TriangleMesh(_unit_sphere(mesh.vertices, "mesh"), mesh.faces)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +271,11 @@ def normalize_mesh(mesh: TriangleMesh) -> TriangleMesh:
 def nearest_indices(points: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest points to `query`, ascending distance.
 
-    Ties are broken by lower index (lexicographic on (d^2, index)), which
-    keeps cluster membership decisions platform-stable.
+    Ties are broken by lower index (a stable sort on d^2), which keeps
+    cluster membership decisions platform-stable.
     """
     points = np.asarray(points, dtype=np.float64)
     if k > len(points):
         raise ValueError(f"k={k} exceeds cloud size {len(points)}")
     d2 = ((points - np.asarray(query, dtype=np.float64)) ** 2).sum(axis=1)
-    order = np.lexsort((np.arange(len(points)), d2))
-    return order[:k]
+    return np.argsort(d2, kind="stable")[:k]

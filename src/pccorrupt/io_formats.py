@@ -6,11 +6,13 @@ triples; the point count is inferred from the file size.
 
 write_file is the one way pccorrupt writes a file: clouds, sidecars,
 manifests, reports, predictions and checkpoints all go through it.
-parse_json is the one way it parses JSON it reads.
+parse_json is the one way it parses JSON it reads, and sha256_tag the
+one form of every content digest it records.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -188,6 +190,11 @@ def write_file(path, data: bytes) -> None:
         os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
+
+
+def sha256_tag(data: bytes) -> str:
+    """`data`'s SHA-256 as "sha256:<hex>", the form every recorded digest takes."""
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def parse_json(data: str | bytes, what: str):

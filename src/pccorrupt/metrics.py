@@ -19,14 +19,13 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .io_formats import write_file
-from .severity import SEVERITIES, CorruptionKind
+from .severity import KIND_NAMES, SEVERITIES, CorruptionKind
 
 CLEAN = "clean"
 REPORT_VERSION = 3
 CSV_HEADER = ["sample_id", "corruption", "severity", "true_label", "pred_label"]
 
-_KIND_NAMES = tuple(k.value for k in CorruptionKind)
-_VALID_CORRUPTIONS = frozenset(_KIND_NAMES) | {CLEAN}
+_VALID_CORRUPTIONS = frozenset(KIND_NAMES) | {CLEAN}
 
 
 class PredictionFormatError(ValueError):
@@ -221,7 +220,7 @@ def report_from_table(table: CountTable) -> MetricsReport:
     mer_clean = clean_cell.class_mean_error_rate() if clean_cell else None
 
     er, mer, er_c, mer_c, sum_er_c, presence = {}, {}, {}, {}, {}, {}
-    for kind in _KIND_NAMES:
+    for kind in KIND_NAMES:
         present = [s for s in SEVERITIES if (kind, s) in table.cells]
         if not present:
             continue
@@ -290,7 +289,7 @@ def render_markdown(report: MetricsReport) -> str:
         family if i == 0 or family != families[i - 1] else ""
         for i, family in enumerate(families)
     ), ""]
-    kinds = _KIND_NAMES
+    kinds = KIND_NAMES
     header = ["metric", *kinds, "ER_cor"]
     lines = [
         f"ER_clean: {pct(report.er_clean)}  |  mER_clean: {pct(report.mer_clean)}",

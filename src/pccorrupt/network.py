@@ -514,6 +514,11 @@ def train(
         raise ValueError("dataset smaller than one batch")
     if len({int(s.label.argmax()) for s in train_set}) < 2:
         raise ValueError("need at least 2 classes present in the training set")
+    sizes = sorted({s.cloud.count for s in train_set})
+    if config.mix != "none" and len(sizes) > 1:
+        # a mixed pair must be of one size; which pairs meet depends on the seed
+        raise ValueError(f"mix {config.mix!r} needs clouds of one size; "
+                         f"the training set has sizes {sizes}")
 
     rng = _rng.stream(config.seed, 0x747261696E)
     order = rng.permutation(len(train_set))

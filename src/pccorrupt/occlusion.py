@@ -273,6 +273,18 @@ def _lidar_directions(pose: ViewPose) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
+def _hit_points(bvh: Bvh, pose: ViewPose, dirs: np.ndarray, what: str) -> PointCloud:
+    """The nearest hit of each ray from the pose along `dirs`; DegenerateViewError
+    if no `what` hits the mesh."""
+    t, tri = bvh.nearest_hits(pose.position, dirs)
+    hit = tri >= 0
+    if not hit.any():
+        raise DegenerateViewError(
+            f"no {what} hit the mesh from azimuth {pose.azimuth_deg} deg"
+        )
+    return PointCloud(pose.position[None, :] + t[hit, None] * dirs[hit])
+
+
 def raycast_visible(
     mesh: TriangleMesh, pose: ViewPose, n_rays: int, bvh: Bvh | None = None
 ) -> PointCloud:
@@ -281,15 +293,7 @@ def raycast_visible(
         raise ValueError("n_rays must be >= 1")
     grid = math.ceil(math.sqrt(n_rays))
     dirs = _pinhole_directions(pose, grid)
-    if bvh is None:
-        bvh = Bvh(mesh)
-    t, tri = bvh.nearest_hits(pose.position, dirs)
-    hit = tri >= 0
-    if not hit.any():
-        raise DegenerateViewError(
-            f"no ray hit the mesh from azimuth {pose.azimuth_deg} deg"
-        )
-    return PointCloud(pose.position[None, :] + t[hit, None] * dirs[hit])
+    return _hit_points(Bvh(mesh) if bvh is None else bvh, pose, dirs, "ray")
 
 
 def lidar_scan(mesh: TriangleMesh, pose: ViewPose) -> PointCloud:
@@ -300,14 +304,7 @@ def lidar_scan(mesh: TriangleMesh, pose: ViewPose) -> PointCloud:
     exactly coplanar (the plane spanned by the beam's central direction and
     the sensor's right axis).
     """
-    dirs = _lidar_directions(pose)
-    t, tri = Bvh(mesh).nearest_hits(pose.position, dirs)
-    hit = tri >= 0
-    if not hit.any():
-        raise DegenerateViewError(
-            f"no LiDAR ray hit the mesh from azimuth {pose.azimuth_deg} deg"
-        )
-    return PointCloud(pose.position[None, :] + t[hit, None] * dirs[hit])
+    return _hit_points(Bvh(mesh), pose, _lidar_directions(pose), "LiDAR ray")
 
 
 def occlusion_cloud(mesh: TriangleMesh, pose: ViewPose) -> PointCloud:

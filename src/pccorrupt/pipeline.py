@@ -21,7 +21,6 @@ eval and attack commands all take the manifest's clouds from it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import statistics
@@ -46,16 +45,18 @@ from .io_formats import (
     load_cloud,
     load_mesh,
     parse_json,
+    sha256_tag,
     write_file,
     write_ply,
 )
 from .augmentation import LabeledCloud
 from .corruptions import apply_corruption
-from .severity import SEVERITIES, CorruptionKind, CorruptionSpec, MESH_KINDS, SeverityTable
+from .severity import (
+    KIND_NAMES, SEVERITIES, CorruptionKind, CorruptionSpec, MESH_KINDS, SeverityTable,
+)
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
-_KIND_NAMES = frozenset(k.value for k in CorruptionKind)
 _SEVERITY_KEYS = frozenset(str(s) for s in SEVERITIES)
 MIN_POINT_BUDGET = 64
 
@@ -68,7 +69,7 @@ class DataError(ValueError):
 class RunConfig:
     input_dir: str
     output_dir: str
-    kinds: tuple[str, ...] = tuple(k.value for k in CorruptionKind)
+    kinds: tuple[str, ...] = KIND_NAMES
     severities: tuple[int, ...] = SEVERITIES
     point_budget: int = 1024
     seed: int = 0
@@ -76,10 +77,11 @@ class RunConfig:
     table: SeverityTable | None = None
 
     def __post_init__(self):
-        if not self.kinds:
-            raise ValueError("kind selection is empty")
-        if not self.severities:
-            raise ValueError("severity selection is empty")
+        for what, chosen in (("kind", self.kinds), ("severity", self.severities)):
+            if not chosen:
+                raise ValueError(f"{what} selection is empty")
+            if len(set(chosen)) < len(chosen):
+                raise ValueError(f"{what} selection repeats an entry: {list(chosen)}")
         for name in self.kinds:
             CorruptionKind.from_name(name)  # raises on unknown
         for s in self.severities:
@@ -91,15 +93,11 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
 
 
-def _sha256(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
 def _write_cloud(path: Path, cloud: PointCloud) -> str:
     """Write `cloud` as binary PLY; returns the digest of the bytes written."""
     data = write_ply(cloud)
     write_file(path, data)
-    return _sha256(data)
+    return sha256_tag(data)
 
 
 def _cell_dir(kind: str, severity: int) -> Path:
@@ -194,9 +192,9 @@ class DatasetManifest:
 
     def cells(self):
         """(kind, severity, sample, entry) for every cloud the manifest names:
-        each sample's clean cloud as ("clean", 0), then its corrupted cells."""
+        each sample's clean cloud as (metrics.CLEAN, 0), then its corrupted cells."""
         for sample in self.samples:
-            yield "clean", 0, sample, sample["clean"]
+            yield metrics.CLEAN, 0, sample, sample["clean"]
             for kind, by_sev in sample["corrupted"].items():
                 for sev, entry in by_sev.items():
                     yield kind, int(sev), sample, entry
@@ -224,7 +222,7 @@ def _check_sample(i: int, sample) -> None:
     if not isinstance(corrupted, dict):
         raise DataError(f"{where}: corrupted must be an object")
     for kind, by_sev in corrupted.items():
-        if kind not in _KIND_NAMES or not isinstance(by_sev, dict):
+        if kind not in KIND_NAMES or not isinstance(by_sev, dict):
             raise DataError(f"{where}: corrupted[{kind!r}] must be an object of a known kind")
         for sev, entry in by_sev.items():
             if sev not in _SEVERITY_KEYS or not _has_strings(entry, ("path", "sidecar", "sha256")):
@@ -249,13 +247,13 @@ def verify_manifest(manifest: DatasetManifest, root: str | Path) -> list[str]:
     problems = []
     for kind, sev, sample, entry in manifest.cells():
         sid = sample["sample_id"]
-        what = f"{sid} clean" if kind == "clean" else f"{sid} {kind} s={sev}"
+        what = f"{sid} clean" if kind == metrics.CLEAN else f"{sid} {kind} s={sev}"
         path = root / entry["path"]
         if not os.path.isfile(path):
             problems.append(f"{what}: missing file {entry['path']}")
-        elif _sha256(path.read_bytes()) != entry["sha256"]:
+        elif sha256_tag(path.read_bytes()) != entry["sha256"]:
             problems.append(f"{what}: digest mismatch for {entry['path']}")
-        if kind == "clean":
+        if kind == metrics.CLEAN:
             continue
         sidecar = root / entry["sidecar"]
         if not os.path.isfile(sidecar):
@@ -284,7 +282,7 @@ def unlisted_files(manifest: DatasetManifest, root: str | Path) -> list[str]:
     root = Path(root)
     named = {entry.get(key) for *_, entry in manifest.cells() for key in ("path", "sidecar")}
     found = set()
-    for rel_dir in (Path("clean"), *(_cell_dir(k, s) for k in _KIND_NAMES for s in SEVERITIES)):
+    for rel_dir in (Path("clean"), *(_cell_dir(k, s) for k in KIND_NAMES for s in SEVERITIES)):
         for top, _, files in os.walk(root / rel_dir):
             rel_top = Path(top).relative_to(root).as_posix()  # not a Path per file: 4x slower
             found.update(f"{rel_top}/{name}" for name in files)
@@ -346,8 +344,10 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
 
     `log` is an optional callable receiving event dicts.  Per-task failures
     are recorded in the manifest's `failures` list and do not stop the run.
-    Every output directory exists before the first file is written; a rerun
-    into the same directory overwrites each file in place.
+    Files under `config.output_dir` are never inputs, even when it lies
+    inside `config.input_dir`.  Every output directory exists before the
+    first file is written; a rerun into the same directory overwrites each
+    file in place.
     """
     start_s = time.perf_counter()
     log = log or (lambda event: None)
@@ -357,6 +357,12 @@ def run_generate(config: RunConfig, log=None) -> DatasetManifest:
     out_root = Path(config.output_dir)
 
     found = discover_samples(in_root)
+    in_abs, out_abs = in_root.resolve(), out_root.resolve()
+    if out_abs.is_relative_to(in_abs):  # an earlier run's outputs are not inputs
+        outputs = out_abs.relative_to(in_abs)
+        found = [(rel, is_mesh) for rel, is_mesh in found if not rel.is_relative_to(outputs)]
+        if not found:
+            raise DataError(f"no mesh or cloud files under {in_root} outside {out_root}")
     mesh_kind_names = {k.value for k in MESH_KINDS}
     selected_mesh_kinds = sorted(set(config.kinds) & mesh_kind_names)
     if selected_mesh_kinds and any(not is_mesh for _, is_mesh in found):
@@ -535,5 +541,5 @@ def iter_cells(manifest: DatasetManifest, root):
     for kind, sev, sample, entry in manifest.cells():
         cells.setdefault((kind, sev), []).append(
             (sample["sample_id"], sample["class_name"], root / entry["path"]))
-    for kind, sev in sorted(cells, key=lambda cell: (cell != ("clean", 0), cell)):
+    for kind, sev in sorted(cells, key=lambda cell: (cell != (metrics.CLEAN, 0), cell)):
         yield kind, sev, [(sid, cls, load_cloud(path)) for sid, cls, path in cells[kind, sev]]

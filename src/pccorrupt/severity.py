@@ -3,21 +3,20 @@
 `CorruptionKind` is the one place where the 15 corruption kinds are
 declared: each member carries its family, whether it needs a mesh, its
 typed parameter names, its dominant parameter and its default records.
-Everything else (MESH_KINDS, the default table, table validation, the
-report's family header) is derived from it.  Any part of the default
+Everything else (KIND_NAMES, MESH_KINDS, the default table, table
+validation, the report's family header) is derived from it.  Any part of the default
 table can be overridden by a JSON document keyed by canonical corruption
 name whose values are lists of 5 parameter records (severities 1..5).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .io_formats import parse_json
+from .io_formats import parse_json, sha256_tag
 
 SEVERITIES = (1, 2, 3, 4, 5)
 
@@ -92,6 +91,9 @@ class CorruptionKind(Enum):
 
 
 _ORDINALS = {kind: i for i, kind in enumerate(CorruptionKind)}
+
+# The canonical names in declaration order.
+KIND_NAMES = tuple(kind.value for kind in CorruptionKind)
 
 # Kinds that consume a mesh (view-based) rather than a point cloud.
 MESH_KINDS = frozenset(kind for kind in CorruptionKind if kind.needs_mesh)
@@ -180,7 +182,7 @@ class SeverityTable:
 
     def digest(self) -> str:
         canonical = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-        return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+        return sha256_tag(canonical.encode())
 
     @classmethod
     def from_json(cls, data: str | bytes) -> "SeverityTable":

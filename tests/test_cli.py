@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, logs, config precedence."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -207,19 +208,71 @@ def test_gen_refuses_a_second_input_with_a_taken_sample_id(tmp_path, capsys):
     assert manifest["failures"] == [{"sample": "a_b.ply", "stage": "load", "error": error}]
 
 
-def test_gen_seed_env_and_flag_precedence(workspace, tmp_path, capsys, monkeypatch):
+def test_gen_seed_ignores_environment_and_flag_wins(workspace, tmp_path, capsys, monkeypatch):
+    # the seed comes from --seed, else the config file, else 0; no variable sets it
     _, src, _, _ = workspace
     args = ["--kinds", "shear", "--severities", "1", "--points", "64"]
 
     monkeypatch.setenv("PC_CORRUPT_SEED", "77")
-    main(["gen", str(src), str(tmp_path / "a")] + args)
-    seed_env = json.loads((tmp_path / "a" / "manifest.json").read_text())["seed"]
-    assert seed_env == 77
+    assert main(["gen", str(src), str(tmp_path / "a")] + args) == 0
+    seed_default = json.loads((tmp_path / "a" / "manifest.json").read_text())["seed"]
+    assert seed_default == 0
 
-    main(["gen", str(src), str(tmp_path / "b"), "--seed", "5"] + args)
+    assert main(["gen", str(src), str(tmp_path / "b"), "--seed", "5"] + args) == 0
     seed_flag = json.loads((tmp_path / "b" / "manifest.json").read_text())["seed"]
     assert seed_flag == 5
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("kinds, severities, error", [
+    ("gaussian,gaussian", "1", "kind list 'gaussian,gaussian' repeats ['gaussian']"),
+    ("gaussian, shear,gaussian", "1", "repeats ['gaussian']"),
+    ("gaussian", "1,1", "severity list '1,1' repeats [1]"),
+    ("", "1", "kind list '' names nothing"),
+    (",", "1", "kind list ',' names nothing"),
+    ("gaussian", "", "severity list '' names nothing"),
+    ("gaussian", " , ", "severity list ' , ' names nothing"),
+])
+def test_gen_empty_or_repeating_selection_is_usage_error(workspace, tmp_path, capsys, kinds,
+                                                          severities, error):
+    _, src, _, _ = workspace
+    out = tmp_path / "out"
+    code = main(["gen", str(src), str(out), "--kinds", kinds, "--severities", severities,
+                 "--points", "64", "--workers", "2"])
+    events = _read_json_lines(capsys.readouterr().err)
+    assert code == 1
+    assert [e["event"] for e in events] == ["usage_error"]
+    assert error in events[0]["error"]
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("nested", ["out", "deep/out"])
+def test_gen_rerun_into_output_inside_input_ignores_earlier_outputs(tmp_path, capsys, nested):
+    src = tmp_path / "in"
+    for i in range(4):
+        (src / f"c{i % 2}").mkdir(parents=True, exist_ok=True)
+        save_cloud(random_cloud(100, i), src / f"c{i % 2}" / f"s{i}.ply")
+    out = src / nested
+    argv = ["gen", str(src), str(out), "--kinds", "gaussian", "--severities", "1",
+            "--points", "64"]
+    assert main(argv) == 0
+    first = (out / "manifest.json").read_bytes()
+    assert [s["source"] for s in json.loads(first)["samples"]] == [
+        "c0/s0.ply", "c0/s2.ply", "c1/s1.ply", "c1/s3.ply"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert (out / "manifest.json").read_bytes() == first
+
+
+def test_gen_output_dir_holding_every_input_is_data_error(tmp_path, capsys):
+    save_cloud(random_cloud(100, 1), tmp_path / "c.ply")
+    code = main(["gen", str(tmp_path), str(tmp_path), "--kinds", "gaussian",
+                 "--severities", "1", "--points", "64"])
+    events = _read_json_lines(capsys.readouterr().err)
+    assert code == 2
+    assert [e["event"] for e in events] == ["error"]
+    assert "outside" in events[0]["error"]
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_gen_config_file_with_flag_override(workspace, tmp_path, capsys):
@@ -520,12 +573,12 @@ def test_train_writes_checkpoint_and_logs(workspace, capsys):
     assert meta["config_digest"].startswith("sha256:")
 
 
-def test_train_flags_win_over_config_aliases(workspace, tmp_path, capsys):
+def test_train_flags_win_over_config_keys(workspace, tmp_path, capsys):
     from pccorrupt import TrainConfig, load_checkpoint
 
     _, _, data, _ = workspace
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({"augmentation": "rsmix", "lambda": 0.3}))
+    config.write_text(json.dumps({"mix": "rsmix", "mix_lam": 0.3}))
     for flags, mix, mix_lam in [
         (["--mix", "cutmix_r", "--mix-lam", "0.7"], "cutmix_r", 0.7),
         ([], "rsmix", 0.3),
@@ -540,30 +593,47 @@ def test_train_flags_win_over_config_aliases(workspace, tmp_path, capsys):
         assert load_checkpoint(out)[1]["config_digest"] == "sha256:" + digest
 
 
-def test_train_config_with_name_and_alias_is_data_error(workspace, tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [("augmentation", "rsmix"), ("lambda", 0.3)])
+def test_train_config_alias_key_is_unknown(workspace, tmp_path, capsys, key, value):
+    # a train config key is the TrainConfig field it sets, and only that
     _, _, data, _ = workspace
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({"mix": "mixup", "augmentation": "rsmix"}))
-    code = main(["train", str(data / "manifest.json"), "--out", str(tmp_path / "m.tpn"),
-                 "--epochs", "1", "--batch-size", "4", "--config", str(config)])
-    assert code == 2
-    assert "alias" in capsys.readouterr().err
-
-
-def test_train_config_aliases_set_fields(workspace, tmp_path, capsys):
-    from pccorrupt import TrainConfig, load_checkpoint
-
-    _, _, data, _ = workspace
-    config = tmp_path / "c.json"
-    config.write_text(json.dumps({"augmentation": "rsmix", "lambda": 0.3, "epochs": 2}))
+    config.write_text(json.dumps({key: value, "epochs": 1}))
     out = tmp_path / "m.tpn"
     code = main(["train", str(data / "manifest.json"), "--out", str(out),
                  "--batch-size", "4", "--config", str(config)])
+    events = _read_json_lines(capsys.readouterr().err)
+    assert code == 2
+    assert [e["event"] for e in events] == ["error"]
+    accepted = ["augment", "batch_size", "epochs", "lr", "mix", "mix_lam", "seed", "smoothing"]
+    assert f"has unknown keys [{key!r}]; accepted: {accepted}" in events[0]["error"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mix", ["none", "cutmix_r", "mixup"])
+def test_train_mix_needs_clouds_of_one_size(tmp_path, capsys, mix):
+    # 7 clouds of 128 points and one of 96: which pairs a batch mixes depends
+    # on the seed, so mixing refuses the set before the first step
+    src = tmp_path / "in"
+    for i in range(8):
+        (src / f"c{i % 2}").mkdir(parents=True, exist_ok=True)
+        save_cloud(random_cloud(96 if i == 5 else 128, i), src / f"c{i % 2}" / f"s{i}.ply")
+    data = tmp_path / "data"
+    assert main(["gen", str(src), str(data), "--kinds", "gaussian", "--severities", "1",
+                 "--points", "128"]) == 0
     capsys.readouterr()
-    assert code == 0
-    want = TrainConfig(epochs=2, batch_size=4, mix="rsmix", mix_lam=0.3)
-    digest = hashlib.sha256(json.dumps(want.__dict__, sort_keys=True).encode()).hexdigest()
-    assert load_checkpoint(out)[1]["config_digest"] == "sha256:" + digest
+    out = tmp_path / "m.tpn"
+    code = main(["train", str(data / "manifest.json"), "--out", str(out), "--epochs", "1",
+                 "--batch-size", "4", "--mix", mix])
+    events = _read_json_lines(capsys.readouterr().err)
+    if mix == "none":
+        assert code == 0 and out.exists()
+        return
+    assert code == 2
+    assert [e["event"] for e in events] == ["train_start", "error"]
+    assert f"mix {mix!r} needs clouds of one size" in events[-1]["error"]
+    assert "sizes [96, 128]" in events[-1]["error"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["gen", "apply", "train"])
@@ -578,7 +648,7 @@ def test_config_unknown_key_is_data_error(workspace, tmp_path, capsys, command):
         "gen": (["gen", str(src), str(out), "--kinds", "shear", "--severities", "1"],
                 "'points'"),
         "apply": (["apply", str(cloud), str(out), "--kind", "gaussian"], "'points'"),
-        "train": (["train", str(data / "manifest.json"), "--out", str(out)], "'lambda'"),
+        "train": (["train", str(data / "manifest.json"), "--out", str(out)], "'mix_lam'"),
     }[command]
     code = main([*argv, "--config", str(cfg)])
     err = capsys.readouterr().err
@@ -606,7 +676,7 @@ def test_train_config_wrong_type_is_data_error(workspace, tmp_path, capsys, entr
 def test_train_config_outside_choices_is_data_error(workspace, tmp_path, capsys):
     _, _, data, _ = workspace
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"augmentation": "cutmix"}))
+    cfg.write_text(json.dumps({"mix": "cutmix"}))
     code = main(["train", str(data / "manifest.json"), "--out", str(tmp_path / "m.tpn"),
                  "--config", str(cfg)])
     err = capsys.readouterr().err
@@ -632,12 +702,74 @@ _JSON = _SCALAR | st.lists(_SCALAR, max_size=3) | st.dictionaries(st.text(max_si
                                                                   max_size=3)
 
 
+# Every knob a user can turn: each subcommand's flags (positionals as their
+# dest) and --config keys.  Adding one is an edit here.
+KNOBS = {
+    "gen": ({"input_dir", "output_dir", "--kinds", "--severities", "--points", "--seed",
+             "--workers", "--table", "--config"},
+            {"kinds", "severities", "points", "seed", "workers", "table"}),
+    "apply": ({"input", "output", "--kind", "--severity", "--seed", "--points", "--table",
+               "--config", "--ascii", "--no-normalize", "--sidecar"},
+              {"kind", "severity", "seed", "points", "table"}),
+    "train": ({"manifest", "--out", "--epochs", "--batch-size", "--lr", "--smoothing", "--mix",
+               "--mix-lam", "--seed", "--config", "--no-augment"},
+              {"epochs", "batch_size", "lr", "smoothing", "mix", "mix_lam", "seed", "augment"}),
+    "eval": ({"model", "manifest", "--out", "--adapt", "--adapt-batch", "--blend", "--tent-lr",
+              "--tent-steps"}, set()),
+    "attack": ({"model", "manifest", "--out", "--epsilon", "--alpha", "--steps", "--seed"},
+               set()),
+    "bench": ({"predictions", "manifest", "--out", "--format"}, set()),
+    "export": ({"input", "output", "--ascii"}, set()),
+}
+
+
+def _flags(parser) -> set:
+    return {a.option_strings[-1] if a.option_strings else a.dest for a in parser._actions
+            if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))}
+
+
+def test_knob_inventory():
+    from dataclasses import fields
+
+    from pccorrupt import cli
+
+    parser = cli.build_parser()
+    assert _flags(parser) == {"--version"}
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    tables = {"gen": cli.GEN_OPTIONS, "apply": cli.APPLY_OPTIONS, "train": cli.TRAIN_OPTIONS}
+    assert set(commands.choices) == set(KNOBS)
+    for name, sub in commands.choices.items():
+        flags, keys = KNOBS[name]
+        assert (_flags(sub), set(tables.get(name, ()))) == (flags, keys), name
+    assert sum(len(keys) for _, keys in KNOBS.values()) == 19
+    assert set(cli.TRAIN_OPTIONS) == {f.name for f in fields(network.TrainConfig)}
+
+
+def test_no_module_reads_the_environment():
+    import ast
+    from pathlib import Path
+
+    import pccorrupt
+
+    readers = []
+    for path in sorted(Path(pccorrupt.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [a.name for a in node.names if a.name in ("environ", "getenv")]
+            else:
+                continue
+            readers += [f"{path.name}:{node.lineno} {name}" for name in names]
+    assert readers == []
+
+
 @pytest.mark.parametrize("command", ["gen", "apply", "train"])
 def test_config_fuzz_exits_typed(tmp_path, monkeypatch, command):
     from pccorrupt import cli
 
     accepted = {"gen": cli.GEN_OPTIONS, "apply": cli.APPLY_OPTIONS,
-                "train": {**cli.TRAIN_OPTIONS, **cli.TRAIN_ALIASES}}[command]
+                "train": cli.TRAIN_OPTIONS}[command]
     argv = {"gen": ["gen", "missing", "out"],
             "apply": ["apply", "missing.ply", "out.ply"],
             "train": ["train", "missing.json", "--out", "m.tpn"]}[command]

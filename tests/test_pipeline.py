@@ -73,6 +73,10 @@ def test_run_config_validation(tmp_path):
         RunConfig(tmp_path, tmp_path, point_budget=10)
     with pytest.raises(ValueError):
         RunConfig(tmp_path, tmp_path, workers=0)
+    with pytest.raises(ValueError, match="kind selection repeats"):
+        RunConfig(tmp_path, tmp_path, kinds=("gaussian", "shear", "gaussian"))
+    with pytest.raises(ValueError, match="severity selection repeats"):
+        RunConfig(tmp_path, tmp_path, severities=(2, 2))
 
 
 def test_discover_samples(tmp_path):
