@@ -34,7 +34,9 @@ from .augmentation import MIXERS
 from .io_formats import MESH_SUFFIXES, load_cloud, parse_json, save_cloud, sha256_tag, write_file
 from .corruptions import apply_corruption
 from .pipeline import MIN_POINT_BUDGET, DataError, RunConfig
-from .severity import KIND_NAMES, SEVERITIES, CorruptionKind, CorruptionSpec, SeverityTable
+from .severity import (
+    KIND_NAMES, SEVERITIES, CorruptionKind, CorruptionSpec, SeverityTable, check_severity,
+)
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -148,12 +150,6 @@ def _parse_list(text, what: str, everything: tuple, parse) -> tuple:
     return entries
 
 
-def _check_severity(value: int) -> int:
-    if value not in SEVERITIES:
-        raise UsageError(f"severity {value} outside 1..5")
-    return value
-
-
 def _load_table(path) -> SeverityTable:
     if path is None:
         return SeverityTable.default()
@@ -172,7 +168,7 @@ def cmd_gen(args) -> int:
         kinds=_parse_list(opts["kinds"], "kind", KIND_NAMES,
                           lambda name: CorruptionKind.from_name(name).value),
         severities=_parse_list(opts["severities"], "severity", SEVERITIES,
-                               lambda text: _check_severity(int(text))),
+                               lambda text: check_severity(int(text))),
         point_budget=opts["points"],
         seed=opts["seed"],
         workers=opts["workers"],
@@ -194,9 +190,9 @@ def cmd_apply(args) -> int:
         raise UsageError("apply needs --kind (or 'kind' in the config file)")
     try:
         kind = CorruptionKind.from_name(opts["kind"])
+        severity = check_severity(opts["severity"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    severity = _check_severity(opts["severity"])
     if opts["points"] < MIN_POINT_BUDGET:
         raise DataError(f"--points must be >= {MIN_POINT_BUDGET}, got {opts['points']}")
     seed = opts["seed"]
@@ -262,13 +258,17 @@ def _model_and_manifest(args):
 
 
 def cmd_eval(args) -> int:
-    if args.adapt_batch < 1:
-        raise DataError(f"--adapt-batch must be >= 1, got {args.adapt_batch}")
     if args.adapt == "bn":
         network.check_blend(args.blend)
     tent = (network.TentConfig(lr=args.tent_lr, steps=args.tent_steps)
             if args.adapt == "tent" else None)
+    least = 1 if args.adapt == "none" else network.MIN_ADAPT_BATCH  # a smaller chunk never adapts
+    if args.adapt_batch < least:
+        raise DataError(f"--adapt {args.adapt} needs --adapt-batch >= {least}, "
+                        f"got {args.adapt_batch}")
     state, index, manifest, root = _model_and_manifest(args)
+    if 0 < len(manifest.samples) < least:  # an empty manifest is iter_cells' error
+        raise DataError(f"--adapt {args.adapt} needs {least} samples, got {len(manifest.samples)}")
     records, table = [], metrics.CountTable()
     for kind, severity, batch in pipeline.iter_cells(manifest, root):
         start_s = time.perf_counter()

@@ -2,15 +2,17 @@
 
 Each operator is a plain function taking explicit parameters plus a
 numpy Generator, so tests can drive them directly.  apply_corruption()
-routes a (kind, severity) pair through the severity table and derives
-the random stream from (seed, kind ordinal, severity, sample key), which
-makes every sample's corruption independent of processing order.  No
-operator reports its draws: those keys and the table's parameters replay
-any output exactly, and they are what a provenance sidecar records
-(pipeline.sidecar_json).
+passes the severity table's record for (kind, severity) to the kind's
+operator as keyword arguments and derives the random stream from (seed,
+kind ordinal, severity, sample key), which makes every sample's
+corruption independent of processing order.  No operator reports its
+draws: those keys and the table's parameters replay any output exactly,
+and they are what a provenance sidecar records (pipeline.sidecar_json).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -83,6 +85,8 @@ def background_noise(cloud: PointCloud, count: int, rng: np.random.Generator) ->
 # ---------------------------------------------------------------------------
 # density family (the view-based members live in occlusion.py)
 
+CLUSTER_FRACTION = 0.75  # of a cluster's points that a density change adds or drops
+
 
 def local_density_increase(
     cloud: PointCloud, n_clusters: int, cluster_size: int, rng: np.random.Generator
@@ -90,14 +94,14 @@ def local_density_increase(
     """Densify n_clusters neighbourhoods by duplicating-with-jitter.
 
     For each cluster an anchor is drawn uniformly from the original points,
-    floor(0.75 * cluster_size) of its cluster_size nearest originals are
-    picked and re-added with N(0, 0.01^2) jitter.  Adds exactly
-    n_clusters * floor(0.75 * cluster_size) points.
+    floor(CLUSTER_FRACTION * cluster_size) of its cluster_size nearest
+    originals are picked and re-added with N(0, 0.01^2) jitter.  Adds
+    exactly n_clusters * floor(CLUSTER_FRACTION * cluster_size) points.
     """
     if cluster_size > cloud.count:
         raise ValueError("cluster_size exceeds the cloud size")
     added = []
-    n_new = int(0.75 * cluster_size)
+    n_new = int(CLUSTER_FRACTION * cluster_size)
     for _ in range(n_clusters):
         anchor = int(rng.integers(0, cloud.count))
         hood = nearest_indices(cloud.points, cloud.points[anchor], cluster_size)
@@ -113,12 +117,12 @@ def local_density_decrease(
     """Thin out n_clusters neighbourhoods, one after another.
 
     Each round works on the surviving points only: an anchor is drawn,
-    its cluster_size nearest survivors are found and floor(0.75 *
-    cluster_size) of them are dropped.  Removes exactly n_clusters *
-    floor(0.75 * cluster_size) points overall.
+    its cluster_size nearest survivors are found and floor(CLUSTER_FRACTION
+    * cluster_size) of them are dropped.  Removes exactly n_clusters *
+    floor(CLUSTER_FRACTION * cluster_size) points overall.
     """
     points = cloud.points
-    n_drop = int(0.75 * cluster_size)
+    n_drop = int(CLUSTER_FRACTION * cluster_size)
     for _ in range(n_clusters):
         if cluster_size > len(points):
             raise ValueError("not enough surviving points for another cluster")
@@ -214,39 +218,33 @@ def rbf_corrupt(
 # dispatch
 
 
-# kind -> op(data, params, rng).  The lambdas look the operators up by name
-# on every call, so a module attribute replaced at run time (by a tracer,
-# say) sees every call.
+# kind -> op(data, rng=..., **record), an adapter where a record is not the
+# operator's arguments.  The view adapters look their operator up by name on
+# every call, so a module attribute replaced at run time (a tracer) sees it.
 _OPS = {
-    CorruptionKind.OCCLUSION: lambda mesh, p, rng: occlusion_cloud(
-        mesh, view_pose(p["view_index"], rng)
+    CorruptionKind.OCCLUSION: lambda mesh, rng, view_index: occlusion_cloud(
+        mesh, view_pose(view_index, rng)
     ),
-    CorruptionKind.LIDAR: lambda mesh, p, rng: lidar_cloud(
-        mesh, view_pose(p["view_index"], rng), rng
+    CorruptionKind.LIDAR: lambda mesh, rng, view_index: lidar_cloud(
+        mesh, view_pose(view_index, rng), rng
     ),
-    CorruptionKind.LOCAL_DENSITY_INC: lambda c, p, rng: local_density_increase(
-        c, p["n_clusters"], p["cluster_size"], rng
+    CorruptionKind.LOCAL_DENSITY_INC: local_density_increase,
+    CorruptionKind.LOCAL_DENSITY_DEC: local_density_decrease,
+    CorruptionKind.CUTOUT: cutout,
+    CorruptionKind.UNIFORM: uniform_noise,
+    CorruptionKind.GAUSSIAN: gaussian_noise,
+    CorruptionKind.IMPULSE: lambda c, rng, count_div, count_mul, magnitude: impulse_noise(
+        c, (c.count // count_div) * count_mul, magnitude, rng
     ),
-    CorruptionKind.LOCAL_DENSITY_DEC: lambda c, p, rng: local_density_decrease(
-        c, p["n_clusters"], p["cluster_size"], rng
+    CorruptionKind.UPSAMPLING: lambda c, rng, count_div, count_mul, bound: upsampling_noise(
+        c, (c.count * count_mul) // count_div, bound, rng
     ),
-    CorruptionKind.CUTOUT: lambda c, p, rng: cutout(c, p["n_clusters"], p["k"], rng),
-    CorruptionKind.UNIFORM: lambda c, p, rng: uniform_noise(c, p["scale"], rng),
-    CorruptionKind.GAUSSIAN: lambda c, p, rng: gaussian_noise(c, p["sigma"], rng),
-    CorruptionKind.IMPULSE: lambda c, p, rng: impulse_noise(
-        c, (c.count // p["count_div"]) * p["count_mul"], p["magnitude"], rng
-    ),
-    CorruptionKind.UPSAMPLING: lambda c, p, rng: upsampling_noise(
-        c, (c.count * p["count_mul"]) // p["count_div"], p["bound"], rng
-    ),
-    CorruptionKind.BACKGROUND: lambda c, p, rng: background_noise(c, p["count"], rng),
-    CorruptionKind.ROTATION: lambda c, p, rng: random_rotation(c, p["max_angle_deg"], rng),
-    CorruptionKind.SHEAR: lambda c, p, rng: random_shear(c, p["max_coeff"], rng),
-    CorruptionKind.FFD: lambda c, p, rng: ffd_corrupt(c, p["distance"], rng),
-    CorruptionKind.RBF: lambda c, p, rng: rbf_corrupt(c, p["distance"], rng, MULTIQUADRIC),
-    CorruptionKind.INV_RBF: lambda c, p, rng: rbf_corrupt(
-        c, p["distance"], rng, INVERSE_MULTIQUADRIC
-    ),
+    CorruptionKind.BACKGROUND: background_noise,
+    CorruptionKind.ROTATION: random_rotation,
+    CorruptionKind.SHEAR: random_shear,
+    CorruptionKind.FFD: ffd_corrupt,
+    CorruptionKind.RBF: partial(rbf_corrupt, variant=MULTIQUADRIC),
+    CorruptionKind.INV_RBF: partial(rbf_corrupt, variant=INVERSE_MULTIQUADRIC),
 }
 
 
@@ -271,4 +269,4 @@ def apply_corruption(
     expected = TriangleMesh if kind.needs_mesh else PointCloud
     if not isinstance(data, expected):
         raise TypeError(f"{kind.value} corruption needs a {expected.__name__} input")
-    return _OPS[kind](data, params, rng)
+    return _OPS[kind](data, rng=rng, **params)

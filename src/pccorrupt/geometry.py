@@ -1,8 +1,9 @@
 """Core point-cloud and mesh types, OFF parsing, surface sampling, kNN.
 
 All coordinates are double precision.  Types are immutable after
-construction (their arrays are marked read-only), so they can be shared
-freely across worker processes and threads.
+construction (each holds its own C-contiguous, read-only copy of the
+arrays it was given), so they can be shared freely across worker
+processes and threads.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _as_points(self.points)
+        pts = _as_points(np.array(self.points, dtype=np.float64, order="C"))
         if pts.shape[0] < 1:
             raise ValueError("point cloud must contain at least one point")
-        pts = np.ascontiguousarray(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -69,8 +69,8 @@ class TriangleMesh:
     faces: np.ndarray
 
     def __post_init__(self):
-        verts = _as_points(self.vertices, "vertices")
-        faces = np.asarray(self.faces, dtype=np.int64)
+        verts = _as_points(np.array(self.vertices, dtype=np.float64, order="C"), "vertices")
+        faces = np.array(self.faces, dtype=np.int64, order="C")
         if faces.ndim != 2 or faces.shape[1] != 3:
             raise ValueError(f"faces must have shape (f, 3), got {faces.shape}")
         if faces.size and (faces.min() < 0 or faces.max() >= len(verts)):
@@ -83,8 +83,6 @@ class TriangleMesh:
             )
             if not distinct.all():
                 raise ValueError("face with repeated vertex indices")
-        verts = np.ascontiguousarray(verts)
-        faces = np.ascontiguousarray(faces)
         verts.setflags(write=False)
         faces.setflags(write=False)
         object.__setattr__(self, "vertices", verts)

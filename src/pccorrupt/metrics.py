@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .io_formats import write_file
-from .severity import KIND_NAMES, SEVERITIES, CorruptionKind
+from .severity import KIND_NAMES, SEVERITIES, CorruptionKind, check_severity
 
 CLEAN = "clean"
 REPORT_VERSION = 3
@@ -43,12 +43,10 @@ class PredictionRecord:
     def __post_init__(self):
         if self.corruption not in _VALID_CORRUPTIONS:
             raise ValueError(f"unknown corruption {self.corruption!r}")
-        if (self.severity == 0) != (self.corruption == CLEAN):
-            raise ValueError(
-                "severity 0 is reserved for clean records (and clean requires it)"
-            )
-        if self.corruption != CLEAN and self.severity not in SEVERITIES:
-            raise ValueError(f"severity must be in 0..5, got {self.severity}")
+        if self.corruption != CLEAN:
+            check_severity(self.severity)
+        elif self.severity != 0:
+            raise ValueError(f"clean records carry severity 0, got {self.severity}")
         if self.true_label < 0 or self.pred_label < 0:
             raise ValueError("class indices must be >= 0")
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PointCloud, TriangleMesh, _as_points
-from .severity import SEVERITIES
 
-CANONICAL_AZIMUTHS = (0.0, 72.0, 144.0, 216.0, 288.0)
+CANONICAL_AZIMUTHS = (0.0, 72.0, 144.0, 216.0, 288.0)  # view i looks from the (i-1)-th
+ELEVATION_RANGE_DEG = (30.0, 60.0)
 FIELD_OF_VIEW_DEG = 50.0  # of the pinhole grid and of the LiDAR pattern
 CAMERA_DISTANCE = 2.5
 RAY_T_MIN = 1e-9
@@ -42,8 +42,8 @@ class DegenerateViewError(ValueError):
 
 @dataclass(frozen=True)
 class ViewPose:
-    """Sensor pose: canonical azimuth, elevation in [30, 60] deg, looking at
-    the origin from CAMERA_DISTANCE."""
+    """Sensor pose: canonical azimuth, elevation within ELEVATION_RANGE_DEG,
+    looking at the origin from CAMERA_DISTANCE."""
 
     azimuth_deg: float
     elevation_deg: float
@@ -53,9 +53,10 @@ class ViewPose:
             raise ValueError(
                 f"azimuth must be one of {CANONICAL_AZIMUTHS}, got {self.azimuth_deg}"
             )
-        if not 30.0 <= self.elevation_deg <= 60.0:
+        lo, hi = ELEVATION_RANGE_DEG
+        if not lo <= self.elevation_deg <= hi:
             raise ValueError(
-                f"elevation must be within [30, 60] deg, got {self.elevation_deg}"
+                f"elevation must be within [{lo:g}, {hi:g}] deg, got {self.elevation_deg}"
             )
 
     @property
@@ -76,13 +77,11 @@ class ViewPose:
         return forward, right, up
 
 
-def view_pose(severity_index: int, rng: np.random.Generator) -> ViewPose:
-    """Pose for view index 1..5: azimuth 72*(i-1) deg, elevation ~ U(30, 60)."""
-    if severity_index not in SEVERITIES:
-        raise ValueError(f"severity index must be in 1..5, got {severity_index}")
-    azimuth = CANONICAL_AZIMUTHS[severity_index - 1]
-    elevation = rng.uniform(30.0, 60.0)
-    return ViewPose(azimuth, elevation)
+def view_pose(view_index: int, rng: np.random.Generator) -> ViewPose:
+    """Pose for view i >= 1: CANONICAL_AZIMUTHS[i - 1], elevation ~ U(ELEVATION_RANGE_DEG)."""
+    if view_index not in range(1, len(CANONICAL_AZIMUTHS) + 1):
+        raise ValueError(f"view index must be in 1..{len(CANONICAL_AZIMUTHS)}, got {view_index}")
+    return ViewPose(CANONICAL_AZIMUTHS[view_index - 1], rng.uniform(*ELEVATION_RANGE_DEG))
 
 
 def _cross(a, b):
@@ -247,30 +246,27 @@ class Bvh:
         return ray_order, tri_ids[nonempty], lo[nonempty], hi[nonempty]
 
 
-def _pinhole_directions(pose: ViewPose, grid: int) -> np.ndarray:
+def _sensor_rays(pose: ViewPose, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unit rays along forward + a*right + b*up of the pose's frame, one per (a, b)."""
     forward, right, up = pose.basis()
+    dirs = forward[None, :] + a[:, None] * right[None, :] + b[:, None] * up[None, :]
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+def _pinhole_directions(pose: ViewPose, grid: int) -> np.ndarray:
+    """A grid x grid image plane evenly spaced in tangent, row-major, top row first."""
     half = math.tan(math.radians(FIELD_OF_VIEW_DEG) / 2.0)
     coords = half * (2.0 * (np.arange(grid) + 0.5) / grid - 1.0)
-    xs, ys = np.meshgrid(coords, -coords, indexing="xy")  # row-major, top row first
-    dirs = (
-        forward[None, :]
-        + xs.reshape(-1, 1) * right[None, :]
-        + ys.reshape(-1, 1) * up[None, :]
-    )
-    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    return _sensor_rays(pose, np.tile(coords, grid), np.repeat(-coords, grid))
 
 
 def _lidar_directions(pose: ViewPose) -> np.ndarray:
-    forward, right, up = pose.basis()
+    """LIDAR_BEAMS lines of LIDAR_AZIMUTH_STEPS rays, evenly spaced in angle, beam-major."""
     half = math.radians(FIELD_OF_VIEW_DEG) / 2.0
     tan_beam = np.tan(np.linspace(-half, half, LIDAR_BEAMS))
     tan_az = np.tan(np.linspace(-half, half, LIDAR_AZIMUTH_STEPS))
-    dirs = (
-        forward[None, None, :]
-        + tan_az[None, :, None] * right[None, None, :]
-        + tan_beam[:, None, None] * up[None, None, :]
-    ).reshape(-1, 3)
-    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    return _sensor_rays(pose, np.tile(tan_az, LIDAR_BEAMS),
+                        np.repeat(tan_beam, LIDAR_AZIMUTH_STEPS))
 
 
 def _hit_points(bvh: Bvh, pose: ViewPose, dirs: np.ndarray, what: str) -> PointCloud:

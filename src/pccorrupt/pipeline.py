@@ -53,6 +53,7 @@ from .augmentation import LabeledCloud
 from .corruptions import apply_corruption
 from .severity import (
     KIND_NAMES, SEVERITIES, CorruptionKind, CorruptionSpec, MESH_KINDS, SeverityTable,
+    check_severity,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -85,8 +86,7 @@ class RunConfig:
         for name in self.kinds:
             CorruptionKind.from_name(name)  # raises on unknown
         for s in self.severities:
-            if s not in SEVERITIES:
-                raise ValueError(f"severity {s} outside 1..5")
+            check_severity(s)
         if self.point_budget < MIN_POINT_BUDGET:
             raise ValueError(f"point budget must be >= {MIN_POINT_BUDGET}")
         if self.workers < 1:
@@ -227,8 +227,8 @@ def _check_sample(i: int, sample) -> None:
         for sev, entry in by_sev.items():
             if sev not in _SEVERITY_KEYS or not _has_strings(entry, ("path", "sidecar", "sha256")):
                 raise DataError(
-                    f"{where}: corrupted[{kind!r}][{sev!r}] needs a severity in 1..5 "
-                    "and a string path, sidecar and sha256"
+                    f"{where}: corrupted[{kind!r}][{sev!r}] needs a severity in "
+                    f"{SEVERITIES[0]}..{SEVERITIES[-1]} and a string path, sidecar and sha256"
                 )
 
 

@@ -4,9 +4,11 @@
 declared: each member carries its family, whether it needs a mesh, its
 typed parameter names, its dominant parameter and its default records.
 Everything else (KIND_NAMES, MESH_KINDS, the default table, table
-validation, the report's family header) is derived from it.  Any part of the default
-table can be overridden by a JSON document keyed by canonical corruption
-name whose values are lists of 5 parameter records (severities 1..5).
+validation, the report's family header) is derived from it.  A record
+holds the keyword arguments of its kind's operator in corruptions.  Any
+part of the default table can be overridden by a JSON document keyed by
+canonical corruption name whose values are lists of parameter records,
+one per severity; check_severity is the one test of a severity.
 """
 
 from __future__ import annotations
@@ -17,8 +19,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .io_formats import parse_json, sha256_tag
+from .occlusion import CANONICAL_AZIMUTHS
 
 SEVERITIES = (1, 2, 3, 4, 5)
+
+
+def check_severity(value) -> int:
+    """`value` if it is one of SEVERITIES, else a ValueError naming the range."""
+    if value not in SEVERITIES:
+        raise ValueError(f"severity {value} outside {SEVERITIES[0]}..{SEVERITIES[-1]}")
+    return value
 
 
 class CorruptionKind(Enum):
@@ -101,23 +111,23 @@ MESH_KINDS = frozenset(kind for kind in CorruptionKind if kind.needs_mesh)
 
 @dataclass(frozen=True)
 class CorruptionSpec:
-    """One corruption request: kind, severity 1..5, and a base seed."""
+    """One corruption request: kind, severity, and a base seed."""
 
     kind: CorruptionKind
     severity: int
     seed: int = 0
 
     def __post_init__(self):
-        if self.severity not in SEVERITIES:
-            raise ValueError(f"severity must be in 1..5, got {self.severity}")
+        check_severity(self.severity)
 
 
 def _misfit(kind: CorruptionKind, name: str, value) -> str | None:
     """What parameter `name` of `kind` must be, if `value` does not fit it."""
     if kind.params[name] is int:
         is_int = isinstance(value, int) and not isinstance(value, bool)
-        if name == "view_index":  # one of the 5 canonical views
-            return None if is_int and value in SEVERITIES else "an integer in 1..5"
+        if name == "view_index":  # one of the canonical views, counted from 1
+            views = len(CANONICAL_AZIMUTHS)
+            return None if is_int and 1 <= value <= views else f"an integer in 1..{views}"
         least = 1 if name == "count_div" else 0  # count_div is a divisor
         if not is_int or value < least:
             return f"an integer >= {least}"
@@ -170,9 +180,7 @@ class SeverityTable:
             self._data[name] = _checked_entries(CorruptionKind.from_name(name), entries)
 
     def params(self, kind: CorruptionKind, severity: int) -> dict:
-        if severity not in SEVERITIES:
-            raise ValueError(f"severity must be in 1..5, got {severity}")
-        return dict(self._data[kind.value][severity - 1])
+        return dict(self._data[kind.value][check_severity(severity) - 1])
 
     def as_dict(self) -> dict:
         return {k: [dict(r) for r in v] for k, v in self._data.items()}

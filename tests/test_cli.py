@@ -764,6 +764,20 @@ def test_no_module_reads_the_environment():
     assert readers == []
 
 
+def test_readme_layout_lists_every_module():
+    from pathlib import Path
+
+    import pccorrupt
+
+    package = Path(pccorrupt.__file__).parent
+    readme = (package.parents[1] / "README.md").read_text()
+    layout = readme.split("## Layout", 1)[1].split("```")[1]
+    listed = {line.split()[0] for line in layout.splitlines() if line.startswith("  ")}
+    # __init__ re-exports the API and _version holds the version string
+    modules = {p.name for p in package.glob("*.py")} - {"__init__.py", "_version.py"}
+    assert listed == modules
+
+
 @pytest.mark.parametrize("command", ["gen", "apply", "train"])
 def test_config_fuzz_exits_typed(tmp_path, monkeypatch, command):
     from pccorrupt import cli
@@ -872,14 +886,14 @@ def test_eval_single_cloud_chunk_logs_adaptation_skipped(workspace, tmp_path, ca
                                  ["tent", "--tent-steps", "0"], ["tent", "--tent-lr", "nan"]])
 def test_eval_checks_adaptation_settings_before_the_first_cell(workspace, tmp_path, capsys,
                                                                bad):
-    # chunks of 1 cloud never adapt, so only a check made up front sees these
+    # a setting is checked before the chunk size, so --adapt-batch 1 does not hide it
     _, _, data, model = workspace
     out = tmp_path / "p.csv"
     code = main(["eval", str(model), str(data / "manifest.json"), "--out", str(out),
                  "--adapt-batch", "1", "--adapt", *bad])
     err = capsys.readouterr().err
     assert code == 2
-    assert "Traceback" not in err and "cell_evaluated" not in err
+    assert "Traceback" not in err and "cell_evaluated" not in err and "adapt-batch" not in err
     assert not out.exists()
 
 
@@ -1444,3 +1458,39 @@ def test_eval_adapt_batch_below_one_is_data_error(workspace, tmp_path, capsys, s
     assert code == 2
     assert "Traceback" not in err and "--adapt-batch" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("adapt", ["bn", "tent"])
+@pytest.mark.parametrize("short", ["chunk", "manifest"])
+def test_eval_adaptation_that_could_never_run_is_data_error(workspace, tmp_path, capsys,
+                                                            adapt, short):
+    # below MIN_ADAPT_BATCH clouds per chunk every cloud would be predicted
+    # unadapted, and the predictions would be those of --adapt none
+    _, src, data, model = workspace
+    manifest, size = data / "manifest.json", str(network.MIN_ADAPT_BATCH - 1)
+    if short == "manifest":
+        first = sorted(src.rglob("*.off"))[0]
+        one = tmp_path / "one" / first.parent.name
+        one.mkdir(parents=True)
+        (one / first.name).write_bytes(first.read_bytes())
+        assert main(["gen", str(one.parent), str(tmp_path / "data"), "--kinds", "gaussian",
+                     "--severities", "1", "--points", "256"]) == 0
+        manifest, size = tmp_path / "data" / "manifest.json", "32"
+    capsys.readouterr()
+    out = tmp_path / "p.csv"
+    code = main(["eval", str(model), str(manifest), "--out", str(out), "--adapt", adapt,
+                 "--adapt-batch", size])
+    events = _read_json_lines(capsys.readouterr().err)
+    assert code == 2
+    assert [e["event"] for e in events] == ["error"]
+    assert f"{network.MIN_ADAPT_BATCH}" in events[0]["error"]
+    assert not out.exists()
+
+
+def test_eval_without_adaptation_takes_chunks_of_one(workspace, tmp_path, capsys):
+    _, _, data, model = workspace
+    out = tmp_path / "p.csv"
+    code = main(["eval", str(model), str(data / "manifest.json"), "--out", str(out),
+                 "--adapt", "none", "--adapt-batch", "1"])
+    capsys.readouterr()
+    assert code == 0 and out.exists()

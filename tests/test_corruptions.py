@@ -1,5 +1,6 @@
 """The fifteen corruption operators and their dispatch table."""
 
+import inspect
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from pccorrupt import (
     upsampling_noise,
 )
 from pccorrupt import _rng
-from pccorrupt.corruptions import ffd_corrupt, rbf_corrupt
+from pccorrupt.corruptions import _OPS, ffd_corrupt, rbf_corrupt
 
 from synthdata import random_cloud, uv_sphere
 
@@ -324,6 +325,17 @@ def test_dispatch_deterministic_and_sample_keyed():
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
     assert not np.array_equal(a.points, d.points)
+
+
+@pytest.mark.parametrize("kind", list(CorruptionKind), ids=lambda k: k.value)
+def test_every_default_record_is_its_operators_keyword_arguments(kind):
+    data = uv_sphere() if kind.needs_mesh else random_cloud(1024, seed=28)
+    table = SeverityTable.default()
+    for severity in range(1, 6):
+        record = table.params(kind, severity)
+        inspect.signature(_OPS[kind]).bind(data, rng=None, **record)  # TypeError if not
+        out = apply_corruption(data, CorruptionSpec(kind, severity, seed=2), table, 3)
+        assert isinstance(out, PointCloud) and out.count >= 1
 
 
 def test_dispatch_type_errors():

@@ -127,6 +127,29 @@ def test_mesh_validation():
         TriangleMesh(verts, np.array([[0, 1, -1]]))
 
 
+def test_point_cloud_holds_its_own_read_only_copy():
+    base = np.zeros((6, 3))
+    cloud = PointCloud(base)
+    assert base.flags.writeable and not np.shares_memory(base, cloud.points)
+    view = PointCloud(base[:4])
+    base[0, 0] = 5.0
+    assert cloud.points[0, 0] == view.points[0, 0] == 0.0
+    assert not cloud.points.flags.writeable and cloud.points.flags.c_contiguous
+    assert PointCloud(base[:, ::-1]).points.flags.c_contiguous
+
+
+def test_mesh_holds_its_own_read_only_copies():
+    box = box_mesh()
+    verts, faces = box.vertices.copy(), box.faces.copy()
+    mesh = TriangleMesh(verts, faces)
+    for given, held in ((verts, mesh.vertices), (faces, mesh.faces)):
+        assert given.flags.writeable and not np.shares_memory(given, held)
+        assert not held.flags.writeable and held.flags.c_contiguous
+    verts[0, 0], faces[0, 0] = 9.0, faces[0, 1]
+    assert mesh.vertices[0, 0] == box.vertices[0, 0]
+    assert np.array_equal(mesh.faces, box.faces)
+
+
 # -- sampling --------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from pccorrupt import (
     CorruptionKind,
     CorruptionSpec,
     MESH_KINDS,
+    RunConfig,
     SeverityTable,
 )
 from pccorrupt.cli import main
@@ -233,3 +234,37 @@ def test_digest_ignores_key_order():
     data = json.loads(SeverityTable.default().to_json())
     reordered = {k: data[k] for k in reversed(list(data))}
     assert SeverityTable(reordered).digest() == SeverityTable.default().digest()
+
+
+def _prediction_row(sev):
+    from pccorrupt import ingest_predictions
+
+    with open("p.csv", "w") as fh:
+        fh.write(f"sample_id,corruption,severity,true_label,pred_label\na,gaussian,{sev},0,0\n")
+    return ingest_predictions("p.csv")
+
+
+_SEVERITY_SURFACES = {
+    "CorruptionSpec": lambda sev: CorruptionSpec(CorruptionKind.GAUSSIAN, sev),
+    "SeverityTable.params": lambda sev: SeverityTable().params(CorruptionKind.GAUSSIAN, sev),
+    "RunConfig": lambda sev: RunConfig("in", "out", severities=(sev,)),
+    "prediction CSV row": _prediction_row,
+    "gen": lambda sev: main(["gen", "in", "out", "--severities", str(sev)]),
+    "apply": lambda sev: main(["apply", "in.ply", "out.ply", "--kind", "gaussian",
+                               "--severity", str(sev)]),
+}
+
+
+@pytest.mark.parametrize("sev", [0, 6])
+@pytest.mark.parametrize("surface", list(_SEVERITY_SURFACES))
+def test_a_severity_outside_the_range_is_refused_with_one_message(tmp_path, monkeypatch,
+                                                                  capsys, surface, sev):
+    monkeypatch.chdir(tmp_path)
+    message = f"severity {sev} outside 1..5"
+    if surface in ("gen", "apply"):
+        assert _SEVERITY_SURFACES[surface](sev) == 1
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert events == [{"event": "usage_error", "error": message}]
+    else:
+        with pytest.raises(ValueError, match=message):
+            _SEVERITY_SURFACES[surface](sev)
