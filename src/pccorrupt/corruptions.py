@@ -268,5 +268,5 @@ def apply_corruption(
     rng = _rng.stream(spec.seed, kind.ordinal, severity, sample_key)
     expected = TriangleMesh if kind.needs_mesh else PointCloud
     if not isinstance(data, expected):
-        raise TypeError(f"{kind.value} corruption needs a {expected.__name__} input")
+        raise ValueError(f"{kind.value} corruption needs a {expected.__name__} input")
     return _OPS[kind](data, rng=rng, **params)

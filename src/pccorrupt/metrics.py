@@ -6,6 +6,8 @@ with each (true, pred) label pair.  Every count, rate and confusion count
 derives from it, rates once at the end in double precision, so partial
 aggregation + merge give the same bits as one sequential pass.
 
+ER and mER apply one rule to two cell rates: each present cell's rate, each
+kind's mean over its present severities, then the mean of those (_cor).
 Absent (corruption, severity) cells are tracked in a presence mask and
 excluded from every mean -- they are never imputed as zero.
 """
@@ -45,7 +47,7 @@ class PredictionRecord:
             raise ValueError(f"unknown corruption {self.corruption!r}")
         if self.corruption != CLEAN:
             check_severity(self.severity)
-        elif self.severity != 0:
+        elif type(self.severity) is not int or self.severity != 0:
             raise ValueError(f"clean records carry severity 0, got {self.severity}")
         if self.true_label < 0 or self.pred_label < 0:
             raise ValueError("class indices must be >= 0")
@@ -214,27 +216,23 @@ def report_from_table(table: CountTable) -> MetricsReport:
         cells_out.setdefault(corruption, {})[severity] = {"count": cell.count, "wrong": cell.wrong}
 
     clean_cell = table.cells.get((CLEAN, 0))
-    er_clean = clean_cell.error_rate() if clean_cell else None
-    mer_clean = clean_cell.class_mean_error_rate() if clean_cell else None
+    presence = {kind: present for kind in KIND_NAMES
+                if (present := [s for s in SEVERITIES if (kind, s) in table.cells])}
 
-    er, mer, er_c, mer_c, sum_er_c, presence = {}, {}, {}, {}, {}, {}
-    for kind in KIND_NAMES:
-        present = [s for s in SEVERITIES if (kind, s) in table.cells]
-        if not present:
-            continue
-        presence[kind] = present
-        er[kind] = {s: table.cells[(kind, s)].error_rate() for s in present}
-        mer[kind] = {s: table.cells[(kind, s)].class_mean_error_rate() for s in present}
-        sum_er_c[kind] = sum(er[kind][s] for s in present)
-        er_c[kind] = sum_er_c[kind] / len(present)
-        mer_c[kind] = sum(mer[kind][s] for s in present) / len(present)
+    def over_table(rate):
+        """`rate` (a Cell method) of the clean cell and of each present cell, each
+        kind's sum and mean over those, the mean of the means (None if absent)."""
+        clean = rate(clean_cell) if clean_cell else None
+        per_cell = {k: {s: rate(table.cells[(k, s)]) for s in present}
+                    for k, present in presence.items()}
+        sums = {k: sum(rates.values()) for k, rates in per_cell.items()}
+        means = {k: sums[k] / len(presence[k]) for k in sums}
+        overall = sum(means.values()) / len(means) if means else None
+        return clean, per_cell, sums, means, overall
 
-    if er_c:
-        er_cor = sum(er_c.values()) / len(er_c)
-        mer_cor = sum(mer_c.values()) / len(mer_c)
-        sum_er_cor = sum(er_c.values())
-    else:
-        er_cor = mer_cor = sum_er_cor = None
+    er_clean, er, sum_er_c, er_c, er_cor = over_table(Cell.error_rate)
+    mer_clean, mer, _, mer_c, mer_cor = over_table(Cell.class_mean_error_rate)
+    sum_er_cor = sum(er_c.values()) if er_c else None
 
     corrupted = [cell for (corruption, _), cell in table.cells.items() if corruption != CLEAN]
     confusion_counts = {
@@ -244,19 +242,9 @@ def report_from_table(table: CountTable) -> MetricsReport:
     }
 
     return MetricsReport(
-        cells=cells_out,
-        er_clean=er_clean,
-        mer_clean=mer_clean,
-        er=er,
-        mer=mer,
-        er_c=er_c,
-        mer_c=mer_c,
-        sum_er_c=sum_er_c,
-        er_cor=er_cor,
-        mer_cor=mer_cor,
-        sum_er_cor=sum_er_cor,
-        presence=presence,
-        confusion_counts=confusion_counts,
+        cells=cells_out, er_clean=er_clean, mer_clean=mer_clean, er=er, mer=mer,
+        er_c=er_c, mer_c=mer_c, sum_er_c=sum_er_c, er_cor=er_cor, mer_cor=mer_cor,
+        sum_er_cor=sum_er_cor, presence=presence, confusion_counts=confusion_counts,
     )
 
 
@@ -289,27 +277,24 @@ def render_markdown(report: MetricsReport) -> str:
     ), ""]
     kinds = KIND_NAMES
     header = ["metric", *kinds, "ER_cor"]
+    rows = [("ER_c", report.er_c, pct(report.er_cor)), ("mER_c", report.mer_c, pct(report.mer_cor))]
+    for s in SEVERITIES:
+        at_s = {k: rates[s] for k, rates in report.er.items() if s in rates}
+        if at_s:
+            rows.append((f"ER s={s}", at_s, "-"))
+
+    def table_line(cols):
+        return "| " + " | ".join(cols) + " |"
+
     lines = [
         f"ER_clean: {pct(report.er_clean)}  |  mER_clean: {pct(report.mer_clean)}",
         "",
-        "| " + " | ".join(group_row) + " |",
-        "| " + " | ".join(header) + " |",
+        table_line(group_row),
+        table_line(header),
         "|" + "|".join("---" for _ in header) + "|",
+        *(table_line([label, *(pct(rates.get(k)) for k in kinds), overall])
+          for label, rates, overall in rows),
     ]
-    er_row = ["ER_c", *(pct(report.er_c.get(k)) for k in kinds), pct(report.er_cor)]
-    mer_row = ["mER_c", *(pct(report.mer_c.get(k)) for k in kinds), pct(report.mer_cor)]
-    lines.append("| " + " | ".join(er_row) + " |")
-    lines.append("| " + " | ".join(mer_row) + " |")
-    for s in SEVERITIES:
-        row = [f"ER s={s}"]
-        any_present = False
-        for k in kinds:
-            rate = report.er.get(k, {}).get(s)
-            any_present = any_present or rate is not None
-            row.append(pct(rate))
-        row.append("-")
-        if any_present:
-            lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines) + "\n"
 
 

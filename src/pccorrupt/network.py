@@ -18,11 +18,11 @@ values lie contiguous: subtract the mean (the batch's in train and adapt
 mode, the stored one in eval), take the biased batch variance from the
 centred values (batch modes only), multiply by gamma * inv_std, add beta,
 apply ReLU.  Eval and adapt share that expression, so an eval pass whose
-stored statistics are exactly the last batch-statistics pass's (always for
-TENT, and for BN adaptation at blend 1) repeats that pass bit for bit.
-Both test-time adaptations therefore return that pass's logits as the
-batch's eval-mode logits under the adapted state; otherwise one eval pass
-computes them.
+stored statistics are exactly the last batch-statistics pass's repeats
+that pass bit for bit.  `bn_adapt` at blend 1 therefore returns that
+pass's logits as the batch's eval-mode logits under the adapted state;
+at a smaller blend one eval pass computes them.  TENT ends in
+`bn_adapt`'s pass at blend 1, under its final scale/shift.
 
 The pre-pool layer pools first: it max-pools its centred matmul output per
 cloud, then scales, shifts and applies ReLU to the pooled rows only.
@@ -683,11 +683,11 @@ _TENT_PARAM_SUFFIXES = (".bn.gamma", ".bn.beta")
 def tent_adapt(state: NetworkState, clouds, config: TentConfig | None = None):
     """Entropy-minimizing test-time adaptation.
 
-    Normalization statistics come from the adaptation batch itself; then
-    `steps` Adam updates are applied to the batch-norm scale/shift
-    parameters only, minimizing the mean softmax entropy of the batch.
-    Every other parameter is left bit-identical.  Returns (adapted state,
-    the batch's eval-mode logits under it).
+    `steps` Adam updates under the batch's own statistics move only the
+    batch-norm scale/shift, minimizing the batch's mean softmax entropy;
+    every other parameter stays bit-identical.  Then `bn_adapt` stores the
+    statistics under the final scale/shift and returns (adapted state, the
+    batch's eval-mode logits under it).
     """
     if len(clouds) < MIN_ADAPT_BATCH:
         raise ValueError(f"need a batch of at least {MIN_ADAPT_BATCH} clouds")
@@ -705,11 +705,7 @@ def tent_adapt(state: NetworkState, clouds, config: TentConfig | None = None):
         grads, _ = backward(adapted, cache, dlogits, wanted=affine)
         adam.step(affine, grads)
         adapted.touch()
-    # store the batch statistics seen under the final scale/shift values, so
-    # a later eval-mode pass reproduces the adapted forward exactly
-    logits, cache = forward(adapted, clouds, mode="adapt")
-    adapted.set_running_stats(cache["batch_stats"], 1.0)
-    return adapted, logits
+    return bn_adapt(adapted, clouds)
 
 
 # ---------------------------------------------------------------------------

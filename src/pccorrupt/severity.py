@@ -25,8 +25,8 @@ SEVERITIES = (1, 2, 3, 4, 5)
 
 
 def check_severity(value) -> int:
-    """`value` if it is one of SEVERITIES, else a ValueError naming the range."""
-    if value not in SEVERITIES:
+    """`value` if it is an int in SEVERITIES (not a bool or numpy int), else a ValueError."""
+    if type(value) is not int or value not in SEVERITIES:
         raise ValueError(f"severity {value} outside {SEVERITIES[0]}..{SEVERITIES[-1]}")
     return value
 

@@ -339,11 +339,12 @@ def test_every_default_record_is_its_operators_keyword_arguments(kind):
 
 
 def test_dispatch_type_errors():
+    """The wrong input type for a kind is bad input, so a ValueError."""
     cloud = random_cloud(64, seed=0)
     mesh = uv_sphere()
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^occlusion corruption needs a TriangleMesh input$"):
         apply_corruption(cloud, CorruptionSpec(CorruptionKind.OCCLUSION, 1, seed=0))
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^uniform corruption needs a PointCloud input$"):
         apply_corruption(mesh, CorruptionSpec(CorruptionKind.UNIFORM, 1, seed=0))
 
 

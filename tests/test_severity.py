@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from pccorrupt import (
     CorruptionKind,
     CorruptionSpec,
     MESH_KINDS,
+    PredictionRecord,
     RunConfig,
     SeverityTable,
 )
@@ -47,6 +49,33 @@ def test_spec_validation():
     for bad in (0, 6, -1):
         with pytest.raises(ValueError):
             CorruptionSpec(CorruptionKind.UNIFORM, bad, seed=0)
+
+
+_SEVERITY_TAKERS = {
+    "CorruptionSpec": lambda s: CorruptionSpec(CorruptionKind.GAUSSIAN, s),
+    "SeverityTable.params": lambda s: SeverityTable.default().params(CorruptionKind.GAUSSIAN, s),
+    "RunConfig": lambda s: RunConfig("in", "out", severities=(s,)),
+    "PredictionRecord": lambda s: PredictionRecord("a", "gaussian", s, 0, 0),
+}
+
+
+@pytest.mark.parametrize("taker", sorted(_SEVERITY_TAKERS))
+@pytest.mark.parametrize("bad", [True, 2.0, np.int64(2)], ids=["bool", "float", "int64"])
+def test_severity_must_be_a_plain_int(taker, bad):
+    """A bool, a float or a numpy integer equal to a severity is refused with
+    the range message, not accepted and left to fail later (or to serialize
+    as `true`)."""
+    with pytest.raises(ValueError, match=rf"^severity {bad} outside 1\.\.5$"):
+        _SEVERITY_TAKERS[taker](bad)
+    _SEVERITY_TAKERS[taker](2)
+
+
+@pytest.mark.parametrize("bad", [False, 0.0, np.int64(0)], ids=["bool", "float", "int64"])
+def test_clean_record_severity_must_be_a_plain_zero(bad):
+    # write_predictions would write "False" or "0.0", which ingest_predictions refuses
+    with pytest.raises(ValueError, match=rf"^clean records carry severity 0, got {bad}$"):
+        PredictionRecord("a", "clean", bad, 0, 0)
+    PredictionRecord("a", "clean", 0, 0, 0)
 
 
 def test_default_table_complete():
