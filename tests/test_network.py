@@ -5,6 +5,7 @@ import json
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -904,6 +905,37 @@ def test_bn_eps_is_tiny():
     # the variance floor must stay far below real feature variances so that
     # adapted statistics standardize within the documented 1e-3 bound
     assert BN_EPS <= 1e-8
+
+
+# -- memory ----------------------------------------------------------------
+
+
+def _traced_peak(run):
+    """Peak bytes that `run()` holds above what was live before it, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("run", ["tent_adapt", "bn_adapt", "train"])
+def test_no_pass_starts_while_the_last_ones_cache_lives(run):
+    # a TENT step, bn_adapt's eval pass and the next training batch each free
+    # the previous pass's activation cache first; two live caches would take
+    # the peak to about 1.45x one forward's (~30 MB at 8 x 1,024 points)
+    state = NetworkState.create(4, seed=0)
+    clouds = _clouds([1024] * 8, seed=43)
+    data = labelled_clouds(6, 1024, seed=44)  # 22 training clouds: 3 batches of <= 8
+    runs = {
+        "tent_adapt": lambda: tent_adapt(state, clouds, TentConfig(steps=2)),
+        "bn_adapt": lambda: bn_adapt(state, clouds, blend=0.5),
+        "train": lambda: train(state, data, TrainConfig(epochs=1, batch_size=8, seed=0)),
+    }
+    one_forward = _traced_peak(lambda: forward(state, clouds, mode="adapt"))
+    assert _traced_peak(runs[run]) <= 1.15 * one_forward
 
 
 # -- golden output ---------------------------------------------------------
